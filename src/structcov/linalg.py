@@ -16,11 +16,6 @@ from .exceptions import InvalidInputError
 HERMITIAN_RTOL = 1e-12
 
 
-def is_complex(arr: np.ndarray) -> bool:
-    """True when the array carries a complex dtype."""
-    return np.iscomplexobj(arr)
-
-
 def as_field_array(arr, name: str = "array") -> np.ndarray:
     """Cast to float64 or complex128 and require finite entries."""
     arr = np.asarray(arr)

@@ -44,6 +44,9 @@ class LinearStructure:
 
     basis: np.ndarray
     init_coeffs: np.ndarray = None
+    # Bt[l] = B_l^T.ravel(): Tr(A B_l) = Bt[l] . vec(A), so every contraction
+    # against the basis is one GEMV or GEMM
+    Bt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_field_array(self.basis, "basis")
@@ -57,6 +60,7 @@ class LinearStructure:
         if sv[-1] <= 1e-10 * sv[0]:
             raise InvalidInputError("basis matrices are not linearly independent")
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "Bt", basis.transpose(0, 2, 1).reshape(basis.shape[0], -1).copy())
 
         if self.init_coeffs is None:
             target = np.eye(basis.shape[1], dtype=basis.dtype).reshape(-1)
@@ -78,7 +82,9 @@ class LinearStructure:
         return self.basis.shape[0]
 
     def assemble(self, coeffs) -> np.ndarray:
-        return np.einsum("l,lij->ij", np.asarray(coeffs, dtype=float), self.basis)
+        """R(a) = sum_l a_l B_l."""
+        k = self.dim
+        return (np.asarray(coeffs, dtype=float) @ self.Bt).reshape(k, k).T
 
 
 # ---------------------------------------------------------------------------
@@ -179,36 +185,24 @@ def structure_from_name(name: str, k: int) -> LinearStructure:
 # inner convex solve
 # ---------------------------------------------------------------------------
 
-def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float):
-    """Value, gradient and Hessian of the surrogate at ``coeffs``.
+def _basis_traces(struct: LinearStructure, mats) -> np.ndarray:
+    """Re Tr(A B_l) for every basis matrix B_l.
 
-    Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
-    barrier used only when M is singular. Returns None when the point is
-    infeasible.
+    ``mats`` is one (K, K) matrix A, giving shape (L,), or a stack
+    (n, K, K), giving (n, L); either way it is one product with ``Bt``.
     """
-    R = hermitize(struct.assemble(coeffs))
-    try:
-        factor = cho_factor(R, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    W = cho_solve(factor, np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
-    lin = np.einsum("ij,lji->l", Wt, struct.basis).real
-    WMW = W @ M @ W
-    value = float((Wt * R.conj()).sum().real + (M * W.conj()).sum().real)
-    grad = lin - np.einsum("ij,lji->l", WMW, struct.basis).real
-    # P_l = W B_l ; H_{lm} = 2 Re Tr(W M P_l P_m)
-    P = np.einsum("ij,ljk->lik", W, struct.basis)
-    WM = W @ M
-    H = 2.0 * np.einsum("ab,lbc,mca->lm", WM, P, P).real
-    if mu > 0.0:
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0]).real))
-        value -= mu * logdet
-        grad -= mu * np.einsum("ij,lji->l", W, struct.basis).real
-        H += mu * np.einsum("lab,mba->lm", P, P).real
-    return value, grad, H
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    if np.iscomplexobj(struct.Bt):
+        return (flat @ struct.Bt.T).real
+    return flat.real @ struct.Bt.T
 
 
 def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
+    """Surrogate value at ``coeffs`` and W = R(a)^{-1}, or None when R(a) is not PD.
+
+    Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
+    barrier used only when M is singular.
+    """
     R = hermitize(struct.assemble(coeffs))
     L = chol_pd(R)
     if L is None:
@@ -217,7 +211,52 @@ def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
     value = float((Wt * R.conj()).sum().real + (M * W.conj()).sum().real)
     if mu > 0.0:
         value -= mu * 2.0 * np.sum(np.log(np.diag(L).real))
-    return value
+    return value, W
+
+
+def _surrogate_gradient(struct: LinearStructure, Wt, W, WMW, mu: float) -> np.ndarray:
+    """g_l = Re Tr(Wt B_l) - Re Tr(W M W B_l) - mu Re Tr(W B_l)."""
+    grad = _basis_traces(struct, Wt) - _basis_traces(struct, WMW)
+    if mu > 0.0:
+        grad -= mu * _basis_traces(struct, W)
+    return grad
+
+
+def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray:
+    """H_lm = 2 Re Tr(W M W B_l W B_m) + mu Re Tr(W B_l W B_m).
+
+    Row l is the traces of Q_l = W M W B_l W against the basis, so H is
+    one batched matmul for Q and one (L, K^2) x (K^2, L) GEMM.
+    """
+    H = 2.0 * _basis_traces(struct, WMW @ struct.basis @ W)
+    if mu > 0.0:
+        H += mu * _basis_traces(struct, W @ struct.basis @ W)
+    return H
+
+
+def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float, point=None):
+    """Value, gradient and Hessian of the surrogate at ``coeffs``.
+
+    Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
+    barrier used only when M is singular. ``point`` is the (value, W)
+    that :func:`_surrogate_value` already returned for ``coeffs``, which
+    saves assembling and factoring R(a) again. Returns None when the
+    point is infeasible.
+
+    One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
+    the L basis matrices and its GEMM against the flattened basis.
+    """
+    if point is None:
+        point = _surrogate_value(struct, coeffs, Wt, M, mu)
+        if point is None:
+            return None
+    value, W = point
+    WMW = W @ M @ W
+    return (
+        value,
+        _surrogate_gradient(struct, Wt, W, WMW, mu),
+        _surrogate_hessian(struct, W, WMW, mu),
+    )
 
 
 def _newton_minimize(struct, coeffs, Wt, M, mu, grad_tol=_NEWTON_GRAD_TOL):
@@ -247,8 +286,8 @@ def _newton_minimize(struct, coeffs, Wt, M, mu, grad_tol=_NEWTON_GRAD_TOL):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = coeffs + t * step
-            trial_value = _surrogate_value(struct, trial, Wt, M, mu)
-            if trial_value is not None and trial_value <= value + 1e-4 * t * slope + slack:
+            point = _surrogate_value(struct, trial, Wt, M, mu)
+            if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
         else:
@@ -257,8 +296,8 @@ def _newton_minimize(struct, coeffs, Wt, M, mu, grad_tol=_NEWTON_GRAD_TOL):
                 gradient_norm=float(np.linalg.norm(grad)),
                 value=value,
             )
-        coeffs = coeffs + t * step
-        value, grad, H = _surrogate_pieces(struct, coeffs, Wt, M, mu)
+        coeffs = trial
+        value, grad, H = _surrogate_pieces(struct, coeffs, Wt, M, mu, point)
     raise NumericalFailureError(
         "inner Newton solve did not reach its gradient tolerance",
         gradient_norm=float(np.linalg.norm(grad)),
@@ -266,33 +305,38 @@ def _newton_minimize(struct, coeffs, Wt, M, mu, grad_tol=_NEWTON_GRAD_TOL):
     )
 
 
+def _pd_inverse(R) -> np.ndarray:
+    """Inverse of a positive definite matrix through its Cholesky factor."""
+    factor = cho_factor(R, lower=True, check_finite=False)
+    return cho_solve(factor, np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
+
+
+def _point_at(struct: LinearStructure, coeffs, R_t, M):
+    """(Wt, M, value, W) at ``coeffs`` for the public surrogate functions."""
+    Wt = _pd_inverse(check_hermitian(R_t, "R_t"))
+    M = np.asarray(M)
+    point = _surrogate_value(struct, coeffs, Wt, M, 0.0)
+    if point is None:
+        raise InvalidInputError("coefficients are infeasible")
+    return (Wt, M, *point)
+
+
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
     """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``."""
-    R_t = check_hermitian(R_t, "R_t")
-    Wt = np.linalg.inv(R_t)
-    R = hermitize(struct.assemble(coeffs))
-    W = np.linalg.inv(R)
-    WMW = W @ np.asarray(M) @ W
-    lin = np.einsum("ij,lji->l", Wt, struct.basis).real
-    return lin - np.einsum("ij,lji->l", WMW, struct.basis).real
+    Wt, M, _, W = _point_at(struct, coeffs, R_t, M)
+    return _surrogate_gradient(struct, Wt, W, W @ M @ W, 0.0)
 
 
 def surrogate_hessian(struct: LinearStructure, coeffs, M) -> np.ndarray:
     """Hessian of the Tr(M R(a)^{-1}) term (the linear term contributes nothing)."""
-    R = hermitize(struct.assemble(coeffs))
-    W = np.linalg.inv(R)
-    P = np.einsum("ij,ljk->lik", W, struct.basis)
-    WM = W @ np.asarray(M)
-    return 2.0 * np.einsum("ab,lbc,mca->lm", WM, P, P).real
+    # R_t only enters the value's linear term, so the identity will do
+    _, M, _, W = _point_at(struct, coeffs, np.eye(struct.dim), M)
+    return _surrogate_hessian(struct, W, W @ M @ W, 0.0)
 
 
 def surrogate_value(struct: LinearStructure, coeffs, R_t, M) -> float:
     """f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1})."""
-    Wt = np.linalg.inv(check_hermitian(R_t, "R_t"))
-    value = _surrogate_value(struct, coeffs, Wt, np.asarray(M), 0.0)
-    if value is None:
-        raise InvalidInputError("coefficients are infeasible")
-    return value
+    return _point_at(struct, coeffs, R_t, M)[2]
 
 
 def inner_update(struct: LinearStructure, coeffs, R_t, M_t) -> np.ndarray:
@@ -305,8 +349,7 @@ def inner_update(struct: LinearStructure, coeffs, R_t, M_t) -> np.ndarray:
     """
     R_t = check_hermitian(R_t, "R_t")
     M_t = check_hermitian(M_t, "M_t")
-    factor = cho_factor(R_t, lower=True, check_finite=False)
-    Wt = cho_solve(factor, np.eye(R_t.shape[0], dtype=R_t.dtype), check_finite=False)
+    Wt = _pd_inverse(R_t)
 
     eigs = np.linalg.eigvalsh(M_t)
     trace_m = float(np.trace(M_t).real)
@@ -360,8 +403,8 @@ def stationarity_residual(struct: LinearStructure, scatter, samples: SampleSet) 
     """
     R = check_hermitian(scatter, "scatter")
     M = weighted_scatter(R, samples)
-    W = np.linalg.inv(R)
-    WMW = W @ M @ W
-    lin = np.einsum("ij,lji->l", W, struct.basis).real
-    grad = lin - np.einsum("ij,lji->l", WMW, struct.basis).real
+    W = _pd_inverse(R)
+    lin = _basis_traces(struct, W)
+    # the cost gradient is the surrogate gradient taken at R_t = R(a) = R
+    grad = _surrogate_gradient(struct, W, W, W @ M @ W, 0.0)
     return float(np.max(np.abs(grad)) / (1.0 + np.max(np.abs(lin))))

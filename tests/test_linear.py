@@ -17,7 +17,12 @@ from structcov import (
     toeplitz_basis,
     tyler_unconstrained,
 )
-from structcov.linear import surrogate_gradient, surrogate_hessian, surrogate_value
+from structcov.linear import (
+    _surrogate_pieces,
+    surrogate_gradient,
+    surrogate_hessian,
+    surrogate_value,
+)
 from structcov.simulate import ar_cov, nmse
 from support import (
     coordinate_descent_linear,
@@ -35,6 +40,26 @@ def _feasible_point(struct, rng, spread=0.3):
         if np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0] > 1e-6:
             return a
     raise AssertionError("could not draw a feasible point")
+
+
+def _interior_point(struct, rng, spread=0.1):
+    """The default feasible point plus an additive perturbation of every coefficient."""
+    for _ in range(100):
+        a = struct.init_coeffs + spread * rng.standard_normal(struct.size)
+        R = struct.assemble(a)
+        if np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0] > 1e-3:
+            return a
+    raise AssertionError("could not draw a feasible point")
+
+
+def _pieces_inputs(name, seed):
+    """(struct, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate."""
+    rng = np.random.default_rng(seed)
+    complex_ = name == "hermitian"
+    struct = hermitian_basis(3) if complex_ else toeplitz_basis(5)
+    Wt = np.linalg.inv(rand_pd(struct.dim, rng, complex_))
+    M = rand_pd(struct.dim, rng, complex_, ridge=1.0)
+    return struct, _interior_point(struct, rng), Wt, M
 
 
 class TestPresets:
@@ -161,12 +186,58 @@ class TestDerivatives:
             assert np.linalg.eigvalsh(H)[0] >= -1e-8
 
 
+class TestSurrogatePieces:
+    """The value, gradient and Hessian that the inner Newton solve uses."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
+    def test_hessian_matches_reference_loop(self, name, mu):
+        struct, a, Wt, M = _pieces_inputs(name, 400)
+        _, _, H = _surrogate_pieces(struct, a, Wt, M, mu)
+        W = np.linalg.inv(struct.assemble(a))
+        B = struct.basis
+        ref = np.zeros((struct.size, struct.size))
+        for l in range(struct.size):
+            for m in range(struct.size):
+                ref[l, m] = 2.0 * np.trace(W @ M @ W @ B[l] @ W @ B[m]).real
+                ref[l, m] += mu * np.trace(W @ B[l] @ W @ B[m]).real
+        assert np.max(np.abs(H - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
+    def test_derivatives_match_central_differences(self, name, mu):
+        struct, a, Wt, M = _pieces_inputs(name, 500)
+        _, grad, H = _surrogate_pieces(struct, a, Wt, M, mu)
+        h = 1e-5
+        for j in range(struct.size):
+            e = np.zeros(struct.size)
+            e[j] = h
+            f_plus, g_plus, _ = _surrogate_pieces(struct, a + e, Wt, M, mu)
+            f_minus, g_minus, _ = _surrogate_pieces(struct, a - e, Wt, M, mu)
+            assert grad[j] == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-6, abs=1e-8)
+            fd = (g_plus - g_minus) / (2 * h)
+            assert np.max(np.abs(H[:, j] - fd)) <= 1e-6 * np.max(np.abs(H))
+
+    def test_infeasible_point(self):
+        struct, a, Wt, M = _pieces_inputs("toeplitz", 600)
+        assert _surrogate_pieces(struct, -a, Wt, M, 0.0) is None
+
+
 class TestEstimateLinear:
     def test_full_basis_matches_unconstrained(self):
         X = sample_elliptical(ar_cov(5, 0.5), 50, seed=20)
         struct = full_symmetric_basis(5)
         res = estimate_linear(struct, X)
         ref = tyler_unconstrained(X)
+        assert np.linalg.norm(res.scatter - ref.scatter) <= 1e-6
+
+    def test_hermitian_basis_matches_unconstrained_complex(self):
+        truth = rand_pd(4, np.random.default_rng(26), complex_=True)
+        X = sample_elliptical(truth, 50, seed=26)
+        assert X.is_complex
+        res = estimate_linear(hermitian_basis(4), X)
+        ref = tyler_unconstrained(X)
+        assert res.termination == "converged"
         assert np.linalg.norm(res.scatter - ref.scatter) <= 1e-6
 
     def test_diagonal_structure(self):
