@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -254,10 +255,8 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[dict]:
             rec["failed"] = False
             rec["nmse"] = nmse([scatter], R0)
             if cfg.signal_dim is not None:
-                import warnings as _w
-
-                with _w.catch_warnings():
-                    _w.simplefilter("ignore")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
                     rec["subspace_error"] = subspace_error(scatter, R0, cfg.signal_dim)
         rec["wall_time"] = time.perf_counter() - start
         records.append(rec)

@@ -102,9 +102,8 @@ def _cmd_estimate(args) -> int:
         except ValueError:
             raise InvalidInputError("--dims must look like p,q") from None
         b_structure = toeplitz_basis(q) if args.b_structure == "toeplitz" else None
-        method = {"gs": "gs", "mm": "mm"}[args.method]
         result = estimate_kronecker(
-            samples, p, q, settings, method=method, b_structure=b_structure
+            samples, p, q, settings, method=args.method, b_structure=b_structure
         )
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown structure {structure!r}")

@@ -195,6 +195,31 @@ def _geometric_mean_update(F_t, M):
         ) from exc
 
 
+def _update_b(reshaped: ReshapedSamples, A, B_t, b_structure=None, b_coeffs=None):
+    """MM update of B at fixed A, normalized to unit trace.
+
+    The closed-form geometric mean, or with ``b_structure`` the linear
+    structure's surrogate step warm-started at ``b_coeffs``. Returns
+    ``(B, coeffs)``; ``coeffs`` is None when unstructured.
+    """
+    from .linear import inner_update  # local import to avoid a cycle
+
+    q = B_t.shape[0]
+    U = _whiten_a(reshaped, A)
+    weights = _batch_weights(U, np.linalg.inv(B_t))
+    M_b = hermitize((q / reshaped.n) * np.einsum("n,nij->ij", 1.0 / weights, U))
+    if b_structure is None:
+        B_new = _geometric_mean_update(B_t, M_b)
+        coeffs = None
+    else:
+        coeffs = inner_update(b_structure, b_coeffs, B_t, M_b)
+        B_new = hermitize(b_structure.assemble(coeffs))
+    tr_b = np.trace(B_new).real
+    if coeffs is not None:
+        coeffs = coeffs / tr_b
+    return B_new / tr_b, coeffs
+
+
 def block_mm_step(
     factors: KroneckerFactors,
     reshaped: ReshapedSamples,
@@ -210,32 +235,13 @@ def block_mm_step(
     Returns ``(factors, b_coeffs)``; ``b_coeffs`` is None when
     unstructured.
     """
-    from .linear import inner_update  # local import to avoid a cycle
-
-    n = reshaped.n
     A_t, B_t = factors.factor_a, factors.factor_b
-    p, q = factors.p, factors.q
-
     T = _whiten_b(reshaped, B_t)
     weights = _batch_weights(T, np.linalg.inv(A_t))
-    M_a = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
+    M_a = (factors.p / reshaped.n) * np.einsum("n,nij->ij", 1.0 / weights, T)
     A_new = _geometric_mean_update(A_t, hermitize(M_a))
     A_new = A_new / np.trace(A_new).real
-
-    U = _whiten_a(reshaped, A_new)
-    weights_b = _batch_weights(U, np.linalg.inv(B_t))
-    M_b = (q / n) * np.einsum("n,nij->ij", 1.0 / weights_b, U)
-    M_b = hermitize(M_b)
-    if b_structure is None:
-        B_new = _geometric_mean_update(B_t, M_b)
-        new_coeffs = None
-    else:
-        new_coeffs = inner_update(b_structure, b_coeffs, B_t, M_b)
-        B_new = hermitize(b_structure.assemble(new_coeffs))
-    tr_b = np.trace(B_new).real
-    B_new = B_new / tr_b
-    if new_coeffs is not None:
-        new_coeffs = new_coeffs / tr_b
+    B_new, new_coeffs = _update_b(reshaped, A_new, B_t, b_structure, b_coeffs)
     return KroneckerFactors(factor_a=A_new, factor_b=B_new), new_coeffs
 
 
@@ -303,20 +309,12 @@ def estimate_kronecker(
             new_coeffs = None
         elif method == "gs":
             # A gets its full inner solve; B takes the structured surrogate step.
-            from .linear import inner_update
-
             T = _whiten_b(reshaped, factors.factor_b)
             A = _tyler_factor_loop(
                 T, p, reshaped.n, factors.factor_a, inner_tol, _GS_MAX_INNER
             )
-            U = _whiten_a(reshaped, A)
-            weights_b = _batch_weights(U, np.linalg.inv(factors.factor_b))
-            M_b = hermitize((q / reshaped.n) * np.einsum("n,nij->ij", 1.0 / weights_b, U))
-            new_coeffs = inner_update(b_structure, b_coeffs, factors.factor_b, M_b)
-            B = hermitize(b_structure.assemble(new_coeffs))
-            tr_b = np.trace(B).real
-            new_factors = KroneckerFactors(factor_a=A, factor_b=B / tr_b)
-            new_coeffs = new_coeffs / tr_b
+            B, new_coeffs = _update_b(reshaped, A, factors.factor_b, b_structure, b_coeffs)
+            new_factors = KroneckerFactors(factor_a=A, factor_b=B)
         else:
             new_factors, new_coeffs = block_mm_step(
                 factors, reshaped, b_structure=b_structure, b_coeffs=b_coeffs

@@ -91,9 +91,13 @@ class RankOneDictionary:
         return np.iscomplexobj(self.atoms)
 
     def assemble(self, powers, epsilon: float = 0.0) -> np.ndarray:
-        p = np.asarray(powers, dtype=float) + epsilon
-        A = self.atoms
-        return hermitize((A * p) @ A.conj().T)
+        return _assemble(self.atoms, powers, epsilon)
+
+
+def _assemble(atoms, powers, epsilon: float = 0.0) -> np.ndarray:
+    """A diag(p + eps) A^H for an atom matrix A."""
+    p = np.asarray(powers, dtype=float) + epsilon
+    return hermitize((atoms * p) @ atoms.conj().T)
 
 
 def check_powers(p, l: int) -> np.ndarray:
@@ -107,9 +111,8 @@ def check_powers(p, l: int) -> np.ndarray:
     return p
 
 
-def _weights(dictionary: RankOneDictionary, p_eff, R_t, M_t):
-    """(w, d) of the separable surrogate, given effective powers and R_t, M_t."""
-    A = dictionary.atoms
+def _weights(A, p_eff, R_t, M_t):
+    """(w, d) of the separable surrogate for atoms A, given effective powers and R_t, M_t."""
     try:
         factor = cho_factor(R_t, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -138,7 +141,7 @@ def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
         raise NumericalFailureError(
             "iterate scatter is singular; the dictionary may violate its rank condition"
         ) from exc
-    w, d = _weights(dictionary, p_t, R_t, M_t)
+    w, d = _weights(dictionary.atoms, p_t, R_t, M_t)
     return R_t, M_t, w, d
 
 
@@ -186,8 +189,6 @@ def estimate_rank_one(
         ``params`` holds the power vector of the returned trace-one
         scatter; ``details['epsilon']`` records the ridge actually used.
     """
-    if epsilon < 0.0:
-        raise InvalidInputError("epsilon must be nonnegative")
     samples = _match_field(dictionary, samples)
     samples.require_oversampled()
     if dictionary.k != samples.k:
@@ -199,36 +200,43 @@ def estimate_rank_one(
     else:
         init_powers = check_powers(init_powers, dictionary.l)
 
+    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, power_update)
+
+
+def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResult:
+    """MM over R = A diag(p + eps) A^H with the inner step p <- max(solve(w, d) - eps, 0).
+
+    ``solve`` maps the surrogate weights (w, d) to the minimizing
+    effective powers. If the run fails to converge with epsilon = 0 (an
+    iterate loses positive definiteness or every power collapses), it
+    restarts once with epsilon = 1e-10; ``details['epsilon']`` records
+    the ridge used.
+    """
+    if epsilon < 0.0:
+        raise InvalidInputError("epsilon must be nonnegative")
+
+    def run(eps):
+        def inner(p, R, M):
+            w, d = _weights(atoms, np.asarray(p, dtype=float) + eps, R, M)
+            p_new = np.maximum(solve(w, d) - eps, 0.0)
+            if not np.any(p_new > 0.0):
+                raise FailedToConvergeError("all powers collapsed to zero")
+            return p_new
+
+        result = mm_drive(
+            inner=inner,
+            samples=samples,
+            init_params=init_powers,
+            settings=settings,
+            assemble=lambda p: _assemble(atoms, p, eps),
+            rescale=lambda p, c: np.maximum((p + eps) * c - eps, 0.0),
+        )
+        result.details["epsilon"] = eps
+        return result
+
     try:
-        return _run(dictionary, samples, settings, epsilon, init_powers)
+        return run(epsilon)
     except FailedToConvergeError:
         if epsilon > 0.0:
             raise
-        return _run(dictionary, samples, settings, _EPS_RESTART, init_powers)
-
-
-def _run(dictionary, samples, settings, epsilon, init_powers) -> EstimatorResult:
-    def inner(p, R, M):
-        p_eff = np.asarray(p, dtype=float) + epsilon
-        w, d = _weights(dictionary, p_eff, R, M)
-        p_new_eff = np.maximum(power_update(w, d), epsilon)
-        p_new = p_new_eff - epsilon
-        if not np.any(p_new > 0.0):
-            raise FailedToConvergeError("all powers collapsed to zero")
-        return p_new
-
-    if epsilon == 0.0:
-        rescale = lambda p, c: p * c  # noqa: E731
-    else:
-        rescale = lambda p, c: np.maximum((p + epsilon) * c - epsilon, 0.0)  # noqa: E731
-
-    result = mm_drive(
-        inner=inner,
-        samples=samples,
-        init_params=init_powers,
-        settings=settings,
-        assemble=lambda p: dictionary.assemble(p, epsilon),
-        rescale=rescale,
-    )
-    result.details["epsilon"] = epsilon
-    return result
+        return run(_EPS_RESTART)

@@ -26,16 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    FailedToConvergeError,
     InfeasibleConstraintError,
     InvalidInputError,
     NumericalFailureError,
 )
 from .linalg import dft_matrix
-from .rankone import RankOneDictionary, _weights, power_update
-from .tyler import EstimatorResult, MMSettings, SampleSet, mm_drive
+from .rankone import _assemble, _run, power_update
+from .tyler import TERMINATION_CONVERGED, EstimatorResult, MMSettings, SampleSet
 
-_EPS_RESTART = 1e-10
 _DUAL_MAX_ITER = 200
 _DUAL_KKT_TOL = 1e-10
 _LAMBDA_BLOWUP = 1e14
@@ -66,10 +64,7 @@ class CirculantEmbedding:
         return (self.l - 1) // 2 + 1
 
     def assemble(self, powers, epsilon: float = 0.0) -> np.ndarray:
-        p = np.asarray(powers, dtype=float) + epsilon
-        A = self.a_matrix
-        R = (A * p) @ A.conj().T
-        return 0.5 * (R + R.conj().T)
+        return _assemble(self.a_matrix, powers, epsilon)
 
     def fold(self, values) -> np.ndarray:
         """Fold a length-L symmetric vector of weights into orbit sums.
@@ -225,7 +220,7 @@ def banded_inner_update(
     )
 
 
-def _symmetry_guard(emb: CirculantEmbedding, w, d):
+def _symmetry_guard(w, d):
     """Soft check of the automatic pair symmetry of the surrogate weights."""
     rev_w = np.concatenate([w[:1], w[:0:-1]])
     rev_d = np.concatenate([d[:1], d[:0:-1]])
@@ -237,66 +232,24 @@ def _symmetry_guard(emb: CirculantEmbedding, w, d):
         )
 
 
-def _toeplitz_dictionary(emb: CirculantEmbedding) -> RankOneDictionary:
-    # The embedding satisfies the rank condition by construction
-    # (any K distinct DFT columns restricted to the first K rows form a
-    # Vandermonde matrix with distinct nodes), so skip the sampled check.
-    d = RankOneDictionary.__new__(RankOneDictionary)
-    object.__setattr__(d, "atoms", emb.a_matrix)
-    object.__setattr__(d, "augmented", False)
-    return d
-
-
 def _trivial_result(samples: SampleSet) -> EstimatorResult:
-    scatter = np.array([[1.0]])
     return EstimatorResult(
-        scatter=scatter,
+        scatter=np.ones((1, 1), dtype=samples.data.dtype),
         params=np.array([1.0]),
         objective_trace=np.asarray([]),
         iterations=0,
-        termination="converged",
+        termination=TERMINATION_CONVERGED,
     )
 
 
-def _finalize(result: EstimatorResult, samples: SampleSet) -> EstimatorResult:
+def _finalize(result: EstimatorResult, emb: CirculantEmbedding, samples: SampleSet):
+    result.details["embedding_size"] = emb.l
     if not samples.is_complex and np.iscomplexobj(result.scatter):
         imag = np.max(np.abs(result.scatter.imag))
         if imag > 1e-10 * max(1.0, np.max(np.abs(result.scatter.real))):
             raise NumericalFailureError("real-data Toeplitz estimate has a complex residue")
         result.scatter = result.scatter.real.copy()
     return result
-
-
-def _run_circulant(emb, samples, settings, epsilon, inner_solve) -> EstimatorResult:
-    dictionary = _toeplitz_dictionary(emb)
-    check_symmetry = not samples.is_complex
-
-    def inner(p, R, M):
-        p_eff = np.asarray(p, dtype=float) + epsilon
-        w, d = _weights(dictionary, p_eff, R, M)
-        if check_symmetry:
-            _symmetry_guard(emb, w, d)
-        p_new = np.maximum(inner_solve(w, d) - epsilon, 0.0)
-        if not np.any(p_new > 0.0):
-            raise FailedToConvergeError("all spectrum powers collapsed to zero")
-        return p_new
-
-    if epsilon == 0.0:
-        rescale = lambda p, c: p * c  # noqa: E731
-    else:
-        rescale = lambda p, c: np.maximum((p + epsilon) * c - epsilon, 0.0)  # noqa: E731
-
-    result = mm_drive(
-        inner=inner,
-        samples=samples,
-        init_params=np.ones(emb.l),
-        settings=settings,
-        assemble=lambda p: emb.assemble(p, epsilon),
-        rescale=rescale,
-    )
-    result.details["epsilon"] = epsilon
-    result.details["embedding_size"] = emb.l
-    return _finalize(result, samples)
 
 
 def estimate_toeplitz(
@@ -316,16 +269,15 @@ def estimate_toeplitz(
     if samples.k == 1:
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
+    real = not samples.is_complex
 
     def solve(w, d):
+        if real:
+            _symmetry_guard(w, d)
         return power_update(w, d)
 
-    try:
-        return _run_circulant(emb, samples, settings, epsilon, solve)
-    except FailedToConvergeError:
-        if epsilon > 0.0:
-            raise
-        return _run_circulant(emb, samples, settings, _EPS_RESTART, solve)
+    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)
+    return _finalize(result, emb, samples)
 
 
 def estimate_banded_toeplitz(
@@ -343,17 +295,15 @@ def estimate_banded_toeplitz(
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth)
+    real = not samples.is_complex
 
     def solve(w, d):
-        p_folded = banded_inner_update(spec, emb.fold(w), emb.fold_d(d))
-        return emb.unfold(p_folded)
+        if real:
+            _symmetry_guard(w, d)
+        return emb.unfold(banded_inner_update(spec, emb.fold(w), emb.fold_d(d)))
 
-    try:
-        result = _run_circulant(emb, samples, settings, epsilon, solve)
-    except FailedToConvergeError:
-        if epsilon > 0.0:
-            raise
-        result = _run_circulant(emb, samples, settings, _EPS_RESTART, solve)
+    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)
+    result = _finalize(result, emb, samples)
     result.details["bandwidth"] = bandwidth
     return result
 

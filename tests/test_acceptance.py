@@ -44,7 +44,7 @@ from structcov import (
 from structcov.linear import surrogate_gradient
 from structcov.rankone import _weights, surrogate_params
 from structcov.spiked import project_spiked
-from structcov.toeplitz import BandedSpec, _toeplitz_dictionary, build_embedding
+from structcov.toeplitz import BandedSpec, build_embedding
 from structcov.tyler import SampleSet, weighted_scatter
 from support import (
     barrier_equality_solve,
@@ -314,7 +314,7 @@ def test_criterion_9_numerical_analysis():
 
         # conjugate-pair symmetry of the circulant surrogate weights
         emb = build_embedding(6)
-        d_obj = _toeplitz_dictionary(emb)
+        d_obj = emb.a_matrix
         X = sample_elliptical(ar_cov(6, 0.6), 60, seed=92)
         pvec = np.ones(emb.l)
         for _ in range(8):

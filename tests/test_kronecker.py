@@ -219,13 +219,15 @@ class TestEstimateKronecker:
         p, q, n = 4, 3, 6
         X, _ = _kron_samples(p, q, n, seed=17)
         settings = MMSettings(tol=1e-9, max_iter=2000)
-        res_mm = estimate_kronecker(X, p, q, settings, method="mm")
-        res_gs = estimate_kronecker(X, p, q, settings, method="gs")
-        assert abs(res_mm.objective_trace[-1] - res_gs.objective_trace[-1]) <= 1e-6
-        for res in (res_mm, res_gs):
-            assert np.trace(res.details["factor_a"]) == pytest.approx(1.0, abs=1e-14)
-            assert np.trace(res.details["factor_b"]) == pytest.approx(1.0, abs=1e-14)
-            assert nonincreasing(res.objective_trace)
+        # free B, then a Toeplitz B (the structured B update of both methods)
+        for b_structure in (None, toeplitz_basis(q)):
+            res_mm = estimate_kronecker(X, p, q, settings, method="mm", b_structure=b_structure)
+            res_gs = estimate_kronecker(X, p, q, settings, method="gs", b_structure=b_structure)
+            assert abs(res_mm.objective_trace[-1] - res_gs.objective_trace[-1]) <= 1e-6
+            for res in (res_mm, res_gs):
+                assert np.trace(res.details["factor_a"]) == pytest.approx(1.0, abs=1e-14)
+                assert np.trace(res.details["factor_b"]) == pytest.approx(1.0, abs=1e-14)
+                assert nonincreasing(res.objective_trace)
 
     def test_small_sample_count_supported(self):
         p, q = 5, 4

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import structcov.rankone
+import structcov.toeplitz
 from structcov import (
+    FailedToConvergeError,
     InvalidInputError,
     MMSettings,
     RankOneDictionary,
@@ -9,8 +12,10 @@ from structcov import (
     angles_recovered,
     diagonal_basis,
     doa_cov,
+    estimate_banded_toeplitz,
     estimate_linear,
     estimate_rank_one,
+    estimate_toeplitz,
     music_spectrum,
     power_update,
     sample_elliptical,
@@ -222,3 +227,60 @@ class TestEstimateRankOne:
         res = estimate_rank_one(d, X, MMSettings(tol=1e-6, max_iter=500))
         music = music_spectrum(res.scatter, 5)
         assert angles_recovered(music, angles, 0.25)
+
+
+def _fit_rank_one(X, **kwargs):
+    dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+    return estimate_rank_one(dictionary, X, MMSettings(max_iter=60), **kwargs)
+
+
+# estimator, and the module attribute holding the inner solve it calls
+RESTART_CASES = {
+    "rankone": (_fit_rank_one, structcov.rankone, "power_update"),
+    "toeplitz": (estimate_toeplitz, structcov.toeplitz, "power_update"),
+    "banded": (
+        lambda X, **kwargs: estimate_banded_toeplitz(X, 2, **kwargs),
+        structcov.toeplitz,
+        "banded_inner_update",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTART_CASES))
+def test_epsilon_ridge_restart(name, monkeypatch):
+    fit, module, attr = RESTART_CASES[name]
+    solve = getattr(module, attr)
+    calls = []
+    fail_at = set()
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) in fail_at:
+            raise FailedToConvergeError("forced")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, flaky)
+    X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
+
+    def run(fail, **kwargs):
+        calls.clear()
+        fail_at.clear()
+        fail_at.update(fail)
+        return fit(X, **kwargs)
+
+    # the third inner step of the first run fails; the restart starts afresh
+    res = run({3})
+    assert res.details["epsilon"] == 1e-10
+    assert abs(np.trace(res.scatter).real - 1.0) <= 1e-12
+    assert nonincreasing(res.objective_trace)
+    direct = run(set(), epsilon=1e-10)
+    assert res.iterations == direct.iterations
+    assert np.array_equal(res.scatter, direct.scatter)
+
+    # no restart when the caller chose the ridge, and only one restart
+    with pytest.raises(FailedToConvergeError):
+        run({3}, epsilon=1e-6)
+    with pytest.raises(FailedToConvergeError):
+        run({3, 5})
+    with pytest.raises(InvalidInputError):
+        run(set(), epsilon=-1e-6)

@@ -18,11 +18,12 @@ from structcov import (
     sample_elliptical,
     toeplitz_basis,
     tyler_cost,
+    tyler_unconstrained,
     weighted_scatter,
 )
 from structcov.rankone import _weights
-from structcov.toeplitz import _toeplitz_dictionary
 from structcov.simulate import ar_cov, banded_ar_cov, nmse
+from structcov.tyler import TERMINATION_CONVERGED
 from support import barrier_equality_solve, nonincreasing
 
 
@@ -80,7 +81,7 @@ class TestSurrogateSymmetry:
     def test_weights_symmetric_on_real_data(self):
         # conjugate-pair symmetry of w and d, checked along a few iterations
         emb = build_embedding(6)
-        d_obj = _toeplitz_dictionary(emb)
+        d_obj = emb.a_matrix
         X = sample_elliptical(ar_cov(6, 0.6), 60, seed=3)
         p = np.ones(emb.l)
         for _ in range(5):
@@ -134,6 +135,24 @@ class TestEstimateToeplitz:
         X = SampleSet.from_array(np.random.default_rng(9).standard_normal((5, 1)))
         res = estimate_toeplitz(X)
         assert np.allclose(res.scatter, [[1.0]])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "fit",
+    [estimate_toeplitz, lambda X: estimate_banded_toeplitz(X, 0)],
+    ids=["toeplitz", "banded"],
+)
+def test_k1_scatter_follows_sample_field(fit, complex_):
+    rng = np.random.default_rng(14)
+    data = rng.standard_normal((5, 1))
+    if complex_:
+        data = data + 1j * rng.standard_normal((5, 1))
+    X = SampleSet.from_array(data)
+    res = fit(X)
+    assert res.scatter.dtype == tyler_unconstrained(X).scatter.dtype
+    assert np.array_equal(res.scatter, [[1.0]])
+    assert res.termination == TERMINATION_CONVERGED
 
 
 class TestBandedInner:
