@@ -117,9 +117,8 @@ def _whiten_b(reshaped: ReshapedSamples, B) -> np.ndarray:
 
 def _whiten_a(reshaped: ReshapedSamples, A) -> np.ndarray:
     """U_i = M_i conj(A^{-1}) M_i^H for every sample; q x q Hermitian PSD."""
-    A_inv = np.linalg.inv(A)
-    U = np.einsum("nij,jk,nlk->nil", reshaped.mats, A_inv.conj(), reshaped.mats.conj())
-    return U
+    mats = reshaped.mats
+    return (mats @ np.linalg.inv(A).conj()) @ mats.conj().transpose(0, 2, 1)
 
 
 def _batch_weights(stack, F_inv) -> np.ndarray:

@@ -78,7 +78,16 @@ def chol_pd(M) -> np.ndarray | None:
 
     The None return is a value used for feasibility checks, not an error.
     """
-    M = check_hermitian(M)
+    return _cholesky(check_hermitian(M))
+
+
+def _cholesky(M, name: str = "matrix") -> np.ndarray | None:
+    """:func:`chol_pd` for a matrix its caller built Hermitian: skips that check.
+
+    Non-finite entries are still rejected; only the lower triangle is read.
+    """
+    if not np.isfinite(M).all():
+        raise InvalidInputError(f"{name} contains non-finite entries")
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:

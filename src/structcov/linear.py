@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
-from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
-from .tyler import EstimatorResult, MMSettings, SampleSet, mm_drive, weighted_scatter
+from .linalg import _cholesky, as_field_array, check_hermitian, chol_pd, hermitize
+from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, mm_drive
 
 _NEWTON_GRAD_TOL = 1e-8
 _NEWTON_MAX_ITER = 120
@@ -204,7 +204,7 @@ def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
     barrier used only when M is singular.
     """
     R = hermitize(struct.assemble(coeffs))
-    L = chol_pd(R)
+    L = _cholesky(R)
     if L is None:
         return None
     W = cho_solve((L, True), np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
@@ -339,17 +339,18 @@ def surrogate_value(struct: LinearStructure, coeffs, R_t, M) -> float:
     return _point_at(struct, coeffs, R_t, M)[2]
 
 
-def inner_update(struct: LinearStructure, coeffs, R_t, M_t) -> np.ndarray:
+def inner_update(struct: LinearStructure, coeffs, R_t, M_t, R_t_inv=None) -> np.ndarray:
     """Minimize the MM surrogate over the structure's coefficients.
 
     Starts from ``coeffs`` (warm start) and returns coefficients with
     surrogate gradient norm at most 1e-8 * (1 + |f|) and R(a) > 0.
     A -mu*logdet safeguard with mu = 1e-10 * Tr(M_t) is applied when
-    M_t is singular, followed by an unbarriered polish.
+    M_t is singular, followed by an unbarriered polish. ``R_t_inv`` is
+    R_t^{-1} when the caller already has it from a factor of R_t.
     """
     R_t = check_hermitian(R_t, "R_t")
     M_t = check_hermitian(M_t, "M_t")
-    Wt = _pd_inverse(R_t)
+    Wt = _pd_inverse(R_t) if R_t_inv is None else R_t_inv
 
     eigs = np.linalg.eigvalsh(M_t)
     trace_m = float(np.trace(M_t).real)
@@ -386,7 +387,7 @@ def estimate_linear(
     if chol_pd(hermitize(struct.assemble(coeffs))) is None:
         raise InvalidInputError("initial coefficients are infeasible")
     return mm_drive(
-        inner=lambda a, R, M: inner_update(struct, a, R, M),
+        inner=lambda a, it: inner_update(struct, a, it.R, it.M, it.inverse()),
         samples=samples,
         init_params=coeffs,
         settings=settings,
@@ -401,9 +402,8 @@ def stationarity_residual(struct: LinearStructure, scatter, samples: SampleSet) 
     derivatives Tr(R^{-1} B_j) - Tr(R^{-1} M R^{-1} B_j) vanish; the
     residual is normalized by the scale of the first term.
     """
-    R = check_hermitian(scatter, "scatter")
-    M = weighted_scatter(R, samples)
-    W = _pd_inverse(R)
+    it = Iterate.at(check_hermitian(scatter, "scatter"), samples)
+    M, W = it.M, it.inverse()
     lin = _basis_traces(struct, W)
     # the cost gradient is the surrogate gradient taken at R_t = R(a) = R
     grad = _surrogate_gradient(struct, W, W, W @ M @ W, 0.0)

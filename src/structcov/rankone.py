@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import (
     FailedToConvergeError,
@@ -24,7 +23,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import as_field_array, hermitize
-from .tyler import EstimatorResult, MMSettings, SampleSet, mm_drive, weighted_scatter
+from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _scale, mm_drive
 
 _EPS_RESTART = 1e-10
 
@@ -111,19 +110,24 @@ def check_powers(p, l: int) -> np.ndarray:
     return p
 
 
-def _weights(A, p_eff, R_t, M_t):
-    """(w, d) of the separable surrogate for atoms A, given effective powers and R_t, M_t."""
-    try:
-        factor = cho_factor(R_t, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NumericalFailureError(
-            "iterate scatter is singular; the dictionary may violate its rank condition"
-        ) from None
-    G = cho_solve(factor, A, check_finite=False)          # R_t^{-1} A
-    w = np.einsum("ij,ij->j", A.conj(), G).real
-    Y = cho_solve(factor, M_t @ G, check_finite=False)    # R_t^{-1} M_t R_t^{-1} A
-    d = (p_eff ** 2) * np.einsum("ij,ij->j", A.conj(), Y).real
-    return w, np.maximum(d, 0.0)
+def _weights(A, p_eff, it):
+    """(w, d) of the separable surrogate for atoms A at effective powers p_eff.
+
+    ``it`` is the :class:`~structcov.tyler.Iterate` at R_t = L L^H. With
+    G = L^{-1} A, one triangular solve, and the whitened weighted scatter
+    S = L^{-1} M_t L^{-H} = (K/N) sum_i z_i z_i^H / q_i,
+
+        w_j = ||g_j||^2 = a_j^H R_t^{-1} a_j,
+        d_j = p_j^2 g_j^H S g_j = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
+
+    so neither R_t^{-1} nor M_t is formed.
+    """
+    G = it.solve(A)
+    Z = it.whitened
+    S = (Z * (it.ratio / it.quad)) @ Z.conj().T
+    w = np.einsum("ij,ij->j", G.conj(), G).real
+    d = (p_eff ** 2) * np.einsum("ij,ij->j", G.conj(), S @ G).real
+    return w, np.maximum(d, 0.0)  # S is PSD; clip roundoff below zero
 
 
 def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
@@ -136,13 +140,13 @@ def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
     p_t = check_powers(p_t, dictionary.l)
     R_t = dictionary.assemble(p_t)
     try:
-        M_t = weighted_scatter(R_t, samples)
+        it = Iterate.at(R_t, samples)
     except InvalidInputError as exc:
         raise NumericalFailureError(
             "iterate scatter is singular; the dictionary may violate its rank condition"
         ) from exc
-    w, d = _weights(dictionary.atoms, p_t, R_t, M_t)
-    return R_t, M_t, w, d
+    w, d = _weights(dictionary.atoms, p_t, it)
+    return R_t, it.M, w, d
 
 
 def power_update(w_t, d_t) -> np.ndarray:
@@ -216,20 +220,22 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResu
         raise InvalidInputError("epsilon must be nonnegative")
 
     def run(eps):
-        def inner(p, R, M):
-            w, d = _weights(atoms, np.asarray(p, dtype=float) + eps, R, M)
+        def inner(p, it):
+            w, d = _weights(atoms, np.asarray(p, dtype=float) + eps, it)
             p_new = np.maximum(solve(w, d) - eps, 0.0)
             if not np.any(p_new > 0.0):
                 raise FailedToConvergeError("all powers collapsed to zero")
             return p_new
 
+        # with a ridge, scaling R by c maps p to (p + eps) c - eps, clipped at 0
+        rescale = _scale if eps == 0.0 else lambda p, c: np.maximum((p + eps) * c - eps, 0.0)
         result = mm_drive(
             inner=inner,
             samples=samples,
             init_params=init_powers,
             settings=settings,
             assemble=lambda p: _assemble(atoms, p, eps),
-            rescale=lambda p, c: np.maximum((p + eps) * c - eps, 0.0),
+            rescale=rescale,
         )
         result.details["epsilon"] = eps
         return result

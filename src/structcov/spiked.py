@@ -111,8 +111,8 @@ def estimate_spiked(
 
     flags = {"degenerate": False}
 
-    def inner(params, R, M):
-        model = spiked_inner_update(M, n_spikes)
+    def inner(params, it):
+        model = spiked_inner_update(it.M, n_spikes)
         flags["degenerate"] = model.degenerate
         return model.assemble()
 

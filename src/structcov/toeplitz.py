@@ -220,13 +220,21 @@ def banded_inner_update(
     )
 
 
-def _symmetry_guard(w, d):
-    """Soft check of the automatic pair symmetry of the surrogate weights."""
-    rev_w = np.concatenate([w[:1], w[:0:-1]])
-    rev_d = np.concatenate([d[:1], d[:0:-1]])
-    tol_w = 1e-6 * (1.0 + np.max(np.abs(w)))
-    tol_d = 1e-6 * (1.0 + np.max(np.abs(d)))
-    if np.max(np.abs(w - rev_w)) > tol_w or np.max(np.abs(d - rev_d)) > tol_d:
+def _pair_index(l: int) -> np.ndarray:
+    """Index of the conjugate partner L - j of every spectrum index j (0 maps to 0)."""
+    return -np.arange(l) % l
+
+
+def _symmetry_guard(w, d, pairs):
+    """Soft check of the automatic pair symmetry of the surrogate weights.
+
+    ``pairs`` is :func:`_pair_index` of their length. w and d are checked
+    together: the largest pair gap of each may not exceed 1e-6 * (1 + its
+    largest magnitude).
+    """
+    wd = np.array((w, d))
+    excess = np.abs(wd - wd[:, pairs]).max(axis=1) - 1e-6 * np.abs(wd).max(axis=1)
+    if excess.max() > 1e-6:
         raise NumericalFailureError(
             "conjugate-pair symmetry of the surrogate weights broke down"
         )
@@ -270,10 +278,11 @@ def estimate_toeplitz(
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
     real = not samples.is_complex
+    pairs = _pair_index(emb.l)
 
     def solve(w, d):
         if real:
-            _symmetry_guard(w, d)
+            _symmetry_guard(w, d, pairs)
         return power_update(w, d)
 
     result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)
@@ -296,10 +305,11 @@ def estimate_banded_toeplitz(
     emb = build_embedding(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth)
     real = not samples.is_complex
+    pairs = _pair_index(emb.l)
 
     def solve(w, d):
         if real:
-            _symmetry_guard(w, d)
+            _symmetry_guard(w, d, pairs)
         return emb.unfold(banded_inner_update(spec, emb.fold(w), emb.fold_d(d)))
 
     result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .exceptions import (
     FailedToConvergeError,
     InvalidInputError,
+    NumericalFailureError,
 )
-from .linalg import as_field_array, chol_pd, hermitize
+from .linalg import _cholesky, as_field_array, hermitize
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -118,17 +119,95 @@ def _prepare(R, samples: SampleSet):
     return R
 
 
-def _cho_lower(R):
-    try:
-        return np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise InvalidInputError("scatter matrix is not positive definite") from None
+class _Whitening:
+    """What every iterate of one fit shares: the samples and the triangular solver.
+
+    The LAPACK ``trtrs`` routine is looked up once, for the field of the
+    first scatter and the samples; it is swapped for the complex one if a
+    complex operand turns up later.
+    """
+
+    def __init__(self, samples: SampleSet, R):
+        X = samples.data
+        self.xt = X.T
+        self.xc = X.conj()
+        self.ratio = samples.k / samples.n
+        (self.trtrs,) = get_lapack_funcs(("trtrs",), (R, X))
+
+    def solve(self, L, B):
+        """L^{-1} B for a lower triangular L."""
+        if self.trtrs.typecode in "sd" and (L.dtype.kind == "c" or B.dtype.kind == "c"):
+            (self.trtrs,) = get_lapack_funcs(("trtrs",), (L, B))
+        x, info = self.trtrs(L, B, lower=1)
+        if info != 0:
+            raise NumericalFailureError("triangular solve failed", info=int(info))
+        return x
+
+    def __call__(self, R) -> "Iterate | None":
+        """The iterate at R, or None when R is not positive definite."""
+        L = _cholesky(R, "scatter")
+        if L is None:
+            return None
+        Z = self.solve(L, self.xt)
+        q = np.einsum("ij,ij->j", Z.conj(), Z).real
+        if np.any(q <= 0.0):
+            raise InvalidInputError("encountered a non-positive quadratic form")
+        return Iterate(R, L, Z, q, self)
 
 
-def _quad_forms(L_factor, X: np.ndarray) -> np.ndarray:
-    """x_i^H R^{-1} x_i for every row x_i of X, given R = L L^H."""
-    Z = solve_triangular(L_factor, X.T, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", Z.conj(), Z).real
+class Iterate:
+    """One MM iterate R_t, with the samples whitened by its Cholesky factor.
+
+    ``chol`` is the lower factor L of R = L L^H, ``whitened`` is
+    Z = L^{-1} X^T (one column z_i per sample) and ``quad`` holds
+    q_i = ||z_i||^2 = x_i^H R^{-1} x_i. The cost and the weighted scatter
+    ``M`` are computed from these, ``M`` only when first read.
+    """
+
+    def __init__(self, R, chol, whitened, quad, whitening: _Whitening):
+        self.R = R
+        self.chol = chol
+        self.whitened = whitened
+        self.quad = quad
+        self._whitening = whitening
+        self._M = None
+
+    @classmethod
+    def at(cls, R, samples: SampleSet) -> "Iterate":
+        """The iterate at a given scatter; InvalidInputError unless R is PD."""
+        R = _prepare(R, samples)
+        it = _Whitening(samples, R)(R)
+        if it is None:
+            raise InvalidInputError("scatter matrix is not positive definite")
+        return it
+
+    @property
+    def ratio(self) -> float:
+        """K / N."""
+        return self._whitening.ratio
+
+    @property
+    def cost(self) -> float:
+        """log det(R) + (K/N) * sum_i log q_i."""
+        logdet = 2.0 * np.sum(np.log(np.diag(self.chol).real))
+        return float(logdet + self.ratio * np.sum(np.log(self.quad)))
+
+    @property
+    def M(self) -> np.ndarray:
+        """Weighted scatter (K/N) * sum_i x_i x_i^H / q_i."""
+        if self._M is None:
+            w = self._whitening
+            self._M = hermitize(w.ratio * ((w.xt / self.quad) @ w.xc))
+        return self._M
+
+    def solve(self, B) -> np.ndarray:
+        """L^{-1} B, whitening the columns of B like the samples."""
+        return self._whitening.solve(self.chol, B)
+
+    def inverse(self) -> np.ndarray:
+        """R^{-1} = L^{-H} L^{-1}."""
+        L_inv = self.solve(np.eye(self.chol.shape[0], dtype=self.chol.dtype))
+        return L_inv.conj().T @ L_inv
 
 
 def tyler_cost(R, samples: SampleSet) -> float:
@@ -137,24 +216,12 @@ def tyler_cost(R, samples: SampleSet) -> float:
     Scale invariant: ``tyler_cost(c * R, samples)`` equals
     ``tyler_cost(R, samples)`` for any c > 0.
     """
-    R = _prepare(R, samples)
-    L = _cho_lower(R)
-    logdet = 2.0 * np.sum(np.log(np.diag(L).real))
-    q = _quad_forms(L, samples.data)
-    if np.any(q <= 0.0):
-        raise InvalidInputError("encountered a non-positive quadratic form")
-    k, n = samples.k, samples.n
-    return float(logdet + (k / n) * np.sum(np.log(q)))
+    return Iterate.at(R, samples).cost
 
 
 def weighted_scatter(R, samples: SampleSet) -> np.ndarray:
     """Weighted second-moment matrix (K/N) * sum_i x_i x_i^H / (x_i^H R^{-1} x_i)."""
-    R = _prepare(R, samples)
-    L = _cho_lower(R)
-    q = _quad_forms(L, samples.data)
-    X = samples.data
-    M = (samples.k / samples.n) * ((X.T / q) @ X.conj())
-    return hermitize(M)
+    return Iterate.at(R, samples).M
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -168,6 +235,26 @@ def _scale(params, c):
     return params * c
 
 
+def _trace_one(params, assemble, rescale):
+    """(params, R) of the scatter assemble(params) scaled to unit trace.
+
+    None when that trace is not finite and positive. The default
+    ``rescale`` is linear, so the scatter is c * assemble(params); after
+    any other rescale it is assembled from the rescaled parameters.
+    """
+    R = assemble(params)
+    tr = float(np.trace(R).real)
+    if not np.isfinite(tr) or tr <= 0.0:
+        return None
+    c = 1.0 / tr
+    if rescale is None:
+        return params, c * R
+    if rescale is _scale:
+        return params * c, c * R
+    params = rescale(params, c)
+    return params, assemble(params)
+
+
 def mm_drive(
     inner,
     samples: SampleSet,
@@ -178,14 +265,21 @@ def mm_drive(
 ) -> EstimatorResult:
     """Generic majorization-minimization loop shared by the structured estimators.
 
+    Each iterate R_t is factored once, R_t = L L^H; that factor is the
+    positive-definiteness check, and one triangular solve Z = L^{-1} X^T
+    gives the quadratic forms, the recorded cost and the weighted scatter.
+
     Parameters
     ----------
     inner : callable
-        ``inner(params, R_t, M_t) -> params`` returning parameters that
-        do not increase that structure's surrogate. ``R_t`` is the
-        current trace-normalized scatter and ``M_t`` the weighted
-        scatter at ``R_t``. Exceptions raised by the callback propagate
-        with the iteration index attached as ``exc.mm_iteration``.
+        ``inner(params, it) -> params`` returning parameters that do not
+        increase that structure's surrogate. ``it`` is the
+        :class:`Iterate` at the current trace-normalized scatter:
+        ``it.R``, its factor ``it.chol``, the whitened samples
+        ``it.whitened``, the quadratic forms ``it.quad`` and the weighted
+        scatter ``it.M`` (formed on first read). Exceptions raised by
+        the callback propagate with the iteration index attached as
+        ``exc.mm_iteration``.
     samples : SampleSet
         Data; held fixed for the whole run.
     init_params : ndarray
@@ -196,8 +290,10 @@ def mm_drive(
     rescale : callable or None
         ``rescale(params, c) -> params`` matching a scaling of the
         scatter by ``c``; used to keep parameters consistent with the
-        trace-normalized iterate. Pass None to skip parameter rescaling
-        (the recorded scatter is normalized regardless).
+        trace-normalized iterate. The default multiplies by ``c`` and
+        takes c * assemble(params) as the scatter; any other callable is
+        followed by assembling its result. Pass None to skip parameter
+        rescaling (the recorded scatter is normalized regardless).
 
     Returns
     -------
@@ -209,60 +305,50 @@ def mm_drive(
     if assemble is None:
         assemble = lambda p: p  # noqa: E731 - identity structure
 
-    params = np.asarray(init_params)
-    R_raw = assemble(params)
-    tr = float(np.trace(R_raw).real)
-    if not np.isfinite(tr) or tr <= 0.0:
+    start = _trace_one(np.asarray(init_params), assemble, rescale)
+    if start is None:
         raise InvalidInputError("initial parameters give a scatter with non-positive trace")
-    c = 1.0 / tr
-    if rescale is not None:
-        params = rescale(params, c)
-    R = assemble(params) if rescale is not None else R_raw * c
-    if chol_pd(hermitize(R)) is None:
+    params, R = start
+    whiten = _Whitening(samples, R)
+    it = whiten(R)
+    if it is None:
         raise InvalidInputError("initial scatter is not positive definite")
 
     objective = []
     if settings.record_trace:
-        objective.append(tyler_cost(R, samples))
+        objective.append(it.cost)
 
     iterations = 0
     termination = TERMINATION_MAX_ITER
     for t in range(1, settings.max_iter + 1):
-        M = weighted_scatter(R, samples)
         try:
-            new_params = np.asarray(inner(params, R, M))
+            new_params = np.asarray(inner(params, it))
         except Exception as exc:
             exc.mm_iteration = t
             raise
-        R_raw = assemble(new_params)
-        tr = float(np.trace(R_raw).real)
-        if not np.isfinite(tr) or tr <= 0.0:
+        step = _trace_one(new_params, assemble, rescale)
+        if step is None:
             raise FailedToConvergeError(
                 "iterate lost a usable scale; samples may be degenerate", iteration=t
             )
-        c = 1.0 / tr
-        if rescale is not None:
-            new_params = rescale(new_params, c)
-            R_new = assemble(new_params)
-        else:
-            R_new = R_raw * c
-        if chol_pd(hermitize(R_new)) is None:
+        new_params, R = step
+        it_new = whiten(R)
+        if it_new is None:
             raise FailedToConvergeError(
                 "iterate lost positive definiteness; samples may be degenerate",
                 iteration=t,
             )
         delta = _rel_change(new_params, params)
-        params = new_params
-        R = R_new
+        params, it = new_params, it_new
         iterations = t
         if settings.record_trace:
-            objective.append(tyler_cost(R, samples))
+            objective.append(it.cost)
         if delta <= settings.tol:
             termination = TERMINATION_CONVERGED
             break
 
     return EstimatorResult(
-        scatter=hermitize(R),
+        scatter=hermitize(it.R),
         params=params,
         objective_trace=np.asarray(objective, dtype=float),
         iterations=iterations,
@@ -295,7 +381,7 @@ def tyler_unconstrained(
         init = np.eye(samples.k) / samples.k
     init = _prepare(init, samples)
     result = mm_drive(
-        inner=lambda params, R, M: M,
+        inner=lambda params, it: it.M,
         samples=samples,
         init_params=init,
         settings=settings,

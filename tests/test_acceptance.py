@@ -45,7 +45,7 @@ from structcov.linear import surrogate_gradient
 from structcov.rankone import _weights, surrogate_params
 from structcov.spiked import project_spiked
 from structcov.toeplitz import BandedSpec, build_embedding
-from structcov.tyler import SampleSet, weighted_scatter
+from structcov.tyler import Iterate, SampleSet
 from support import (
     barrier_equality_solve,
     linear_surrogate_naive,
@@ -321,8 +321,8 @@ def test_criterion_9_numerical_analysis():
             R = emb.assemble(pvec)
             tr = np.trace(R).real
             R, pvec = R / tr, pvec / tr
-            M = weighted_scatter(R, X)
-            w, dv = _weights(d_obj, pvec, R, M)
+            it = Iterate.at(R, X)
+            w, dv = _weights(d_obj, pvec, it)
             for j in range(1, emb.l):
                 assert abs(w[j] - w[emb.l - j]) <= 1e-10 * max(1.0, abs(w[j]))
                 assert abs(dv[j] - dv[emb.l - j]) <= 1e-10 * max(1.0, abs(dv[j]))

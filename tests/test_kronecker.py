@@ -17,7 +17,7 @@ from structcov import (
     tyler_cost,
     tyler_unconstrained,
 )
-from structcov.kronecker import _whiten_b, _batch_weights
+from structcov.kronecker import _batch_weights, _whiten_a, _whiten_b
 from structcov.simulate import ar_cov
 from support import rand_pd, nonincreasing
 
@@ -59,6 +59,19 @@ class TestReshapedSamples:
         X = SampleSet.from_array(np.random.default_rng(2).standard_normal((3, 6)))
         with pytest.raises(InvalidInputError):
             ReshapedSamples.from_samples(X, 4, 2)
+
+
+@pytest.mark.parametrize("p,q,n", [(3, 4, 10), (10, 8, 4)])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_whiten_a_matches_einsum(p, q, n, complex_):
+    rng = np.random.default_rng(p * q + n)
+    X, _ = _kron_samples(p, q, n, seed=p + n, complex_=complex_)
+    resh = ReshapedSamples.from_samples(X, p, q)
+    A = rand_pd(p, rng, complex_=complex_)
+    mats = resh.mats
+    U_ref = np.einsum("nij,jk,nlk->nil", mats, np.linalg.inv(A).conj(), mats.conj())
+    U = _whiten_a(resh, A)
+    assert np.linalg.norm(U - U_ref) <= 1e-13 * np.linalg.norm(U_ref)
 
 
 class TestKronObjective:

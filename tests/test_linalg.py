@@ -9,6 +9,7 @@ from structcov import (
     pd_geometric_mean,
     pd_sqrt,
 )
+from structcov.linalg import _cholesky
 from support import rand_hermitian, rand_pd
 
 
@@ -76,6 +77,15 @@ class TestCholPd:
     def test_one_by_one(self):
         assert np.allclose(chol_pd(np.array([[9.0]])), [[3.0]])
         assert chol_pd(np.array([[-1.0]])) is None
+
+    def test_unchecked_factor_rejects_non_finite_and_indefinite(self):
+        M = np.array([[4.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(_cholesky(M), chol_pd(M))
+        assert _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+        with pytest.raises(InvalidInputError):
+            _cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(InvalidInputError):
+            _cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestPdSqrt:

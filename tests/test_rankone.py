@@ -22,8 +22,9 @@ from structcov import (
     surrogate_params,
     ula_dictionary,
 )
-from structcov.rankone import check_powers
+from structcov.rankone import _weights, check_powers
 from structcov.simulate import ar_cov
+from structcov.tyler import Iterate
 from support import nonincreasing, weighted_scatter_naive
 
 
@@ -130,6 +131,31 @@ class TestSurrogateParams:
         _, _, w, d_t = surrogate_params(d, p, X)
         tangency = float(w @ p + np.sum(d_t / p))
         assert abs(tangency - 2 * 5) <= 1e-9
+
+
+class TestWeights:
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_match_dense_formulas(self, complex_, epsilon):
+        rng = np.random.default_rng(14)
+        d = _random_dictionary(rng, k=5, l=11, complex_=complex_)
+        X = SampleSet.from_array(
+            rng.standard_normal((30, 5)) + (1j * rng.standard_normal((30, 5)) if complex_ else 0)
+        )
+        p = rng.uniform(0.5, 2.0, size=11)
+        p[[2, 7]] = 0.0  # powers at zero keep only the ridge
+        p_eff = p + epsilon
+        R = d.assemble(p, epsilon)
+        w, d_t = _weights(d.atoms, p_eff, Iterate.at(R, X))
+
+        A = d.atoms
+        Ri = np.linalg.inv(R)
+        M = weighted_scatter_naive(R, X.data)
+        w_dense = np.real(np.diag(A.conj().T @ Ri @ A))
+        P = np.diag(p_eff)
+        d_dense = np.real(np.diag(P @ A.conj().T @ Ri @ M @ Ri @ A @ P))
+        np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(d_t, d_dense, rtol=1e-12, atol=0.0)
 
 
 class TestPowerUpdate:

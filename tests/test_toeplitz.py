@@ -6,6 +6,7 @@ from structcov import (
     InfeasibleConstraintError,
     InvalidInputError,
     MMSettings,
+    NumericalFailureError,
     SampleSet,
     banded_inner_update,
     build_embedding,
@@ -19,11 +20,11 @@ from structcov import (
     toeplitz_basis,
     tyler_cost,
     tyler_unconstrained,
-    weighted_scatter,
 )
 from structcov.rankone import _weights
 from structcov.simulate import ar_cov, banded_ar_cov, nmse
-from structcov.tyler import TERMINATION_CONVERGED
+from structcov.toeplitz import _pair_index, _symmetry_guard
+from structcov.tyler import TERMINATION_CONVERGED, Iterate
 from support import barrier_equality_solve, nonincreasing
 
 
@@ -89,12 +90,44 @@ class TestSurrogateSymmetry:
             tr = np.trace(R).real
             R = R / tr
             p = p / tr
-            M = weighted_scatter(R, X)
-            w, d = _weights(d_obj, p, R, M)
+            it = Iterate.at(R, X)
+            w, d = _weights(d_obj, p, it)
             for j in range(1, emb.l):
                 assert abs(w[j] - w[emb.l - j]) <= 1e-10 * max(1.0, abs(w[j]))
                 assert abs(d[j] - d[emb.l - j]) <= 1e-10 * max(1.0, abs(d[j]))
             p = np.sqrt(d / w)
+
+
+class TestSymmetryGuard:
+    def _weights(self, l, rng):
+        pairs = _pair_index(l)
+        w = rng.uniform(0.5, 2.0, size=l)
+        d = rng.uniform(0.5, 2.0, size=l)
+        return (w + w[pairs]) / 2, (d + d[pairs]) / 2, pairs
+
+    @pytest.mark.parametrize("l", [9, 10])
+    def test_passes_on_symmetric_weights(self, l):
+        w, d, pairs = self._weights(l, np.random.default_rng(l))
+        _symmetry_guard(w, d, pairs)
+        # a break inside the 1e-6 relative tolerance still passes
+        w[1] += 1e-7
+        _symmetry_guard(w, d, pairs)
+
+    @pytest.mark.parametrize("which", ["w", "d"])
+    @pytest.mark.parametrize("l", [9, 10])
+    def test_raises_on_pair_asymmetry(self, l, which):
+        w, d, pairs = self._weights(l, np.random.default_rng(l))
+        broken = w if which == "w" else d
+        broken[l - 2] += 1e-3
+        with pytest.raises(NumericalFailureError):
+            _symmetry_guard(w, d, pairs)
+
+    def test_index_zero_and_midpoint_are_their_own_pairs(self):
+        assert list(_pair_index(6)) == [0, 5, 4, 3, 2, 1]
+        w, d, pairs = self._weights(6, np.random.default_rng(3))
+        w[0] += 1.0  # unpaired entries may take any value
+        w[3] += 1.0
+        _symmetry_guard(w, d, pairs)
 
 
 class TestEstimateToeplitz:

@@ -189,7 +189,7 @@ class TestMMDrive:
     def test_identity_callback_terminates_immediately(self):
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=15)
         res = mm_drive(
-            inner=lambda params, R, M: params,
+            inner=lambda params, it: params,
             samples=X,
             init_params=np.eye(3) / 3,
         )
@@ -202,7 +202,7 @@ class TestMMDrive:
         settings = MMSettings()
         direct = tyler_unconstrained(X, settings)
         via_driver = mm_drive(
-            inner=lambda params, R, M: M,
+            inner=lambda params, it: it.M,
             samples=X,
             init_params=np.eye(4) / 4,
             settings=settings,
@@ -217,7 +217,7 @@ class TestMMDrive:
         # surrogate over all PD matrices, so it is a valid MM step
         X = sample_elliptical(ar_cov(4, 0.5), 40, seed=100 + seed)
         res = mm_drive(
-            inner=lambda params, R, M: pd_geometric_mean(R, M),
+            inner=lambda params, it: pd_geometric_mean(it.R, it.M),
             samples=X,
             init_params=np.eye(4) / 4,
             settings=MMSettings(max_iter=200),
@@ -227,7 +227,7 @@ class TestMMDrive:
     def test_callback_failure_carries_iteration(self):
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=17)
 
-        def bad(params, R, M):
+        def bad(params, it):
             raise InvalidInputError("nope")
 
         with pytest.raises(InvalidInputError) as err:
@@ -238,7 +238,85 @@ class TestMMDrive:
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=18)
         with pytest.raises(InvalidInputError):
             mm_drive(
-                inner=lambda p, R, M: M,
+                inner=lambda p, it: it.M,
                 samples=X,
                 init_params=np.array([[1.0, 2.0, 0], [2.0, 1.0, 0], [0, 0, 1.0]]),
             )
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_iterate_matches_public_cost_and_scatter(self, complex_):
+        rng = np.random.default_rng(19)
+        X = _samples(rng, 40, 5, complex_)
+        seen = []
+
+        def record(params, it):
+            seen.append(it)
+            return it.M
+
+        res = mm_drive(inner=record, samples=X, init_params=np.eye(5) / 5)
+        assert len(seen) == res.iterations
+        for t, it in enumerate(seen):
+            M = weighted_scatter(it.R, X)
+            assert np.linalg.norm(it.M - M) <= 1e-13 * np.linalg.norm(M)
+            assert abs(res.objective_trace[t] - tyler_cost(it.R, X)) <= 1e-12
+
+
+    def test_iterate_solves_complex_operands_of_a_real_factor(self):
+        from structcov.tyler import Iterate
+
+        rng = np.random.default_rng(20)
+        X = _samples(rng, 20, 3)
+        it = Iterate.at(rand_pd(3, rng), X)
+        B = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        assert np.allclose(it.chol @ it.solve(B), B, atol=1e-13)
+        assert np.allclose(it.inverse() @ it.R, np.eye(3), atol=1e-12)
+
+def _count_factorizations(monkeypatch):
+    """Count every dense Cholesky factorization, wherever structcov bound the name."""
+    import sys
+
+    import scipy.linalg
+
+    calls = []
+    targets = [(np.linalg, "cholesky"), (scipy.linalg, "cholesky"), (scipy.linalg, "cho_factor")]
+    for owner, attr in targets:
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        holders = [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("structcov")]
+        for module in holders:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("estimator", ["tyler", "rankone", "toeplitz"])
+def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
+    from structcov import (
+        RankOneDictionary,
+        doa_cov,
+        estimate_rank_one,
+        estimate_toeplitz,
+        ula_dictionary,
+    )
+
+    settings = MMSettings(max_iter=200, record_trace=record_trace)
+    if estimator == "rankone":
+        X = sample_elliptical(doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1), 30, seed=21)
+        dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+        fit = lambda: estimate_rank_one(dictionary, X, settings)  # noqa: E731
+    else:
+        X = sample_elliptical(ar_cov(6, 0.6), 40, seed=22)
+        fit = {
+            "tyler": lambda: tyler_unconstrained(X, settings),
+            "toeplitz": lambda: estimate_toeplitz(X, settings),
+        }[estimator]
+    calls = _count_factorizations(monkeypatch)
+    res = fit()
+    assert res.details.get("epsilon", 0.0) == 0.0
+    assert len(calls) == res.iterations + 1
