@@ -23,7 +23,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import as_field_array, hermitize
-from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _scale, mm_drive
+from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, mm_drive
 
 _EPS_RESTART = 1e-10
 
@@ -228,7 +228,7 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResu
             return p_new
 
         # with a ridge, scaling R by c maps p to (p + eps) c - eps, clipped at 0
-        rescale = _scale if eps == 0.0 else lambda p, c: np.maximum((p + eps) * c - eps, 0.0)
+        rescale = None if eps == 0.0 else lambda p, c: np.maximum((p + eps) * c - eps, 0.0)
         result = mm_drive(
             inner=inner,
             samples=samples,

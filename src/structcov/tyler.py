@@ -128,7 +128,12 @@ class _Whitening:
     """
 
     def __init__(self, samples: SampleSet, R):
+        if R.shape != (samples.k, samples.k):
+            raise InvalidInputError(
+                f"dimension mismatch: scatter has shape {R.shape}, samples have K={samples.k}"
+            )
         X = samples.data
+        self.samples = samples
         self.xt = X.T
         self.xc = X.conj()
         self.ratio = samples.k / samples.n
@@ -214,8 +219,14 @@ def tyler_cost(R, samples: SampleSet) -> float:
     """Scatter cost log det(R) + (K/N) * sum_i log(x_i^H R^{-1} x_i).
 
     Scale invariant: ``tyler_cost(c * R, samples)`` equals
-    ``tyler_cost(R, samples)`` for any c > 0.
+    ``tyler_cost(R, samples)`` for any c > 0. ``R`` may also be the
+    :class:`Iterate` of these samples at a scatter; its factor is then
+    reused, which is how :func:`mm_drive` records the objective trace.
     """
+    if isinstance(R, Iterate):
+        if R._whitening.samples is not samples:
+            raise InvalidInputError("iterate belongs to a different sample set")
+        return R.cost
     return Iterate.at(R, samples).cost
 
 
@@ -231,16 +242,13 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.linalg.norm((new - old).ravel()) / denom)
 
 
-def _scale(params, c):
-    return params * c
-
-
 def _trace_one(params, assemble, rescale):
     """(params, R) of the scatter assemble(params) scaled to unit trace.
 
-    None when that trace is not finite and positive. The default
-    ``rescale`` is linear, so the scatter is c * assemble(params); after
-    any other rescale it is assembled from the rescaled parameters.
+    None when that trace is not finite and positive. Without a
+    ``rescale`` the scatter is linear in the parameters, so scaling both
+    by c = 1 / trace is exact; a ``rescale`` callable is followed by
+    assembling its result.
     """
     R = assemble(params)
     tr = float(np.trace(R).real)
@@ -248,8 +256,6 @@ def _trace_one(params, assemble, rescale):
         return None
     c = 1.0 / tr
     if rescale is None:
-        return params, c * R
-    if rescale is _scale:
         return params * c, c * R
     params = rescale(params, c)
     return params, assemble(params)
@@ -261,7 +267,7 @@ def mm_drive(
     init_params,
     settings: MMSettings | None = None,
     assemble=None,
-    rescale=_scale,
+    rescale=None,
 ) -> EstimatorResult:
     """Generic majorization-minimization loop shared by the structured estimators.
 
@@ -287,13 +293,12 @@ def mm_drive(
     assemble : callable, optional
         ``assemble(params) -> scatter``; defaults to the identity, i.e.
         the parameters are the scatter matrix itself.
-    rescale : callable or None
+    rescale : callable, optional
         ``rescale(params, c) -> params`` matching a scaling of the
-        scatter by ``c``; used to keep parameters consistent with the
-        trace-normalized iterate. The default multiplies by ``c`` and
-        takes c * assemble(params) as the scatter; any other callable is
-        followed by assembling its result. Pass None to skip parameter
-        rescaling (the recorded scatter is normalized regardless).
+        scatter by ``c``, for a structure that is not linear in its
+        parameters; the scatter is then assembled from its result. By
+        default the structure is taken to be linear: the parameters are
+        multiplied by ``c`` and the scatter is c * assemble(params).
 
     Returns
     -------
@@ -316,7 +321,7 @@ def mm_drive(
 
     objective = []
     if settings.record_trace:
-        objective.append(it.cost)
+        objective.append(tyler_cost(it, samples))
 
     iterations = 0
     termination = TERMINATION_MAX_ITER
@@ -342,7 +347,7 @@ def mm_drive(
         params, it = new_params, it_new
         iterations = t
         if settings.record_trace:
-            objective.append(it.cost)
+            objective.append(tyler_cost(it, samples))
         if delta <= settings.tol:
             termination = TERMINATION_CONVERGED
             break

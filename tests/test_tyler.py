@@ -243,8 +243,14 @@ class TestMMDrive:
                 init_params=np.array([[1.0, 2.0, 0], [2.0, 1.0, 0], [0, 0, 1.0]]),
             )
 
+    @pytest.mark.parametrize("k_init", [2, 4])
+    def test_init_of_wrong_dimension_rejected(self, k_init):
+        X = sample_elliptical(ar_cov(3, 0.4), 30, seed=18)
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            mm_drive(inner=lambda p, it: it.M, samples=X, init_params=np.eye(k_init) / k_init)
+
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_iterate_matches_public_cost_and_scatter(self, complex_):
+    def test_iterate_matches_naive_cost_and_scatter(self, complex_):
         rng = np.random.default_rng(19)
         X = _samples(rng, 40, 5, complex_)
         seen = []
@@ -256,10 +262,21 @@ class TestMMDrive:
         res = mm_drive(inner=record, samples=X, init_params=np.eye(5) / 5)
         assert len(seen) == res.iterations
         for t, it in enumerate(seen):
-            M = weighted_scatter(it.R, X)
+            M = weighted_scatter_naive(it.R, X.data)
             assert np.linalg.norm(it.M - M) <= 1e-13 * np.linalg.norm(M)
-            assert abs(res.objective_trace[t] - tyler_cost(it.R, X)) <= 1e-12
+            assert abs(res.objective_trace[t] - tyler_cost_naive(it.R, X.data)) <= 1e-12
 
+    def test_cost_of_an_iterate_reuses_its_factor(self):
+        from structcov.tyler import Iterate
+
+        rng = np.random.default_rng(23)
+        X = _samples(rng, 20, 3, complex_=True)
+        R = rand_pd(3, rng, complex_=True)
+        it = Iterate.at(R, X)
+        assert tyler_cost(it, X) == tyler_cost(R, X)
+        other = SampleSet.from_array(X.data.copy())
+        with pytest.raises(InvalidInputError, match="different sample set"):
+            tyler_cost(it, other)
 
     def test_iterate_solves_complex_operands_of_a_real_factor(self):
         from structcov.tyler import Iterate
@@ -270,6 +287,7 @@ class TestMMDrive:
         B = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         assert np.allclose(it.chol @ it.solve(B), B, atol=1e-13)
         assert np.allclose(it.inverse() @ it.R, np.eye(3), atol=1e-12)
+
 
 def _count_factorizations(monkeypatch):
     """Count every dense Cholesky factorization, wherever structcov bound the name."""
