@@ -10,16 +10,18 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .exceptions import EstimationError, InvalidInputError
-from .fileio import write_results_csv
+from .fileio import read_dictionary, write_results_csv
 from .kronecker import estimate_kronecker
 from .linear import estimate_linear, structure_from_name, toeplitz_basis
 from .rankone import RankOneDictionary, estimate_rank_one
@@ -50,17 +52,136 @@ RESULT_COLUMNS = [
 
 BASELINES = ("SCM", "TylerUnconstrained", "ProjectedTyler")
 
-TRUTH_KINDS = ("ar", "banded-ar", "doa", "spiked", "kronecker")
 
-STRUCTURES = (
-    "toeplitz",
-    "banded-toeplitz",
-    "linear",
-    "rank-one",
-    "spiked",
-    "kronecker-gs",
-    "kronecker-mm",
-)
+def _check_spec(spec, table: dict, what: str):
+    """The builder of ``spec``'s kind with the spec's keys bound to it.
+
+    A builder's parameters after its first two are the keys a spec of its
+    kind may give; those without a default are required. Anything else is
+    ``InvalidInputError``. Only keys are checked, and the values that
+    select a code path, so nothing is built: a pool job re-runs this for
+    every trial.
+    """
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{what} must be a dict with a 'kind', got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise InvalidInputError(f"unknown {what} kind {kind!r}; expected one of {tuple(table)}")
+    keys = list(inspect.signature(table[kind]).parameters.values())[2:]
+    given = {key: value for key, value in spec.items() if key != "kind"}
+    missing = [p.name for p in keys if p.default is p.empty and p.name not in given]
+    if missing:
+        raise InvalidInputError(f"{what} {kind!r} needs {missing}")
+    unknown = sorted(set(given) - {p.name for p in keys})
+    if unknown:
+        raise InvalidInputError(
+            f"{what} {kind!r} does not take {unknown}; it takes {[p.name for p in keys]}"
+        )
+    if given.get("b_structure") not in (None, "toeplitz"):
+        raise InvalidInputError(f"b_structure {given['b_structure']!r} is not 'toeplitz' or null")
+    if "dictionary" in given and "grid_step_deg" in given:
+        raise InvalidInputError("give the rank-one atoms as dictionary or grid_step_deg, not both")
+    if given.get("a_spec", "identity") != "identity" and "a_beta" not in given:
+        raise InvalidInputError(f"a_spec {spec['a_spec']!r} needs a_beta")
+    return partial(table[kind], **given)
+
+
+def _kronecker_truth(k, rng, p, q, a_spec="identity", a_beta=None, b_beta=None):
+    A = np.eye(int(p)) if a_spec == "identity" else ar_cov(int(p), float(a_beta))
+    B = np.eye(int(q)) if b_beta is None else ar_cov(int(q), float(b_beta))
+    return np.kron(A, B)
+
+
+# Truth builders: (k, rng, **spec keys) -> true scatter
+TRUTH_KINDS = {
+    "ar": lambda k, rng, beta: ar_cov(k, float(beta)),
+    "banded-ar": lambda k, rng, beta, bandwidth: banded_ar_cov(k, float(beta), int(bandwidth)),
+    "doa": lambda k, rng, angles_deg, powers, noise_var: doa_cov(
+        k, angles_deg, powers, float(noise_var)
+    ),
+    "spiked": lambda k, rng, n_spikes, noise_var, power_range=(0.01, 1.0): spiked_cov(
+        k, int(n_spikes), float(noise_var), tuple(power_range), rng=rng
+    ),
+    "kronecker": _kronecker_truth,
+}
+
+
+# Structure builders: (k, settings, **spec keys) -> fit(samples) -> EstimatorResult.
+# A fit looks its estimator up as a module global when it runs, so a caller
+# that replaces, say, ``structcov.bench.estimate_toeplitz`` sees every fit
+# go through the replacement.
+
+def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):
+    return lambda X: estimate_toeplitz(
+        X, settings, embedding_size=embedding_size, epsilon=float(epsilon)
+    )
+
+
+def _banded_toeplitz(k, settings, bandwidth, embedding_size=None, epsilon=0.0):
+    return lambda X: estimate_banded_toeplitz(
+        X, int(bandwidth), settings, embedding_size=embedding_size, epsilon=float(epsilon)
+    )
+
+
+def _linear(k, settings, basis="toeplitz"):
+    struct = structure_from_name(basis, k)
+    return lambda X: estimate_linear(struct, X, settings)
+
+
+def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
+    """Atoms every ``grid_step_deg`` on a ULA, or from ``dictionary``: 'ula:K:step'
+    or a CSV of atom rows; identity columns are appended for the noise."""
+    if dictionary is None:
+        atoms = ula_dictionary(k, float(grid_step_deg))
+    elif dictionary.startswith("ula:"):
+        try:
+            _, dict_k, step = dictionary.split(":")
+            dict_k, step = int(dict_k), float(step)
+        except ValueError:
+            raise InvalidInputError("ULA spec must look like ula:K:step_degrees") from None
+        atoms = ula_dictionary(dict_k, step)
+    else:
+        atoms = read_dictionary(dictionary)
+    if atoms.shape[0] != k:
+        raise InvalidInputError(
+            f"dictionary dimension {atoms.shape[0]} does not match the data dimension {k}"
+        )
+    augmented = RankOneDictionary.augment(atoms)
+    return lambda X: estimate_rank_one(augmented, X, settings, epsilon=float(epsilon))
+
+
+def _spiked(k, settings, n_spikes):
+    return lambda X: estimate_spiked(X, int(n_spikes), settings)
+
+
+def _kronecker(method, k, settings, p, q, b_structure=None):
+    b_basis = toeplitz_basis(int(q)) if b_structure == "toeplitz" else None
+    return lambda X: estimate_kronecker(
+        X, int(p), int(q), settings, method=method, b_structure=b_basis
+    )
+
+
+# The structured fits by name; the bench, ``structcov estimate`` and
+# ``structcov doa`` all read this table.
+STRUCTURE_KINDS = {
+    "toeplitz": _toeplitz,
+    "banded-toeplitz": _banded_toeplitz,
+    "linear": _linear,
+    "rank-one": _rank_one,
+    "spiked": _spiked,
+    "kronecker-gs": partial(_kronecker, "gs"),
+    "kronecker-mm": partial(_kronecker, "mm"),
+}
+
+
+def structure_fit(spec, k: int, settings: MMSettings | None = None):
+    """``fit(samples) -> EstimatorResult`` for a structure spec of dimension ``k``.
+
+    ``spec`` is a dict such as ``{"kind": "banded-toeplitz", "bandwidth": 3}``;
+    ``STRUCTURE_KINDS`` maps each kind to its builder, whose keyword
+    parameters are the keys the spec may give.
+    """
+    return _check_spec(spec, STRUCTURE_KINDS, "structure")(k, settings)
 
 
 @dataclass(frozen=True)
@@ -94,15 +215,9 @@ class ExperimentConfig:
         for b in self.baselines:
             if b not in BASELINES:
                 raise InvalidInputError(f"unknown baseline {b!r}; expected one of {BASELINES}")
-        kind = self.truth.get("kind")
-        if kind not in TRUTH_KINDS:
-            raise InvalidInputError(f"unknown truth kind {kind!r}; expected one of {TRUTH_KINDS}")
+        _check_spec(self.truth, TRUTH_KINDS, "truth")
         if self.structure is not None:
-            skind = self.structure.get("kind")
-            if skind not in STRUCTURES:
-                raise InvalidInputError(
-                    f"unknown structure kind {skind!r}; expected one of {STRUCTURES}"
-                )
+            _check_spec(self.structure, STRUCTURE_KINDS, "structure")
         if "ProjectedTyler" in self.baselines and self.signal_dim is None:
             raise InvalidInputError("ProjectedTyler needs a truth with a signal dimension")
         if self.workers < 1:
@@ -140,70 +255,7 @@ class ExperimentConfig:
 
 def build_truth(cfg: ExperimentConfig, rng) -> np.ndarray:
     """True scatter for one trial; random-direction truths use ``rng``."""
-    t = cfg.truth
-    kind = t["kind"]
-    if kind == "ar":
-        return ar_cov(cfg.k, float(t["beta"]))
-    if kind == "banded-ar":
-        return banded_ar_cov(cfg.k, float(t["beta"]), int(t["bandwidth"]))
-    if kind == "doa":
-        return doa_cov(cfg.k, t["angles_deg"], t["powers"], float(t["noise_var"]))
-    if kind == "spiked":
-        return spiked_cov(
-            cfg.k,
-            int(t["n_spikes"]),
-            float(t["noise_var"]),
-            tuple(t.get("power_range", (0.01, 1.0))),
-            rng=rng,
-        )
-    if kind == "kronecker":
-        p, q = int(t["p"]), int(t["q"])
-        A = np.eye(p) if t.get("a_spec", "identity") == "identity" else ar_cov(p, float(t["a_beta"]))
-        B = ar_cov(q, float(t["b_beta"])) if "b_beta" in t else np.eye(q)
-        return np.kron(A, B)
-    raise InvalidInputError(f"unknown truth kind {kind!r}")
-
-
-def _structured_estimator(cfg: ExperimentConfig):
-    """(name, callable) for the configured structured estimator, or None."""
-    if cfg.structure is None:
-        return None
-    s = cfg.structure
-    kind = s["kind"]
-    settings = cfg.settings
-    if kind == "toeplitz":
-        return kind, lambda X: estimate_toeplitz(
-            X, settings, embedding_size=s.get("embedding_size")
-        ).scatter
-    if kind == "banded-toeplitz":
-        bandwidth = int(s["bandwidth"])
-        return kind, lambda X: estimate_banded_toeplitz(
-            X, bandwidth, settings, embedding_size=s.get("embedding_size")
-        ).scatter
-    if kind == "linear":
-        struct = structure_from_name(s.get("basis", "toeplitz"), cfg.k)
-        return kind, lambda X: estimate_linear(struct, X, settings).scatter
-    if kind == "rank-one":
-        step = float(s.get("grid_step_deg", 5.0))
-        atoms = ula_dictionary(cfg.k, step)
-        dictionary = RankOneDictionary.augment(atoms)
-        epsilon = float(s.get("epsilon", 0.0))
-        return kind, lambda X: estimate_rank_one(
-            dictionary, X, settings, epsilon=epsilon
-        ).scatter
-    if kind == "spiked":
-        n_spikes = int(s["n_spikes"])
-        return kind, lambda X: estimate_spiked(X, n_spikes, settings).scatter
-    if kind in ("kronecker-gs", "kronecker-mm"):
-        p, q = int(s["p"]), int(s["q"])
-        method = "gs" if kind.endswith("gs") else "mm"
-        b_structure = None
-        if s.get("b_structure") == "toeplitz":
-            b_structure = toeplitz_basis(q)
-        return kind, lambda X: estimate_kronecker(
-            X, p, q, settings, method=method, b_structure=b_structure
-        ).scatter
-    raise InvalidInputError(f"unknown structure kind {kind!r}")
+    return _check_spec(cfg.truth, TRUTH_KINDS, "truth")(cfg.k, rng)
 
 
 def _baseline_estimator(name: str, cfg: ExperimentConfig):
@@ -225,9 +277,9 @@ def _baseline_estimator(name: str, cfg: ExperimentConfig):
 
 def _estimators(cfg: ExperimentConfig):
     out = []
-    structured = _structured_estimator(cfg)
-    if structured is not None:
-        out.append(structured)
+    if cfg.structure is not None:
+        fit = structure_fit(cfg.structure, cfg.k, cfg.settings)
+        out.append((cfg.structure["kind"], lambda X: fit(X).scatter))
     for name in cfg.baselines:
         out.append((name, _baseline_estimator(name, cfg)))
     if not out:

@@ -12,101 +12,45 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 import numpy as np
 
-from .bench import ExperimentConfig, run_experiment
+from .bench import STRUCTURE_KINDS, ExperimentConfig, run_experiment, structure_fit
 from .exceptions import EstimationError, InvalidInputError
-from .fileio import read_dictionary, read_samples, write_array, write_results_csv
-from .kronecker import estimate_kronecker
-from .linear import estimate_linear, structure_from_name, toeplitz_basis
-from .rankone import RankOneDictionary, estimate_rank_one
-from .simulate import (
-    doa_cov,
-    music_spectrum,
-    sample_elliptical,
-    sample_cov,
-    ula_dictionary,
-)
-from .spiked import estimate_spiked
-from .toeplitz import estimate_banded_toeplitz, estimate_toeplitz
+from .fileio import read_samples, write_array, write_results_csv
+from .simulate import doa_cov, music_spectrum, sample_elliptical, sample_cov
 from .tyler import MMSettings, tyler_unconstrained
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+# `estimate` flags whose dest is a structure spec key; --dims p,q sets p and q
+_SPEC_FLAGS = ("basis", "bandwidth", "embedding_size", "dictionary", "epsilon", "n_spikes",
+               "b_structure")
+
 
 def _settings(args) -> MMSettings:
     return MMSettings(tol=args.tol, max_iter=args.max_iter, record_trace=False)
 
 
-def _load_dictionary(spec: str, k: int) -> RankOneDictionary:
-    if spec.startswith("ula:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError("ULA spec must look like ula:K:step_degrees")
-        dict_k, step = int(parts[1]), float(parts[2])
-        if dict_k != k:
-            raise InvalidInputError(
-                f"ULA spec dimension {dict_k} does not match the data dimension {k}"
-            )
-        return RankOneDictionary.augment(ula_dictionary(dict_k, step))
-    atoms = read_dictionary(spec)
-    if atoms.shape[0] != k:
-        raise InvalidInputError(
-            f"dictionary dimension {atoms.shape[0]} does not match the data dimension {k}"
-        )
-    return RankOneDictionary.augment(atoms)
-
-
 def _cmd_estimate(args) -> int:
     samples = read_samples(args.input)
     settings = _settings(args)
-    structure = args.structure
-    if structure == "unconstrained":
-        result = tyler_unconstrained(samples, settings)
-    elif structure == "toeplitz":
-        result = estimate_toeplitz(
-            samples, settings, embedding_size=args.embedding_size, epsilon=args.epsilon
-        )
-    elif structure == "banded":
-        if args.bandwidth is None:
-            raise InvalidInputError("--structure banded requires --bandwidth")
-        result = estimate_banded_toeplitz(
-            samples,
-            args.bandwidth,
-            settings,
-            embedding_size=args.embedding_size,
-            epsilon=args.epsilon,
-        )
-    elif structure == "linear":
-        struct = structure_from_name(args.basis, samples.k)
-        result = estimate_linear(struct, samples, settings)
-    elif structure == "rankone":
-        if args.dictionary is None:
-            raise InvalidInputError("--structure rankone requires --dictionary")
-        dictionary = _load_dictionary(args.dictionary, samples.k)
-        result = estimate_rank_one(dictionary, samples, settings, epsilon=args.epsilon)
-    elif structure == "spiked":
-        if args.spikes is None:
-            raise InvalidInputError("--structure spiked requires --spikes")
-        result = estimate_spiked(samples, args.spikes, settings)
-    elif structure == "kronecker":
-        if args.dims is None:
-            raise InvalidInputError("--structure kronecker requires --dims p,q")
+    spec = {key: getattr(args, key) for key in _SPEC_FLAGS if getattr(args, key) is not None}
+    if args.dims is not None:
         try:
-            p, q = (int(v) for v in args.dims.split(","))
+            spec["p"], spec["q"] = (int(v) for v in args.dims.split(","))
         except ValueError:
             raise InvalidInputError("--dims must look like p,q") from None
-        b_structure = toeplitz_basis(q) if args.b_structure == "toeplitz" else None
-        result = estimate_kronecker(
-            samples, p, q, settings, method=args.method, b_structure=b_structure
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown structure {structure!r}")
+    if args.structure == "unconstrained":
+        if spec:
+            raise InvalidInputError(f"structure 'unconstrained' does not take {sorted(spec)}")
+        result = tyler_unconstrained(samples, settings)
+    else:
+        result = structure_fit({"kind": args.structure, **spec}, samples.k, settings)(samples)
 
     write_array(args.out, result.scatter)
     print(
@@ -125,10 +69,7 @@ def _cmd_bench(args) -> int:
             overrides[name] = value
     if args.timing:
         overrides["record_timing"] = True
-    if overrides:
-        raw = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        raw.update(overrides)
-        cfg = ExperimentConfig(**raw)
+    cfg = dataclasses.replace(cfg, **overrides)
     output = args.out or cfg.output
     if output is None:
         raise InvalidInputError("no output path: pass --out or set 'output' in the config")
@@ -151,8 +92,9 @@ def _cmd_doa(args) -> int:
         raise InvalidInputError("DOA estimation needs complex samples")
 
     if args.estimator == "constrained":
-        dictionary = RankOneDictionary.augment(ula_dictionary(samples.k, args.grid_step))
-        scatter = estimate_rank_one(dictionary, samples, settings).scatter
+        fit = structure_fit({"kind": "rank-one", "grid_step_deg": args.grid_step}, samples.k,
+                            settings)
+        scatter = fit(samples).scatter
     elif args.estimator == "tyler":
         scatter = tyler_unconstrained(samples, settings).scatter
     else:
@@ -187,22 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate one scatter matrix from a sample CSV")
     est.add_argument("--input", required=True, help="sample CSV, one sample per row")
     est.add_argument("--out", required=True, help="output scatter CSV")
-    est.add_argument(
-        "--structure",
-        default="unconstrained",
-        choices=["unconstrained", "toeplitz", "banded", "linear", "rankone", "spiked", "kronecker"],
-    )
-    est.add_argument("--basis", default="toeplitz",
+    est.add_argument("--structure", default="unconstrained",
+                     choices=["unconstrained", *STRUCTURE_KINDS])
+    est.add_argument("--basis",
                      help="linear structure preset: toeplitz, banded:<k>, diagonal, full, circulant")
-    est.add_argument("--bandwidth", type=int, default=None)
-    est.add_argument("--embedding-size", type=int, default=None, dest="embedding_size")
-    est.add_argument("--dictionary", default=None,
-                     help="dictionary CSV (one atom per row) or 'ula:K:step_degrees'")
-    est.add_argument("--epsilon", type=float, default=0.0)
-    est.add_argument("--spikes", type=int, default=None)
-    est.add_argument("--dims", default=None, help="Kronecker factor sizes p,q")
-    est.add_argument("--method", default="mm", choices=["gs", "mm"])
-    est.add_argument("--b-structure", default=None, choices=["toeplitz"], dest="b_structure")
+    est.add_argument("--bandwidth", type=int)
+    est.add_argument("--embedding-size", type=int, dest="embedding_size")
+    est.add_argument("--dictionary",
+                     help="rank-one atoms: CSV with one atom per row, or 'ula:K:step_degrees'")
+    est.add_argument("--epsilon", type=float)
+    est.add_argument("--spikes", type=int, dest="n_spikes")
+    est.add_argument("--dims", help="Kronecker factor sizes p,q")
+    est.add_argument("--b-structure", dest="b_structure", help="Kronecker B factor: toeplitz")
     est.add_argument("--tol", type=float, default=1e-8)
     est.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
     est.set_defaults(func=_cmd_estimate)

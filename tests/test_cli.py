@@ -50,12 +50,11 @@ class TestEstimateCommand:
             ["--structure", "unconstrained"],
             ["--structure", "toeplitz"],
             ["--structure", "toeplitz", "--embedding-size", "9"],
-            ["--structure", "banded", "--bandwidth", "1"],
+            ["--structure", "banded-toeplitz", "--bandwidth", "1"],
             ["--structure", "linear", "--basis", "diagonal"],
             ["--structure", "spiked", "--spikes", "1"],
-            ["--structure", "kronecker", "--dims", "2,2", "--method", "gs"],
-            ["--structure", "kronecker", "--dims", "2,2", "--method", "mm",
-             "--b-structure", "toeplitz"],
+            ["--structure", "kronecker-gs", "--dims", "2,2"],
+            ["--structure", "kronecker-mm", "--dims", "2,2", "--b-structure", "toeplitz"],
         ],
     )
     def test_structures_produce_scatter(self, sample_file, tmp_path, extra):
@@ -73,7 +72,7 @@ class TestEstimateCommand:
         out = tmp_path / "scatter.csv"
         code = main(
             ["estimate", "--input", str(complex_sample_file), "--out", str(out),
-             "--structure", "rankone", "--dictionary", "ula:8:10",
+             "--structure", "rank-one", "--dictionary", "ula:8:10",
              "--tol", "1e-6", "--max-iter", "300"]
         )
         assert code == 0
@@ -89,7 +88,7 @@ class TestEstimateCommand:
         out = tmp_path / "scatter.csv"
         code = main(
             ["estimate", "--input", str(complex_sample_file), "--out", str(out),
-             "--structure", "rankone", "--dictionary", str(dict_path),
+             "--structure", "rank-one", "--dictionary", str(dict_path),
              "--tol", "1e-6", "--max-iter", "300"]
         )
         assert code == 0
