@@ -38,7 +38,7 @@ from .simulate import (
 )
 from .spiked import estimate_spiked, project_spiked
 from .toeplitz import estimate_banded_toeplitz, estimate_toeplitz
-from .tyler import MMSettings, tyler_unconstrained
+from .tyler import TERMINATION_MAX_ITER, EstimatorResult, MMSettings, tyler_unconstrained
 
 RESULT_COLUMNS = [
     "estimator",
@@ -48,19 +48,65 @@ RESULT_COLUMNS = [
     "subspace_error_mean",
     "wall_time_mean_seconds",
     "failures",
+    "iterations_mean",
+    "nonconverged",
 ]
 
 BASELINES = ("SCM", "TylerUnconstrained", "ProjectedTyler")
 
 
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _floats(value):
+    return tuple(float(v) for v in value)
+
+
+def _pair(value):
+    lo, hi = _floats(value)
+    return lo, hi
+
+
+# How the value of each spec key is read. The readers are cheap conversions
+# (a pool job re-runs them for every trial); a value one rejects with
+# TypeError or ValueError is InvalidInputError.
+_SPEC_VALUES = {
+    "a_beta": float,
+    "a_spec": _text,
+    "angles_deg": _floats,
+    "b_beta": _optional(float),
+    "b_structure": _optional(_text),
+    "bandwidth": int,
+    "basis": _text,
+    "beta": float,
+    "dictionary": _text,
+    "embedding_size": _optional(int),
+    "epsilon": float,
+    "grid_step_deg": float,
+    "n_spikes": int,
+    "noise_var": float,
+    "p": int,
+    "power_range": _pair,
+    "powers": _floats,
+    "q": int,
+}
+
+
 def _check_spec(spec, table: dict, what: str):
-    """The builder of ``spec``'s kind with the spec's keys bound to it.
+    """The builder of ``spec``'s kind with the spec's values bound to it.
 
     A builder's parameters after its first two are the keys a spec of its
-    kind may give; those without a default are required. Anything else is
-    ``InvalidInputError``. Only keys are checked, and the values that
-    select a code path, so nothing is built: a pool job re-runs this for
-    every trial.
+    kind may give; those without a default are required. Each value is
+    read by its ``_SPEC_VALUES`` entry. Anything else is
+    ``InvalidInputError``. Nothing is built, so this stays cheap: a pool
+    job re-runs it for every trial.
     """
     if not isinstance(spec, dict):
         raise InvalidInputError(f"{what} must be a dict with a 'kind', got {spec!r}")
@@ -77,6 +123,11 @@ def _check_spec(spec, table: dict, what: str):
         raise InvalidInputError(
             f"{what} {kind!r} does not take {unknown}; it takes {[p.name for p in keys]}"
         )
+    for key, value in given.items():
+        try:
+            given[key] = _SPEC_VALUES[key](value)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"{what} {kind!r}: bad {key} {value!r}") from None
     if given.get("b_structure") not in (None, "toeplitz"):
         raise InvalidInputError(f"b_structure {given['b_structure']!r} is not 'toeplitz' or null")
     if "dictionary" in given and "grid_step_deg" in given:
@@ -87,20 +138,18 @@ def _check_spec(spec, table: dict, what: str):
 
 
 def _kronecker_truth(k, rng, p, q, a_spec="identity", a_beta=None, b_beta=None):
-    A = np.eye(int(p)) if a_spec == "identity" else ar_cov(int(p), float(a_beta))
-    B = np.eye(int(q)) if b_beta is None else ar_cov(int(q), float(b_beta))
+    A = np.eye(p) if a_spec == "identity" else ar_cov(p, a_beta)
+    B = np.eye(q) if b_beta is None else ar_cov(q, b_beta)
     return np.kron(A, B)
 
 
 # Truth builders: (k, rng, **spec keys) -> true scatter
 TRUTH_KINDS = {
-    "ar": lambda k, rng, beta: ar_cov(k, float(beta)),
-    "banded-ar": lambda k, rng, beta, bandwidth: banded_ar_cov(k, float(beta), int(bandwidth)),
-    "doa": lambda k, rng, angles_deg, powers, noise_var: doa_cov(
-        k, angles_deg, powers, float(noise_var)
-    ),
+    "ar": lambda k, rng, beta: ar_cov(k, beta),
+    "banded-ar": lambda k, rng, beta, bandwidth: banded_ar_cov(k, beta, bandwidth),
+    "doa": lambda k, rng, angles_deg, powers, noise_var: doa_cov(k, angles_deg, powers, noise_var),
     "spiked": lambda k, rng, n_spikes, noise_var, power_range=(0.01, 1.0): spiked_cov(
-        k, int(n_spikes), float(noise_var), tuple(power_range), rng=rng
+        k, n_spikes, noise_var, power_range, rng=rng
     ),
     "kronecker": _kronecker_truth,
 }
@@ -112,14 +161,12 @@ TRUTH_KINDS = {
 # go through the replacement.
 
 def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):
-    return lambda X: estimate_toeplitz(
-        X, settings, embedding_size=embedding_size, epsilon=float(epsilon)
-    )
+    return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size, epsilon=epsilon)
 
 
 def _banded_toeplitz(k, settings, bandwidth, embedding_size=None, epsilon=0.0):
     return lambda X: estimate_banded_toeplitz(
-        X, int(bandwidth), settings, embedding_size=embedding_size, epsilon=float(epsilon)
+        X, bandwidth, settings, embedding_size=embedding_size, epsilon=epsilon
     )
 
 
@@ -132,7 +179,7 @@ def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
     """Atoms every ``grid_step_deg`` on a ULA, or from ``dictionary``: 'ula:K:step'
     or a CSV of atom rows; identity columns are appended for the noise."""
     if dictionary is None:
-        atoms = ula_dictionary(k, float(grid_step_deg))
+        atoms = ula_dictionary(k, grid_step_deg)
     elif dictionary.startswith("ula:"):
         try:
             _, dict_k, step = dictionary.split(":")
@@ -147,18 +194,16 @@ def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
             f"dictionary dimension {atoms.shape[0]} does not match the data dimension {k}"
         )
     augmented = RankOneDictionary.augment(atoms)
-    return lambda X: estimate_rank_one(augmented, X, settings, epsilon=float(epsilon))
+    return lambda X: estimate_rank_one(augmented, X, settings, epsilon=epsilon)
 
 
 def _spiked(k, settings, n_spikes):
-    return lambda X: estimate_spiked(X, int(n_spikes), settings)
+    return lambda X: estimate_spiked(X, n_spikes, settings)
 
 
 def _kronecker(method, k, settings, p, q, b_structure=None):
-    b_basis = toeplitz_basis(int(q)) if b_structure == "toeplitz" else None
-    return lambda X: estimate_kronecker(
-        X, int(p), int(q), settings, method=method, b_structure=b_basis
-    )
+    b_basis = toeplitz_basis(q) if b_structure == "toeplitz" else None
+    return lambda X: estimate_kronecker(X, p, q, settings, method=method, b_structure=b_basis)
 
 
 # The structured fits by name; the bench, ``structcov estimate`` and
@@ -259,17 +304,19 @@ def build_truth(cfg: ExperimentConfig, rng) -> np.ndarray:
 
 
 def _baseline_estimator(name: str, cfg: ExperimentConfig):
+    """The baseline's fit: a bare scatter for SCM, else an EstimatorResult."""
     settings = cfg.settings
     if name == "SCM":
         return lambda X: sample_cov(X)
     if name == "TylerUnconstrained":
-        return lambda X: tyler_unconstrained(X, settings).scatter
+        return lambda X: tyler_unconstrained(X, settings)
     if name == "ProjectedTyler":
         signal_dim = cfg.signal_dim
 
         def run(X):
-            R = tyler_unconstrained(X, settings).scatter
-            return project_spiked(R, signal_dim)
+            result = tyler_unconstrained(X, settings)
+            result.scatter = project_spiked(result.scatter, signal_dim)
+            return result
 
         return run
     raise InvalidInputError(f"unknown baseline {name!r}")
@@ -278,8 +325,7 @@ def _baseline_estimator(name: str, cfg: ExperimentConfig):
 def _estimators(cfg: ExperimentConfig):
     out = []
     if cfg.structure is not None:
-        fit = structure_fit(cfg.structure, cfg.k, cfg.settings)
-        out.append((cfg.structure["kind"], lambda X: fit(X).scatter))
+        out.append((cfg.structure["kind"], structure_fit(cfg.structure, cfg.k, cfg.settings)))
     for name in cfg.baselines:
         out.append((name, _baseline_estimator(name, cfg)))
     if not out:
@@ -299,12 +345,17 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[dict]:
         rec = {"estimator": name, "N": n, "trial": trial}
         start = time.perf_counter()
         try:
-            scatter = run(samples)
+            out = run(samples)
         except EstimationError as exc:
             rec["failed"] = True
             rec["error"] = str(exc)
         else:
             rec["failed"] = False
+            scatter = out
+            if isinstance(out, EstimatorResult):
+                scatter = out.scatter
+                rec["iterations"] = out.iterations
+                rec["termination"] = out.termination
             rec["nmse"] = nmse([scatter], R0)
             if cfg.signal_dim is not None:
                 with warnings.catch_warnings():
@@ -326,9 +377,10 @@ def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
 
     One row per (N, estimator) with mean NMSE, its standard error,
     mean subspace error where a signal dimension exists, the optional
-    mean wall time, and the count of failed trials (excluded from the
-    means). Deterministic for a fixed seed, including under parallel
-    execution.
+    mean wall time, the count of failed trials (excluded from the
+    means), and for the MM fits the mean MM map count and the count of
+    fits stopped at ``max_iter``. Deterministic for a fixed seed,
+    including under parallel execution.
     """
     jobs = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     if cfg.workers > 1:
@@ -356,6 +408,8 @@ def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
             "nmse_stderr": None,
             "subspace_error_mean": None,
             "wall_time_mean_seconds": None,
+            "iterations_mean": None,
+            "nonconverged": None,
         }
         if ok:
             vals = np.asarray([r["nmse"] for r in ok])
@@ -371,6 +425,9 @@ def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
                 row["wall_time_mean_seconds"] = float(
                     np.mean([r["wall_time"] for r in ok])
                 )
+            if "iterations" in ok[0]:  # an MM fit, not the SCM
+                row["iterations_mean"] = float(np.mean([r["iterations"] for r in ok]))
+                row["nonconverged"] = sum(r["termination"] == TERMINATION_MAX_ITER for r in ok)
         rows.append(row)
 
     target = output or cfg.output

@@ -26,6 +26,7 @@ from .linalg import as_field_array, hermitize
 from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, mm_drive
 
 _EPS_RESTART = 1e-10
+_POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,11 @@ def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
     return R_t, it.M, w, d
 
 
+def _closed_form(w, d) -> np.ndarray:
+    """p_j = sqrt(d_j / w_j) for weights known to satisfy w > 0 and d >= 0."""
+    return np.sqrt(d / w)
+
+
 def power_update(w_t, d_t) -> np.ndarray:
     """Closed-form surrogate minimizer p_j = sqrt(d_j / w_j), with 0 at d_j = 0."""
     w = np.asarray(w_t, dtype=float)
@@ -157,7 +163,11 @@ def power_update(w_t, d_t) -> np.ndarray:
         raise InvalidInputError("surrogate weights w must be positive")
     if np.any(d < 0.0):
         raise InvalidInputError("surrogate weights d must be nonnegative")
-    return np.sqrt(d / w)
+    return _closed_form(w, d)
+
+
+# the MM runner calls this form: _weights builds w > 0 and d >= 0
+power_update.unchecked = _closed_form
 
 
 def _match_field(dictionary: RankOneDictionary, samples: SampleSet) -> SampleSet:
@@ -204,10 +214,16 @@ def estimate_rank_one(
     else:
         init_powers = check_powers(init_powers, dictionary.l)
 
-    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, power_update)
+    solve = _unchecked(power_update)
+    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, solve)
 
 
-def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResult:
+def _unchecked(solve):
+    """The form of an inner solve that skips its input checks, if it has one."""
+    return getattr(solve, "unchecked", solve)
+
+
+def _run(atoms, samples, settings, epsilon, init_powers, solve, pairs=None) -> EstimatorResult:
     """MM over R = A diag(p + eps) A^H with the inner step p <- max(solve(w, d) - eps, 0).
 
     ``solve`` maps the surrogate weights (w, d) to the minimizing
@@ -215,9 +231,22 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResu
     iterate loses positive definiteness or every power collapses), it
     restarts once with epsilon = 1e-10; ``details['epsilon']`` records
     the ridge used.
+
+    The driver extrapolates the powers. A trial below 0.1 x2 anywhere is
+    rejected rather than clipped: a clip at zero would trap a power there
+    and break the banded equality constraints, which an affine
+    combination of feasible powers keeps. ``pairs`` (the conjugate
+    partner of every index, for real-data circulant fits) averages each
+    pair of a trial, so that extrapolation does not amplify the roundoff
+    gap between powers that are equal in exact arithmetic.
     """
     if epsilon < 0.0:
         raise InvalidInputError("epsilon must be nonnegative")
+
+    def admit(trial, x2):
+        if pairs is not None:
+            trial = 0.5 * (trial + trial[pairs])
+        return trial if np.all(trial >= _POWER_FLOOR * x2) else None
 
     def run(eps):
         def inner(p, it):
@@ -236,6 +265,7 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve) -> EstimatorResu
             settings=settings,
             assemble=lambda p: _assemble(atoms, p, eps),
             rescale=rescale,
+            extrapolate=admit,
         )
         result.details["epsilon"] = eps
         return result

@@ -123,6 +123,8 @@ def estimate_spiked(
         samples=samples,
         init_params=init,
         settings=settings,
+        # an affine combination of spiked matrices leaves the (non-convex) set
+        extrapolate=None,
     )
     model = _model_from_scatter(result.scatter, n_spikes, flags["degenerate"])
     result.params = np.concatenate([model.powers, [model.noise_var]])

@@ -31,7 +31,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import dft_matrix
-from .rankone import _assemble, _run, power_update
+from .rankone import _assemble, _run, _unchecked, power_update
 from .tyler import TERMINATION_CONVERGED, EstimatorResult, MMSettings, SampleSet
 
 _DUAL_MAX_ITER = 200
@@ -277,15 +277,15 @@ def estimate_toeplitz(
     if samples.k == 1:
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
-    real = not samples.is_complex
-    pairs = _pair_index(emb.l)
+    pairs = None if samples.is_complex else _pair_index(emb.l)
+    update = _unchecked(power_update)
 
     def solve(w, d):
-        if real:
+        if pairs is not None:
             _symmetry_guard(w, d, pairs)
-        return power_update(w, d)
+        return update(w, d)
 
-    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)
+    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve, pairs)
     return _finalize(result, emb, samples)
 
 
@@ -304,15 +304,14 @@ def estimate_banded_toeplitz(
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth)
-    real = not samples.is_complex
-    pairs = _pair_index(emb.l)
+    pairs = None if samples.is_complex else _pair_index(emb.l)
 
     def solve(w, d):
-        if real:
+        if pairs is not None:
             _symmetry_guard(w, d, pairs)
         return emb.unfold(banded_inner_update(spec, emb.fold(w), emb.fold_d(d)))
 
-    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve)
+    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve, pairs)
     result = _finalize(result, emb, samples)
     result.details["bandwidth"] = bandwidth
     return result

@@ -261,6 +261,16 @@ def _trace_one(params, assemble, rescale):
     return params, assemble(params)
 
 
+def _any_point(trial, x2):
+    """Default vetting of an extrapolated point: the PD check and the cost decide."""
+    return trial
+
+
+# SQUAREM step lengths: the first trial's alpha is at most -1; a rejected
+# trial moves alpha halfway to -1, and past -1.2 the cycle takes x2 itself
+_ALPHA_FALLBACK = -1.2
+
+
 def mm_drive(
     inner,
     samples: SampleSet,
@@ -268,23 +278,33 @@ def mm_drive(
     settings: MMSettings | None = None,
     assemble=None,
     rescale=None,
+    extrapolate=_any_point,
 ) -> EstimatorResult:
     """Generic majorization-minimization loop shared by the structured estimators.
 
     Each iterate R_t is factored once, R_t = L L^H; that factor is the
     positive-definiteness check, and one triangular solve Z = L^{-1} X^T
-    gives the quadratic forms, the recorded cost and the weighted scatter.
+    gives the quadratic forms, the cost and the weighted scatter.
+
+    The loop runs safeguarded SQUAREM-3 cycles (Varadhan & Roland, 2008)
+    unless ``extrapolate`` is None. From x0, a cycle maps x1 = F(x0) and
+    x2 = F(x1), with r = x1 - x0 and v = x2 - 2 x1 + x0, and tries
+    x' = x0 - 2 alpha r + alpha^2 v from alpha = min(-|r|/|v|, -1). A
+    trial is taken when it passes ``extrapolate``, is positive definite
+    and its cost is at most x1's; otherwise alpha <- (alpha - 1) / 2, and
+    past -1.2 the cycle takes x2. One map from the point taken ends the
+    cycle. Every point taken is a monotone step of the recorded cost.
 
     Parameters
     ----------
     inner : callable
         ``inner(params, it) -> params`` returning parameters that do not
-        increase that structure's surrogate. ``it`` is the
-        :class:`Iterate` at the current trace-normalized scatter:
-        ``it.R``, its factor ``it.chol``, the whitened samples
+        increase that structure's surrogate; one call is one MM map.
+        ``it`` is the :class:`Iterate` at the current trace-normalized
+        scatter: ``it.R``, its factor ``it.chol``, the whitened samples
         ``it.whitened``, the quadratic forms ``it.quad`` and the weighted
         scatter ``it.M`` (formed on first read). Exceptions raised by
-        the callback propagate with the iteration index attached as
+        the callback propagate with the map's index attached as
         ``exc.mm_iteration``.
     samples : SampleSet
         Data; held fixed for the whole run.
@@ -299,12 +319,22 @@ def mm_drive(
         parameters; the scatter is then assembled from its result. By
         default the structure is taken to be linear: the parameters are
         multiplied by ``c`` and the scatter is c * assemble(params).
+    extrapolate : callable or None, optional
+        ``extrapolate(trial, x2) -> params | None`` vets an extrapolated
+        parameter vector before its PD check: it may return an adjusted
+        vector, or None to reject the trial. The default accepts every
+        trial. None runs plain MM, for a structure that an affine
+        combination of its members can leave.
 
     Returns
     -------
     EstimatorResult
-        Converged when the relative parameter change drops to
-        ``settings.tol``; otherwise terminates at ``max_iter``.
+        Converged when the relative parameter change of one map drops to
+        ``settings.tol``; otherwise terminates after ``max_iter`` maps.
+        ``iterations`` counts MM maps; the objective trace holds one cost
+        per point taken, starting with the initial one. ``details`` holds
+        ``squarem_cycles`` (extrapolations tried) and ``squarem_rejected``
+        (trials rejected).
     """
     settings = settings or MMSettings()
     if assemble is None:
@@ -319,15 +349,26 @@ def mm_drive(
     if it is None:
         raise InvalidInputError("initial scatter is not positive definite")
 
+    # the safeguard compares costs, so they are evaluated even without a trace
+    need_cost = settings.record_trace or extrapolate is not None
     objective = []
-    if settings.record_trace:
-        objective.append(tyler_cost(it, samples))
+    t = 0
+    cycles = rejected = 0
 
-    iterations = 0
-    termination = TERMINATION_MAX_ITER
-    for t in range(1, settings.max_iter + 1):
+    def take(it_new, cost=None):
+        """Record the cost of a point taken; returns it (None when not needed)."""
+        if cost is None and need_cost:
+            cost = tyler_cost(it_new, samples)
+        if settings.record_trace:
+            objective.append(cost)
+        return cost
+
+    def mm_map(p, at):
+        """x = F(p): (trace-one params, scatter, relative change), not yet factored."""
+        nonlocal t
+        t += 1
         try:
-            new_params = np.asarray(inner(params, it))
+            new_params = np.asarray(inner(p, at))
         except Exception as exc:
             exc.mm_iteration = t
             raise
@@ -336,28 +377,77 @@ def mm_drive(
             raise FailedToConvergeError(
                 "iterate lost a usable scale; samples may be degenerate", iteration=t
             )
-        new_params, R = step
-        it_new = whiten(R)
+        return step[0], step[1], _rel_change(step[0], p)
+
+    def factor(R_new):
+        it_new = whiten(R_new)
         if it_new is None:
             raise FailedToConvergeError(
                 "iterate lost positive definiteness; samples may be degenerate",
                 iteration=t,
             )
-        delta = _rel_change(new_params, params)
-        params, it = new_params, it_new
-        iterations = t
-        if settings.record_trace:
-            objective.append(tyler_cost(it, samples))
-        if delta <= settings.tol:
-            termination = TERMINATION_CONVERGED
-            break
+        return it_new
+
+    def extrapolated(x0, x1, x2, bound):
+        """(params, iterate, cost) of the first admissible trial, or None."""
+        nonlocal rejected
+        r = x1 - x0
+        v = x2 - 2.0 * x1 + x0
+        norm_v = np.linalg.norm(v.ravel())
+        alpha = min(-np.linalg.norm(r.ravel()) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+        while alpha <= _ALPHA_FALLBACK:
+            trial = extrapolate(x0 - 2.0 * alpha * r + alpha * alpha * v, x2)
+            step = None if trial is None else _trace_one(trial, assemble, rescale)
+            it_trial = None if step is None else whiten(step[1])
+            if it_trial is not None:
+                cost = tyler_cost(it_trial, samples)
+                if cost <= bound:
+                    return step[0], it_trial, cost
+            rejected += 1
+            alpha = 0.5 * (alpha - 1.0)
+        return None
+
+    def advance():
+        """Map the current point, factor and record the result; True once converged."""
+        nonlocal params, it, cost
+        params, R_new, delta = mm_map(params, it)
+        it = factor(R_new)
+        cost = take(it)
+        return delta <= settings.tol
+
+    cost = take(it)
+    converged = False
+    while t < settings.max_iter and not converged:
+        # x1 = F(x0), factored: its weights give x2. Without extrapolation
+        # this is the whole loop body.
+        x0 = params
+        converged = advance()
+        if converged or extrapolate is None or t == settings.max_iter:
+            continue
+        # x2 = F(x1), factored only when it is taken
+        x2, R2, delta = mm_map(params, it)
+        found = None
+        if delta > settings.tol and t < settings.max_iter:
+            cycles += 1
+            found = extrapolated(x0, params, x2, cost)
+        if found is None:
+            params, it = x2, factor(R2)
+            cost = take(it)
+            converged = delta <= settings.tol
+        else:
+            params, it, cost = found
+            take(it, cost)
+        # the stabilizing map from the point taken ends the cycle
+        if not converged and t < settings.max_iter:
+            converged = advance()
 
     return EstimatorResult(
         scatter=hermitize(it.R),
         params=params,
         objective_trace=np.asarray(objective, dtype=float),
-        iterations=iterations,
-        termination=termination,
+        iterations=t,
+        termination=TERMINATION_CONVERGED if converged else TERMINATION_MAX_ITER,
+        details={"squarem_cycles": cycles, "squarem_rejected": rejected},
     )
 
 

@@ -131,6 +131,21 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert all(r["subspace_error_mean"] is not None for r in rows)
 
+    def test_iteration_columns(self, tmp_path):
+        out = tmp_path / "it.csv"
+        capped = run_experiment(_base_config(max_iter=3), output=str(out))
+        for row in capped:
+            if row["estimator"] == "SCM":  # no MM iterations to report
+                assert row["iterations_mean"] is None and row["nonconverged"] is None
+            else:
+                assert row["iterations_mean"] == 3.0 and row["nonconverged"] == 3
+        lines = out.read_text().strip().splitlines()
+        scm = next(line for line in lines if line.startswith("SCM,"))
+        assert scm.endswith(",,")
+        for row in run_experiment(_base_config(max_iter=500)):
+            if row["estimator"] != "SCM":
+                assert 3.0 < row["iterations_mean"] < 500.0 and row["nonconverged"] == 0
+
     def test_timing_opt_in(self, tmp_path):
         cfg = _base_config(record_timing=True, structure=None, baselines=["SCM"])
         rows = run_experiment(cfg, output=str(tmp_path / "t.csv"))

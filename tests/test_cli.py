@@ -148,6 +148,25 @@ class TestBenchCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"structure": {"kind": "banded-toeplitz", "bandwidth": "x"}},
+            {"structure": {"kind": "rank-one", "dictionary": 5}},
+            {"truth": {"kind": "spiked", "n_spikes": 1, "noise_var": 0.1, "power_range": None},
+             "structure": None},
+        ],
+    )
+    def test_bad_spec_value_is_invalid_input(self, tmp_path, spec):
+        cfg = {"k": 4, "n_list": [10], "truth": {"kind": "ar", "beta": 0.5},
+               "baselines": ["SCM"], "trials": 1, **spec}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestDoaCommand:
     def test_synthetic_scenario(self, tmp_path):
         out = tmp_path / "spec.csv"

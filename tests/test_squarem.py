@@ -1,0 +1,191 @@
+"""The extrapolated MM driver: invariances, descent and where extrapolation runs.
+
+``mm_drive`` runs safeguarded SQUAREM cycles by default. The properties
+below are those of the estimators themselves (the paper's scale and
+permutation invariances, unit trace, monotone descent of the cost), so
+they must survive the extrapolation; hypothesis draws the data.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import structcov.rankone
+from structcov import (
+    MMSettings,
+    RankOneDictionary,
+    SampleSet,
+    doa_cov,
+    estimate_banded_toeplitz,
+    estimate_linear,
+    estimate_rank_one,
+    estimate_spiked,
+    estimate_toeplitz,
+    mm_drive,
+    sample_elliptical,
+    toeplitz_basis,
+    tyler_unconstrained,
+    ula_dictionary,
+)
+from structcov.simulate import ar_cov
+from structcov.toeplitz import CirculantEmbedding, _pair_index, power_update
+from support import nonincreasing, rand_pd
+
+K = 5
+N = 30
+DOA_K = 6
+DICTIONARY = RankOneDictionary.augment(ula_dictionary(DOA_K, 10.0))
+TOEPLITZ = toeplitz_basis(K)
+RANK_ONE_SETTINGS = MMSettings(max_iter=300)
+# Extrapolation makes the path of a fit depend on roundoff (a trial that
+# passes its checks by 1e-15 may fail them on permuted samples), so the
+# invariances are checked at the estimate, not at a truncated path: on these
+# rank-one inputs, fits stopped at max_iter=300 end up to 3e-4 apart and
+# fits converged to tol 1e-8 up to 3e-6; at this tol they agree to 2e-10.
+CONVERGED = MMSettings(tol=1e-11, max_iter=20000)
+
+
+def _ar_samples(seed):
+    return sample_elliptical(ar_cov(K, 0.7), N, seed)
+
+
+def _doa_samples(seed):
+    return sample_elliptical(doa_cov(DOA_K, [-20.0, 30.0], [1.0, 1.0], 0.1), N, seed)
+
+
+# name -> (draw samples from a seed, fit(samples, settings))
+FITS = {
+    "tyler": (_ar_samples, tyler_unconstrained),
+    "toeplitz": (_ar_samples, estimate_toeplitz),
+    "rankone": (_doa_samples, lambda X, s=RANK_ONE_SETTINGS: estimate_rank_one(DICTIONARY, X, s)),
+    "linear": (_ar_samples, lambda X, s=None: estimate_linear(TOEPLITZ, X, s)),
+}
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+property_settings = settings(max_examples=8, deadline=None, derandomize=True)
+
+
+def _rel(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("name", list(FITS))
+@property_settings
+@given(seed=seeds, spread=st.floats(min_value=0.0, max_value=3.0))
+def test_per_sample_scaling_leaves_the_scatter(name, seed, spread):
+    draw, fit = FITS[name]
+    X = draw(seed)
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread, X.n)
+    scaled = SampleSet.from_array(X.data * scales[:, None])
+    assert _rel(fit(scaled, CONVERGED).scatter, fit(X, CONVERGED).scatter) <= 1e-6
+
+
+@pytest.mark.parametrize("name", list(FITS))
+@property_settings
+@given(seed=seeds)
+def test_sample_order_leaves_the_scatter(name, seed):
+    draw, fit = FITS[name]
+    X = draw(seed)
+    order = np.random.default_rng(seed).permutation(X.n)
+    permuted = SampleSet.from_array(X.data[order])
+    assert _rel(fit(permuted, CONVERGED).scatter, fit(X, CONVERGED).scatter) <= 1e-6
+
+
+@pytest.mark.parametrize("name", list(FITS))
+@property_settings
+@given(seed=seeds)
+def test_trace_one_and_descent(name, seed):
+    draw, fit = FITS[name]
+    res = fit(draw(seed))
+    assert abs(np.trace(res.scatter).real - 1.0) <= 1e-12
+    assert len(res.objective_trace) == res.iterations + 1
+    assert nonincreasing(res.objective_trace)
+
+
+def _random_start(name, seed):
+    """A fit of ``name`` from a random feasible start."""
+    rng = np.random.default_rng(seed)
+    if name == "tyler":
+        X = _ar_samples(seed)
+        return tyler_unconstrained(X, init=rand_pd(K, rng))
+    if name == "rankone":
+        init = rng.uniform(0.01, 2.0, DICTIONARY.l)
+        return estimate_rank_one(DICTIONARY, _doa_samples(seed), RANK_ONE_SETTINGS,
+                                 init_powers=init)
+    if name == "linear":
+        # a diagonally dominant Toeplitz matrix is positive definite
+        coeffs = np.concatenate([[K], rng.uniform(-1.0, 1.0, K - 1)])
+        return estimate_linear(TOEPLITZ, _ar_samples(seed), init_coeffs=coeffs)
+    # Toeplitz: the runner of estimate_toeplitz from a symmetric positive spectrum
+    emb = CirculantEmbedding.build(K)
+    pairs = _pair_index(emb.l)
+    init = rng.uniform(0.01, 2.0, emb.l)
+    init = 0.5 * (init + init[pairs])
+    return structcov.rankone._run(
+        emb.a_matrix, _ar_samples(seed), None, 0.0, init, power_update, pairs
+    )
+
+
+@pytest.mark.parametrize("name", list(FITS))
+@property_settings
+@given(seed=seeds)
+def test_descent_from_random_feasible_starts(name, seed):
+    res = _random_start(name, seed)
+    assert abs(np.trace(res.scatter).real - 1.0) <= 1e-12
+    assert nonincreasing(res.objective_trace)
+
+
+def test_extrapolated_real_toeplitz_powers_keep_their_pairs(monkeypatch):
+    """Every extrapolated power vector of a real-data fit has p[j] == p[L-j] exactly."""
+    X = sample_elliptical(ar_cov(8, 0.8), 60, 5)
+    pairs = _pair_index(CirculantEmbedding.build(8).l)
+    taken = []
+
+    def recording_drive(*args, extrapolate, **kwargs):
+        def vet(trial, x2):
+            out = extrapolate(trial, x2)
+            if out is not None:
+                taken.append(out)
+            return out
+
+        return mm_drive(*args, extrapolate=vet, **kwargs)
+
+    monkeypatch.setattr(structcov.rankone, "mm_drive", recording_drive)
+    for fit in (estimate_toeplitz, lambda X: estimate_banded_toeplitz(X, 3)):
+        taken.clear()
+        res = fit(X)
+        assert res.details["squarem_cycles"] > 0
+        assert taken
+        for p in taken:
+            assert np.array_equal(p, p[pairs])
+            assert np.all(p >= 0.0)
+
+
+def test_spiked_fits_run_plain_mm():
+    X = sample_elliptical(ar_cov(8, 0.7), 40, 9)
+    res = estimate_spiked(X, 2)
+    assert res.details["squarem_cycles"] == 0
+    assert res.details["squarem_rejected"] == 0
+    assert nonincreasing(res.objective_trace)
+
+
+@pytest.mark.parametrize("max_iter", range(1, 8))
+@pytest.mark.parametrize("fit", [tyler_unconstrained, estimate_toeplitz])
+def test_max_iter_caps_the_maps_within_a_cycle(fit, max_iter):
+    X = _ar_samples(3)
+    res = fit(X, MMSettings(tol=1e-16, max_iter=max_iter))
+    assert res.termination == "max_iter"
+    assert res.iterations == max_iter
+    assert len(res.objective_trace) == max_iter + 1
+    assert nonincreasing(res.objective_trace)
+
+
+def test_extrapolation_reaches_the_plain_fixed_point_in_fewer_maps():
+    X = sample_elliptical(ar_cov(10, 0.8), 60, 4)
+    plain = mm_drive(inner=lambda p, it: it.M, samples=X, init_params=np.eye(10) / 10,
+                     extrapolate=None)
+    fast = tyler_unconstrained(X)
+    assert plain.details["squarem_cycles"] == 0 and fast.details["squarem_cycles"] > 0
+    assert fast.iterations < plain.iterations
+    assert _rel(fast.scatter, plain.scatter) <= 1e-6
+    assert fast.objective_trace[-1] <= plain.objective_trace[-1] + 1e-9

@@ -1,6 +1,7 @@
 """The structure table that the bench, `structcov estimate` and `structcov doa` share."""
 
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from structcov import (
     toeplitz_basis,
     ula_dictionary,
 )
-from structcov.bench import STRUCTURE_KINDS, build_truth, run_trial, structure_fit
+from structcov.bench import STRUCTURE_KINDS, TRUTH_KINDS, build_truth, run_trial, structure_fit
 from structcov.cli import build_parser, main
 from structcov.fileio import read_array, write_array
 
@@ -132,6 +133,12 @@ def test_fits_look_up_the_estimator_when_they_run(monkeypatch):
         {"truth": {"kind": "ar", "beta": 0.5, "bandwidth": 2}},
         {"truth": {"kind": "kronecker", "p": 2, "q": 2, "a_spec": "ar"}},  # no a_beta
         {"truth": ["ar", 0.5]},
+        {"structure": {"kind": "banded-toeplitz", "bandwidth": "x"}},  # bad values
+        {"structure": {"kind": "rank-one", "dictionary": 5}},
+        {"structure": {"kind": "kronecker-mm", "p": [2], "q": 2}},
+        {"truth": {"kind": "spiked", "n_spikes": 2, "noise_var": 0.1, "power_range": None}},
+        {"truth": {"kind": "spiked", "n_spikes": 2, "noise_var": 0.1, "power_range": [1.0]}},
+        {"truth": {"kind": "doa", "angles_deg": [0.0], "powers": "1", "noise_var": None}},
     ],
 )
 def test_malformed_specs_rejected_with_the_config(overrides, tmp_path, monkeypatch):
@@ -164,3 +171,10 @@ def test_estimate_rejects_flags_its_structure_does_not_read(flags, tmp_path):
     out = tmp_path / "r.csv"
     assert main(["estimate", "--input", str(samples), "--out", str(out)] + flags) == 2
     assert not out.exists()
+
+
+def test_every_spec_key_has_a_reader():
+    for table in (STRUCTURE_KINDS, TRUTH_KINDS):
+        for builder in table.values():
+            keys = list(inspect.signature(builder).parameters)[2:]
+            assert set(keys) <= set(bench._SPEC_VALUES), keys
