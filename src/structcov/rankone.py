@@ -223,47 +223,58 @@ def _unchecked(solve):
     return getattr(solve, "unchecked", solve)
 
 
-def _run(atoms, samples, settings, epsilon, init_powers, solve, pairs=None) -> EstimatorResult:
+def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> EstimatorResult:
     """MM over R = A diag(p + eps) A^H with the inner step p <- max(solve(w, d) - eps, 0).
 
     ``solve`` maps the surrogate weights (w, d) to the minimizing
     effective powers. If the run fails to converge with epsilon = 0 (an
     iterate loses positive definiteness or every power collapses), it
     restarts once with epsilon = 1e-10; ``details['epsilon']`` records
-    the ridge used.
+    the ridge used. ``ridge`` scales the ridge per atom, eps = epsilon *
+    ridge, for a dictionary whose identity spectrum is not all ones.
+
+    Real samples on a complex dictionary fit the real scatter
+    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T).
+    Its surrogate weights are the same w_j = ||L^{-1} a_j||^2 and
+    d_j = p_j^2 Re(g_j^H S g_j), and S is real.
 
     The driver extrapolates the powers. A trial below 0.1 x2 anywhere is
     rejected rather than clipped: a clip at zero would trap a power there
     and break the banded equality constraints, which an affine
-    combination of feasible powers keeps. ``pairs`` (the conjugate
-    partner of every index, for real-data circulant fits) averages each
-    pair of a trial, so that extrapolation does not amplify the roundoff
-    gap between powers that are equal in exact arithmetic.
+    combination of feasible powers keeps.
     """
     if epsilon < 0.0:
         raise InvalidInputError("epsilon must be nonnegative")
+    if np.iscomplexobj(atoms) and not samples.is_complex:
+        # each power weighs two real columns of the float view [Re a_j, Im a_j]
+        columns = np.ascontiguousarray(atoms).view(np.float64)
+        assemble_at = lambda p: _assemble(columns, np.repeat(p, 2))  # noqa: E731
+    else:
+        assemble_at = lambda p: _assemble(atoms, p)  # noqa: E731
 
     def admit(trial, x2):
-        if pairs is not None:
-            trial = 0.5 * (trial + trial[pairs])
         return trial if np.all(trial >= _POWER_FLOOR * x2) else None
 
     def run(eps):
+        ridged = eps * ridge
+
         def inner(p, it):
-            w, d = _weights(atoms, np.asarray(p, dtype=float) + eps, it)
-            p_new = np.maximum(solve(w, d) - eps, 0.0)
+            w, d = _weights(atoms, np.asarray(p, dtype=float) + ridged, it)
+            p_new = np.maximum(solve(w, d) - ridged, 0.0)
             if not np.any(p_new > 0.0):
                 raise FailedToConvergeError("all powers collapsed to zero")
             return p_new
 
         # with a ridge, scaling R by c maps p to (p + eps) c - eps, clipped at 0
-        rescale = None if eps == 0.0 else lambda p, c: np.maximum((p + eps) * c - eps, 0.0)
+        rescale = (
+            None if eps == 0.0 else lambda p, c: np.maximum((p + ridged) * c - ridged, 0.0)
+        )
         result = mm_drive(
             inner=inner,
             samples=samples,
             init_params=init_powers,
             settings=settings,
-            assemble=lambda p: _assemble(atoms, p, eps),
+            assemble=lambda p: assemble_at(p + ridged),
             rescale=rescale,
             extrapolate=admit,
         )

@@ -4,18 +4,24 @@ A K x K positive definite Toeplitz matrix embeds into an L x L positive
 semidefinite circulant matrix (L >= 2K-1), which the unitary DFT
 diagonalizes. Writing A for the first K rows of the DFT matrix, the
 feasible set becomes { A diag(p) A^H : p >= 0 }, so the rank-one-sum
-machinery applies with this fixed dictionary. Column conjugacy of A
-makes the surrogate weights symmetric, p_j = p_{L-j} is preserved
-automatically, and A diag(p) A^H is Toeplitz for every nonnegative p.
+machinery applies with this fixed dictionary; A diag(p) A^H is Toeplitz
+for every nonnegative p. Complex samples fit all L powers.
+
+For real samples the spectrum is symmetric, p_j = p_{L-j}, so only
+m + 1 = floor(L/2) + 1 powers are free. Those fits run on the half
+dictionary B = [2^(1/4) a_0, sqrt(2) a_1, ..., sqrt(2) a_m] (an even-L
+midpoint also gets 2^(1/4)) with the real scatter R = Re(B diag(p~) B^H),
+in real arithmetic. The surrogate weights of B are the pair sums of
+those of A, and the scaling makes ||p~|| = ||p|| / sqrt(2), so relative
+changes and extrapolation steps are those of the full spectrum.
 
 Banding adds the linear constraint that correlations beyond the
-bandwidth vanish. After folding conjugate pairs into real variables,
-each inner problem is
+bandwidth vanish. Each inner problem is
 
-    minimize  w~^T p~ + sum_j d~_j / p~_j   s.t.  A~ p~ = 0,  p~ >= 0,
+    minimize  w^T p + sum_j d_j / p_j   s.t.  C p = 0,  p >= 0,
 
-solved through its smooth concave dual g(lam) = 2 sum_j sqrt(d~_j c_j)
-with c = w~ + A~^T lam > 0, maximized by a damped Newton method; the
+solved through its smooth concave dual g(lam) = 2 sum_j sqrt(d_j c_j)
+with c = w + C^T lam > 0, maximized by a damped Newton method; the
 primal is recovered in closed form from the dual optimum.
 """
 
@@ -60,46 +66,33 @@ class CirculantEmbedding:
 
     @property
     def n_folded(self) -> int:
-        """Number of distinct spectrum values after conjugate-pair folding."""
-        return (self.l - 1) // 2 + 1
+        """Number of free spectrum values of a real Toeplitz matrix, m + 1 = floor(L/2) + 1."""
+        return self.l // 2 + 1
+
+    @property
+    def identity_spectrum(self) -> np.ndarray:
+        """Half-dictionary powers of I: 1/sqrt(2) at index 0 and an even-L midpoint, else 1."""
+        return np.where(2 * np.arange(self.n_folded) % self.l == 0, np.sqrt(0.5), 1.0)
+
+    @property
+    def half_matrix(self) -> np.ndarray:
+        """Half dictionary B = [2^(1/4) a_0, sqrt(2) a_1, ..., sqrt(2) a_m].
+
+        An even-L midpoint a_m also gets 2^(1/4). For a symmetric spectrum,
+        p_j = p_{L-j}, Re(B diag(p~) B^H) = A diag(p) A^H with p~ = p at
+        the conjugate pairs and p~ = p / sqrt(2) at the self-conjugate
+        indices; :meth:`unfold` maps p~ back to p.
+        """
+        return self.a_matrix[:, : self.n_folded] * np.sqrt(2.0 * self.identity_spectrum)
 
     def assemble(self, powers, epsilon: float = 0.0) -> np.ndarray:
         return _assemble(self.a_matrix, powers, epsilon)
 
-    def fold(self, values) -> np.ndarray:
-        """Fold a length-L symmetric vector of weights into orbit sums.
-
-        Index 0 is rescaled by sqrt(2); each conjugate pair contributes
-        its sum; a self-conjugate midpoint (even L) passes through.
-        """
-        v = np.asarray(values, dtype=float)
-        m = self.n_folded - 1
-        out = np.empty(m + 1)
-        out[0] = np.sqrt(2.0) * v[0]
-        for j in range(1, m + 1):
-            if 2 * j == self.l:
-                out[j] = v[j]
-            else:
-                out[j] = v[j] + v[self.l - j]
-        return out
-
-    def fold_d(self, values) -> np.ndarray:
-        """Fold the inverse-power weights; index 0 is rescaled by 1/sqrt(2)."""
-        out = self.fold(values)
-        out[0] = np.asarray(values, dtype=float)[0] / np.sqrt(2.0)
-        return out
-
     def unfold(self, folded) -> np.ndarray:
-        """Expand folded variables back to a symmetric length-L power vector."""
-        folded = np.asarray(folded, dtype=float)
-        p = np.empty(self.l)
-        p[0] = np.sqrt(2.0) * folded[0]
-        m = self.n_folded - 1
-        for j in range(1, m + 1):
-            p[j] = folded[j]
-            if 2 * j != self.l:
-                p[self.l - j] = folded[j]
-        return p
+        """The symmetric length-L spectrum p of half-dictionary powers p~."""
+        p = np.asarray(folded, dtype=float) / self.identity_spectrum
+        j = np.arange(self.l)
+        return p[np.minimum(j, self.l - j)]
 
 
 def build_embedding(k: int, l: int | None = None) -> CirculantEmbedding:
@@ -111,28 +104,27 @@ def build_embedding(k: int, l: int | None = None) -> CirculantEmbedding:
 class BandedSpec:
     """Equality constraints forcing Toeplitz correlations to zero beyond a bandwidth.
 
-    ``constraint_matrix`` acts on the folded power vector: its rows span
-    exactly the conditions r_j = 0 for j = bandwidth+1 .. K-1.
+    ``constraint_matrix`` acts on the powers of the fit: its rows span
+    exactly the conditions r_j = 0 for j = bandwidth+1 .. K-1. By
+    default these are the half-dictionary powers of a real fit; a complex
+    fit constrains the real and imaginary parts of r_j over the full
+    spectrum.
     """
 
     bandwidth: int
     constraint_matrix: np.ndarray
 
     @classmethod
-    def from_embedding(cls, emb: CirculantEmbedding, bandwidth: int) -> "BandedSpec":
+    def from_embedding(
+        cls, emb: CirculantEmbedding, bandwidth: int, complex_: bool = False
+    ) -> "BandedSpec":
         if not 0 <= bandwidth <= emb.k - 1:
             raise InvalidInputError("bandwidth must lie in [0, K-1]")
-        rows = emb.k - bandwidth - 1
-        m = emb.n_folded - 1
-        C = emb.a_matrix[bandwidth + 1 :, :]  # rows of A giving the banded correlations
-        A_t = np.empty((rows, m + 1))
-        if rows:
-            A_t[:, 0] = np.sqrt(2.0) * C[:, 0].real
-            for j in range(1, m + 1):
-                if 2 * j == emb.l:
-                    A_t[:, j] = C[:, j].real
-                else:
-                    A_t[:, j] = (C[:, j] + C[:, emb.l - j]).real
+        # r_j = sum_i p_i D[j, i] conj(D[0, i]) for the fit's dictionary D
+        D = emb.a_matrix if complex_ else emb.half_matrix
+        C = D[bandwidth + 1 :] * D[0].conj()
+        A_t = np.concatenate([C.real, C.imag]) if complex_ else C.real
+        if A_t.shape[0]:
             sv = np.linalg.svd(A_t, compute_uv=False)
             if sv[-1] <= 1e-10 * sv[0]:
                 raise InvalidInputError("banding constraint matrix is rank deficient")
@@ -220,26 +212,6 @@ def banded_inner_update(
     )
 
 
-def _pair_index(l: int) -> np.ndarray:
-    """Index of the conjugate partner L - j of every spectrum index j (0 maps to 0)."""
-    return -np.arange(l) % l
-
-
-def _symmetry_guard(w, d, pairs):
-    """Soft check of the automatic pair symmetry of the surrogate weights.
-
-    ``pairs`` is :func:`_pair_index` of their length. w and d are checked
-    together: the largest pair gap of each may not exceed 1e-6 * (1 + its
-    largest magnitude).
-    """
-    wd = np.array((w, d))
-    excess = np.abs(wd - wd[:, pairs]).max(axis=1) - 1e-6 * np.abs(wd).max(axis=1)
-    if excess.max() > 1e-6:
-        raise NumericalFailureError(
-            "conjugate-pair symmetry of the surrogate weights broke down"
-        )
-
-
 def _trivial_result(samples: SampleSet) -> EstimatorResult:
     return EstimatorResult(
         scatter=np.ones((1, 1), dtype=samples.data.dtype),
@@ -250,13 +222,22 @@ def _trivial_result(samples: SampleSet) -> EstimatorResult:
     )
 
 
-def _finalize(result: EstimatorResult, emb: CirculantEmbedding, samples: SampleSet):
+def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, epsilon, solve):
+    """Circulant MM: the half dictionary for real samples, the full A for complex ones.
+
+    A real fit's powers are the half-dictionary powers p~, so R is real
+    and p_j = p_{L-j} holds by construction; ``params`` is unfolded to
+    the length-L spectrum. The ridge eps*I is eps times the identity
+    spectrum in either dictionary.
+    """
+    if samples.is_complex:
+        atoms, identity = emb.a_matrix, np.ones(emb.l)
+    else:
+        atoms, identity = emb.half_matrix, emb.identity_spectrum
+    result = _run(atoms, samples, settings, epsilon, identity, solve, identity)
+    if not samples.is_complex:
+        result.params = emb.unfold(result.params)
     result.details["embedding_size"] = emb.l
-    if not samples.is_complex and np.iscomplexobj(result.scatter):
-        imag = np.max(np.abs(result.scatter.imag))
-        if imag > 1e-10 * max(1.0, np.max(np.abs(result.scatter.real))):
-            raise NumericalFailureError("real-data Toeplitz estimate has a complex residue")
-        result.scatter = result.scatter.real.copy()
     return result
 
 
@@ -269,24 +250,15 @@ def estimate_toeplitz(
     """Tyler-type scatter estimation over circulant-embeddable Toeplitz matrices.
 
     Real samples give a real symmetric Toeplitz estimate; complex
-    samples give a Hermitian Toeplitz estimate. The conjugate-pair
-    symmetry of the circulant spectrum holds automatically for real
-    data and is asserted, not enforced.
+    samples give a Hermitian Toeplitz estimate. For real samples the
+    conjugate-pair symmetry p_j = p_{L-j} of the circulant spectrum
+    holds by construction: the fit runs on the half dictionary.
     """
     samples.require_oversampled()
     if samples.k == 1:
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
-    pairs = None if samples.is_complex else _pair_index(emb.l)
-    update = _unchecked(power_update)
-
-    def solve(w, d):
-        if pairs is not None:
-            _symmetry_guard(w, d, pairs)
-        return update(w, d)
-
-    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve, pairs)
-    return _finalize(result, emb, samples)
+    return _fit(emb, samples, settings, epsilon, _unchecked(power_update))
 
 
 def estimate_banded_toeplitz(
@@ -303,16 +275,8 @@ def estimate_banded_toeplitz(
             raise InvalidInputError("bandwidth must lie in [0, K-1]")
         return _trivial_result(samples)
     emb = build_embedding(samples.k, embedding_size)
-    spec = BandedSpec.from_embedding(emb, bandwidth)
-    pairs = None if samples.is_complex else _pair_index(emb.l)
-
-    def solve(w, d):
-        if pairs is not None:
-            _symmetry_guard(w, d, pairs)
-        return emb.unfold(banded_inner_update(spec, emb.fold(w), emb.fold_d(d)))
-
-    result = _run(emb.a_matrix, samples, settings, epsilon, np.ones(emb.l), solve, pairs)
-    result = _finalize(result, emb, samples)
+    spec = BandedSpec.from_embedding(emb, bandwidth, samples.is_complex)
+    result = _fit(emb, samples, settings, epsilon, lambda w, d: banded_inner_update(spec, w, d))
     result.details["bandwidth"] = bandwidth
     return result
 

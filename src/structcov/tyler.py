@@ -124,7 +124,9 @@ class _Whitening:
 
     The LAPACK ``trtrs`` routine is looked up once, for the field of the
     first scatter and the samples; it is swapped for the complex one if a
-    complex operand turns up later.
+    complex factor turns up later. A real factor solves a complex
+    right-hand side as its real float view, real and imaginary parts
+    side by side.
     """
 
     def __init__(self, samples: SampleSet, R):
@@ -141,12 +143,15 @@ class _Whitening:
 
     def solve(self, L, B):
         """L^{-1} B for a lower triangular L."""
-        if self.trtrs.typecode in "sd" and (L.dtype.kind == "c" or B.dtype.kind == "c"):
+        if self.trtrs.typecode in "sd" and L.dtype.kind == "c":
             (self.trtrs,) = get_lapack_funcs(("trtrs",), (L, B))
+        split = self.trtrs.typecode in "sd" and B.dtype.kind == "c"
+        if split:
+            B = np.ascontiguousarray(B).view(np.float64)
         x, info = self.trtrs(L, B, lower=1)
         if info != 0:
             raise NumericalFailureError("triangular solve failed", info=int(info))
-        return x
+        return np.ascontiguousarray(x).view(np.complex128) if split else x
 
     def __call__(self, R) -> "Iterate | None":
         """The iterate at R, or None when R is not positive definite."""
@@ -332,7 +337,9 @@ def mm_drive(
         Converged when the relative parameter change of one map drops to
         ``settings.tol``; otherwise terminates after ``max_iter`` maps.
         ``iterations`` counts MM maps; the objective trace holds one cost
-        per point taken, starting with the initial one. ``details`` holds
+        per point taken, starting with the initial one. Without
+        ``record_trace`` only the costs the safeguard compares are
+        evaluated: x1's before a trial, and each trial's. ``details`` holds
         ``squarem_cycles`` (extrapolations tried) and ``squarem_rejected``
         (trials rejected).
     """
@@ -349,17 +356,15 @@ def mm_drive(
     if it is None:
         raise InvalidInputError("initial scatter is not positive definite")
 
-    # the safeguard compares costs, so they are evaluated even without a trace
-    need_cost = settings.record_trace or extrapolate is not None
     objective = []
     t = 0
     cycles = rejected = 0
 
     def take(it_new, cost=None):
-        """Record the cost of a point taken; returns it (None when not needed)."""
-        if cost is None and need_cost:
-            cost = tyler_cost(it_new, samples)
+        """Record the cost of a point taken; returns it (None without a trace)."""
         if settings.record_trace:
+            if cost is None:
+                cost = tyler_cost(it_new, samples)
             objective.append(cost)
         return cost
 
@@ -429,7 +434,9 @@ def mm_drive(
         found = None
         if delta > settings.tol and t < settings.max_iter:
             cycles += 1
-            found = extrapolated(x0, params, x2, cost)
+            # without a trace, x1's cost is evaluated only here, as the bound
+            bound = tyler_cost(it, samples) if cost is None else cost
+            found = extrapolated(x0, params, x2, bound)
         if found is None:
             params, it = x2, factor(R2)
             cost = take(it)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import structcov.rankone
+import structcov.tyler
 from structcov import (
     MMSettings,
     RankOneDictionary,
@@ -28,7 +29,7 @@ from structcov import (
     ula_dictionary,
 )
 from structcov.simulate import ar_cov
-from structcov.toeplitz import CirculantEmbedding, _pair_index, power_update
+from structcov.toeplitz import CirculantEmbedding, power_update
 from support import nonincreasing, rand_pd
 
 K = 5
@@ -116,13 +117,12 @@ def _random_start(name, seed):
         # a diagonally dominant Toeplitz matrix is positive definite
         coeffs = np.concatenate([[K], rng.uniform(-1.0, 1.0, K - 1)])
         return estimate_linear(TOEPLITZ, _ar_samples(seed), init_coeffs=coeffs)
-    # Toeplitz: the runner of estimate_toeplitz from a symmetric positive spectrum
+    # Toeplitz: the runner of estimate_toeplitz from a positive half spectrum
     emb = CirculantEmbedding.build(K)
-    pairs = _pair_index(emb.l)
-    init = rng.uniform(0.01, 2.0, emb.l)
-    init = 0.5 * (init + init[pairs])
+    init = rng.uniform(0.01, 2.0, emb.n_folded)
     return structcov.rankone._run(
-        emb.a_matrix, _ar_samples(seed), None, 0.0, init, power_update, pairs
+        emb.half_matrix, _ar_samples(seed), None, 0.0, init, power_update,
+        emb.identity_spectrum,
     )
 
 
@@ -135,30 +135,49 @@ def test_descent_from_random_feasible_starts(name, seed):
     assert nonincreasing(res.objective_trace)
 
 
-def test_extrapolated_real_toeplitz_powers_keep_their_pairs(monkeypatch):
-    """Every extrapolated power vector of a real-data fit has p[j] == p[L-j] exactly."""
-    X = sample_elliptical(ar_cov(8, 0.8), 60, 5)
-    pairs = _pair_index(CirculantEmbedding.build(8).l)
-    taken = []
+@pytest.mark.parametrize("name", [*FITS, "banded"])
+def test_the_cost_trace_does_not_change_the_fit(name, monkeypatch):
+    """Without a trace fewer costs are evaluated, and the fit is bit for bit the same."""
+    draw, fit = FITS.get(name, (_ar_samples, lambda X, s: estimate_banded_toeplitz(X, 2, s)))
+    X = draw(2)
+    calls = []
+    cost = structcov.tyler.tyler_cost
+    monkeypatch.setattr(structcov.tyler, "tyler_cost", lambda *a: calls.append(1) or cost(*a))
+    traced = fit(X, MMSettings(tol=1e-7, max_iter=300))
+    traced_calls = len(calls)
+    untraced = fit(X, MMSettings(tol=1e-7, max_iter=300, record_trace=False))
+    assert len(calls) - traced_calls < traced_calls
+    assert len(untraced.objective_trace) == 0
+    assert traced.details["squarem_cycles"] > 0
+    assert untraced.iterations == traced.iterations
+    assert np.array_equal(untraced.scatter, traced.scatter)
+    if traced.params is None:
+        assert untraced.params is None
+    else:
+        assert np.array_equal(untraced.params, traced.params)
 
-    def recording_drive(*args, extrapolate, **kwargs):
-        def vet(trial, x2):
-            out = extrapolate(trial, x2)
-            if out is not None:
-                taken.append(out)
-            return out
 
-        return mm_drive(*args, extrapolate=vet, **kwargs)
+# a real fit lies in the complex model, so a fit of the same samples as
+# complex numbers reaches the same estimate; the paths may differ by roundoff
+EMBEDDED = {
+    "tyler": tyler_unconstrained,
+    "toeplitz": estimate_toeplitz,
+    "banded": lambda X, s: estimate_banded_toeplitz(X, 2, s),
+}
 
-    monkeypatch.setattr(structcov.rankone, "mm_drive", recording_drive)
-    for fit in (estimate_toeplitz, lambda X: estimate_banded_toeplitz(X, 3)):
-        taken.clear()
-        res = fit(X)
-        assert res.details["squarem_cycles"] > 0
-        assert taken
-        for p in taken:
-            assert np.array_equal(p, p[pairs])
-            assert np.all(p >= 0.0)
+
+@pytest.mark.parametrize("name", list(EMBEDDED))
+@property_settings
+@given(seed=seeds)
+def test_real_fit_agrees_with_the_complex_fit_of_the_same_samples(name, seed):
+    fit = EMBEDDED[name]
+    X = _ar_samples(seed)
+    settings_ = MMSettings(tol=1e-10, max_iter=20000)
+    real = fit(X, settings_)
+    cplx = fit(X.to_complex(), settings_)
+    assert real.scatter.dtype == np.float64 and cplx.scatter.dtype == np.complex128
+    assert abs(real.objective_trace[-1] - cplx.objective_trace[-1]) <= 1e-9
+    assert _rel(cplx.scatter, real.scatter) <= 1e-6
 
 
 def test_spiked_fits_run_plain_mm():

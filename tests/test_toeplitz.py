@@ -23,7 +23,6 @@ from structcov import (
 )
 from structcov.rankone import _weights
 from structcov.simulate import ar_cov, banded_ar_cov, nmse
-from structcov.toeplitz import _pair_index, _symmetry_guard
 from structcov.tyler import TERMINATION_CONVERGED, Iterate
 from support import barrier_equality_solve, nonincreasing
 
@@ -48,8 +47,7 @@ class TestEmbedding:
     def test_symmetric_powers_give_toeplitz(self):
         rng = np.random.default_rng(0)
         emb = build_embedding(8, 15)
-        half = rng.uniform(0.0, 2.0, size=8)
-        p = emb.unfold(emb.fold(np.concatenate([half, half[1:][::-1]])))
+        p = emb.unfold(rng.uniform(0.0, 2.0, size=8))
         R = emb.assemble(p)
         assert diagonal_spread(R) <= 1e-12
         assert np.max(np.abs(R.imag)) <= 1e-12
@@ -98,36 +96,58 @@ class TestSurrogateSymmetry:
             p = np.sqrt(d / w)
 
 
-class TestSymmetryGuard:
-    def _weights(self, l, rng):
-        pairs = _pair_index(l)
-        w = rng.uniform(0.5, 2.0, size=l)
-        d = rng.uniform(0.5, 2.0, size=l)
-        return (w + w[pairs]) / 2, (d + d[pairs]) / 2, pairs
+def _pair_sums(full, l, self_paired):
+    """Half-dictionary values from full-spectrum ones: the pair sums, and
+    ``self_paired`` applied at index 0 and an even-L midpoint."""
+    j = np.arange(l // 2 + 1)
+    partner = (l - j) % l
+    return np.where(partner == j, self_paired(full[j]), full[j] + full[partner])
 
-    @pytest.mark.parametrize("l", [9, 10])
-    def test_passes_on_symmetric_weights(self, l):
-        w, d, pairs = self._weights(l, np.random.default_rng(l))
-        _symmetry_guard(w, d, pairs)
-        # a break inside the 1e-6 relative tolerance still passes
-        w[1] += 1e-7
-        _symmetry_guard(w, d, pairs)
 
-    @pytest.mark.parametrize("which", ["w", "d"])
-    @pytest.mark.parametrize("l", [9, 10])
-    def test_raises_on_pair_asymmetry(self, l, which):
-        w, d, pairs = self._weights(l, np.random.default_rng(l))
-        broken = w if which == "w" else d
-        broken[l - 2] += 1e-3
-        with pytest.raises(NumericalFailureError):
-            _symmetry_guard(w, d, pairs)
+class TestHalfDictionary:
+    @pytest.mark.parametrize("l", [11, 12])
+    def test_weights_are_pair_sums_of_the_full_weights(self, l):
+        # at the same iterate, w~ and d~ of B are the folded w and d of A
+        emb = build_embedding(6, l)
+        X = sample_elliptical(ar_cov(6, 0.6), 40, seed=l)
+        p_half = np.random.default_rng(l).uniform(0.2, 2.0, emb.n_folded)
+        p = emb.unfold(p_half)
+        R = emb.assemble(p)
+        assert np.max(np.abs(R.imag)) <= 1e-14
+        w, d = _weights(emb.a_matrix, p, Iterate.at(R, X))
+        w_half, d_half = _weights(emb.half_matrix, p_half, Iterate.at(R.real, X))
+        assert np.allclose(w_half, _pair_sums(w, l, lambda v: np.sqrt(2.0) * v), rtol=1e-13)
+        assert np.allclose(d_half, _pair_sums(d, l, lambda v: v / np.sqrt(2.0)), rtol=1e-13)
 
-    def test_index_zero_and_midpoint_are_their_own_pairs(self):
-        assert list(_pair_index(6)) == [0, 5, 4, 3, 2, 1]
-        w, d, pairs = self._weights(6, np.random.default_rng(3))
-        w[0] += 1.0  # unpaired entries may take any value
-        w[3] += 1.0
-        _symmetry_guard(w, d, pairs)
+    @pytest.mark.parametrize("k,l", [(6, 11), (6, 12), (15, 29), (15, 30)])
+    def test_real_assembly_equals_the_full_assembly(self, k, l):
+        emb = build_embedding(k, l)
+        p_half = np.random.default_rng(k + l).uniform(0.0, 2.0, emb.n_folded)
+        B = emb.half_matrix
+        R_half = ((B * p_half) @ B.conj().T).real
+        assert np.max(np.abs(R_half - emb.assemble(emb.unfold(p_half)))) <= 1e-14
+        # the identity spectrum assembles I, so the ridge eps*I stays eps*I
+        ident = emb.identity_spectrum
+        assert np.max(np.abs(((B * ident) @ B.conj().T).real - np.eye(k))) <= 1e-14
+        assert np.array_equal(emb.unfold(ident), np.ones(l))
+
+    @pytest.mark.parametrize("l", [None, 16])
+    @pytest.mark.parametrize(
+        "fit",
+        [estimate_toeplitz, lambda X, **kw: estimate_banded_toeplitz(X, 3, **kw)],
+        ids=["toeplitz", "banded"],
+    )
+    def test_real_fits_are_real_with_a_symmetric_spectrum(self, fit, l):
+        X = sample_elliptical(ar_cov(8, 0.8), 60, seed=5)
+        res = fit(X, embedding_size=l)
+        emb = build_embedding(8, l)
+        assert res.scatter.dtype == np.float64
+        assert res.params.shape == (emb.l,)
+        assert np.array_equal(res.params, res.params[-np.arange(emb.l) % emb.l])
+        assert np.all(res.params >= 0.0)
+        R = emb.assemble(res.params)
+        assert np.allclose(R.real, res.scatter, rtol=0.0, atol=1e-14)
+        assert res.details["embedding_size"] == emb.l
 
 
 class TestEstimateToeplitz:
@@ -276,6 +296,27 @@ class TestEstimateBanded:
             banded.append(nmse([estimate_banded_toeplitz(X, 3, settings).scatter], R0))
             plain.append(nmse([estimate_toeplitz(X, settings).scatter], R0))
         assert np.mean(banded) < np.mean(plain)
+
+    def test_even_embedding_keeps_the_band(self):
+        # an even L has a self-conjugate midpoint power, constrained like the rest
+        X = sample_elliptical(ar_cov(8, 0.5), 30, seed=4)
+        res = estimate_banded_toeplitz(X, 3, embedding_size=16)
+        assert np.max(np.abs(first_correlations(res.scatter)[4:])) <= 1e-10
+        again = estimate_banded_toeplitz(X, 3, embedding_size=16)
+        assert np.array_equal(res.scatter, again.scatter)
+
+    def test_complex_data_gives_hermitian_banded_toeplitz(self):
+        # complex correlations beyond the band vanish in real and imaginary part
+        R0 = ar_cov(6, 0.5) * np.exp(0.4j * np.subtract.outer(np.arange(6), np.arange(6)))
+        X = sample_elliptical(R0, 80, seed=15)
+        res = estimate_banded_toeplitz(X, 2)
+        r = first_correlations(res.scatter)
+        assert np.max(np.abs(r[3:])) <= 1e-10
+        assert np.max(np.abs(r[1:3].imag)) > 1e-3
+        assert diagonal_spread(res.scatter) <= 1e-10
+        assert np.linalg.norm(res.scatter - res.scatter.conj().T) <= 1e-12
+        assert res.params.shape == (11,)
+        assert nonincreasing(res.objective_trace)
 
     def test_bad_bandwidth(self):
         X = sample_elliptical(ar_cov(4, 0.4), 30, seed=13)
