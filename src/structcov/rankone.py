@@ -245,12 +245,10 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> Es
     """
     if epsilon < 0.0:
         raise InvalidInputError("epsilon must be nonnegative")
-    if np.iscomplexobj(atoms) and not samples.is_complex:
-        # each power weighs two real columns of the float view [Re a_j, Im a_j]
-        columns = np.ascontiguousarray(atoms).view(np.float64)
-        assemble_at = lambda p: _assemble(columns, np.repeat(p, 2))  # noqa: E731
-    else:
-        assemble_at = lambda p: _assemble(atoms, p)  # noqa: E731
+    # a real fit on complex atoms weighs each power on the two real columns
+    # [Re a_j, Im a_j] of their float view
+    split = np.iscomplexobj(atoms) and not samples.is_complex
+    columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
 
     def admit(trial, x2):
         return trial if np.all(trial >= _POWER_FLOOR * x2) else None
@@ -274,7 +272,7 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> Es
             samples=samples,
             init_params=init_powers,
             settings=settings,
-            assemble=lambda p: assemble_at(p + ridged),
+            assemble=lambda p: _assemble(columns, np.repeat(p + ridged, 1 + split)),
             rescale=rescale,
             extrapolate=admit,
         )
