@@ -120,9 +120,10 @@ class BandedSpec:
     ) -> "BandedSpec":
         if not 0 <= bandwidth <= emb.k - 1:
             raise InvalidInputError("bandwidth must lie in [0, K-1]")
-        # r_j = sum_i p_i D[j, i] conj(D[0, i]) for the fit's dictionary D
+        # r_j = sum_i p_i D[j, i] conj(D[0, i]) for the fit's dictionary D, in
+        # units of 1/sqrt(L): the dual's KKT tolerance holds C p to 1e-10 in these
         D = emb.a_matrix if complex_ else emb.half_matrix
-        C = D[bandwidth + 1 :] * D[0].conj()
+        C = np.sqrt(emb.l) * D[bandwidth + 1 :] * D[0].conj()
         A_t = np.concatenate([C.real, C.imag]) if complex_ else C.real
         if A_t.shape[0]:
             sv = np.linalg.svd(A_t, compute_uv=False)
