@@ -29,6 +29,16 @@ _EPS_RESTART = 1e-10
 _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
 
 
+def _clip_to_floor(trial, x2):
+    """Vet an extrapolated trial by raising each power to at least 0.1 x2's."""
+    return np.maximum(trial, _POWER_FLOOR * x2)
+
+
+def _refuse_below_floor(trial, x2):
+    """Vet an extrapolated trial by refusing it if any power is below 0.1 x2's."""
+    return trial if np.all(trial >= _POWER_FLOOR * x2) else None
+
+
 @dataclass(frozen=True)
 class RankOneDictionary:
     """K x L matrix of atoms a_j; the scatter model is sum_j p_j a_j a_j^H.
@@ -215,7 +225,7 @@ def estimate_rank_one(
         init_powers = check_powers(init_powers, dictionary.l)
 
     solve = _unchecked(power_update)
-    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, solve)
+    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, solve, _clip_to_floor)
 
 
 def _unchecked(solve):
@@ -223,7 +233,7 @@ def _unchecked(solve):
     return getattr(solve, "unchecked", solve)
 
 
-def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> EstimatorResult:
+def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
     """MM over R = A diag(p + eps) A^H with the inner step p <- max(solve(w, d) - eps, 0).
 
     ``solve`` maps the surrogate weights (w, d) to the minimizing
@@ -238,10 +248,12 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> Es
     Its surrogate weights are the same w_j = ||L^{-1} a_j||^2 and
     d_j = p_j^2 Re(g_j^H S g_j), and S is real.
 
-    The driver extrapolates the powers. A trial below 0.1 x2 anywhere is
-    rejected rather than clipped: a clip at zero would trap a power there
-    and break the banded equality constraints, which an affine
-    combination of feasible powers keeps.
+    The driver extrapolates the powers; ``vet`` is its ``extrapolate``.
+    Rank-one fits clip a trial to 0.1 x2 per power (:func:`_clip_to_floor`):
+    their many decaying powers leave a refused trial no room to move.
+    Circulant fits refuse it (:func:`_refuse_below_floor`): a clip breaks
+    the banded equality constraints, which an affine combination of
+    feasible powers keeps, and it made Toeplitz fits take more maps.
     """
     if epsilon < 0.0:
         raise InvalidInputError("epsilon must be nonnegative")
@@ -249,9 +261,6 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> Es
     # [Re a_j, Im a_j] of their float view
     split = np.iscomplexobj(atoms) and not samples.is_complex
     columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
-
-    def admit(trial, x2):
-        return trial if np.all(trial >= _POWER_FLOOR * x2) else None
 
     def run(eps):
         ridged = eps * ridge
@@ -274,7 +283,7 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, ridge=1.0) -> Es
             settings=settings,
             assemble=lambda p: _assemble(columns, np.repeat(p + ridged, 1 + split)),
             rescale=rescale,
-            extrapolate=admit,
+            extrapolate=vet,
         )
         result.details["epsilon"] = eps
         return result

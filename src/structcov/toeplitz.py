@@ -37,7 +37,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import dft_matrix
-from .rankone import _assemble, _run, _unchecked, power_update
+from .rankone import _assemble, _refuse_below_floor, _run, _unchecked, power_update
 from .tyler import TERMINATION_CONVERGED, EstimatorResult, MMSettings, SampleSet
 
 _DUAL_MAX_ITER = 200
@@ -235,7 +235,7 @@ def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, epsilon, solve):
         atoms, identity = emb.a_matrix, np.ones(emb.l)
     else:
         atoms, identity = emb.half_matrix, emb.identity_spectrum
-    result = _run(atoms, samples, settings, epsilon, identity, solve, identity)
+    result = _run(atoms, samples, settings, epsilon, identity, solve, _refuse_below_floor, identity)
     if not samples.is_complex:
         result.params = emb.unfold(result.params)
     result.details["embedding_size"] = emb.l

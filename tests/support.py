@@ -10,6 +10,8 @@ import numpy as np
 import scipy.linalg
 
 from structcov import sample_elliptical
+from structcov.rankone import _weights
+from structcov.tyler import Iterate
 
 
 def rand_hermitian(k, rng, complex_=False):
@@ -186,3 +188,14 @@ def spiked_objective(R, M):
     if eig[0] <= 0:
         return np.inf
     return float(np.sum(np.log(eig)) + np.real(np.trace(np.linalg.solve(R, M))))
+
+
+def rank_one_gradient(atoms, result, samples):
+    """gamma_j = w_j - g_j^H S g_j, the cost's gradient in p_j at a rank-one fit's scatter.
+
+    Computed by the library's ``rankone._weights`` at unit powers, so
+    d_j = g_j^H S g_j. KKT holds at the estimate when gamma >= 0 and
+    p_j gamma_j = 0 for every atom.
+    """
+    w, s = _weights(atoms, np.ones(atoms.shape[1]), Iterate.at(result.scatter, samples))
+    return w - s

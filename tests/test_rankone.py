@@ -22,10 +22,10 @@ from structcov import (
     surrogate_params,
     ula_dictionary,
 )
-from structcov.rankone import _weights, check_powers
+from structcov.rankone import _clip_to_floor, _refuse_below_floor, _weights, check_powers
 from structcov.simulate import ar_cov
 from structcov.tyler import Iterate
-from support import nonincreasing, weighted_scatter_naive
+from support import nonincreasing, rank_one_gradient, weighted_scatter_naive
 
 
 def _random_dictionary(rng, k=4, l=9, complex_=True):
@@ -253,6 +253,70 @@ class TestEstimateRankOne:
         res = estimate_rank_one(d, X, MMSettings(tol=1e-6, max_iter=500))
         music = music_spectrum(res.scatter, 5)
         assert angles_recovered(music, angles, 0.25)
+
+
+class TestFloorVetting:
+    """The SQUAREM vetting of extrapolated powers: rank-one fits clip, circulant fits refuse."""
+
+    @staticmethod
+    def _trial(seed):
+        rng = np.random.default_rng(seed)
+        x2 = rng.uniform(0.0, 2.0, 40)
+        x2[:4] = 0.0  # powers that collapsed to zero
+        return rng.uniform(-1.0, 2.0, 40), x2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clip_raises_each_power_to_the_floor(self, seed):
+        trial, x2 = self._trial(seed)
+        clipped = _clip_to_floor(trial, x2)
+        floor = 0.1 * x2
+        assert clipped is not None
+        assert np.all(clipped >= floor)
+        above = trial >= floor
+        assert np.array_equal(clipped[above], trial[above])
+        assert np.array_equal(clipped[~above], floor[~above])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refusal_takes_or_refuses_the_whole_trial(self, seed):
+        trial, x2 = self._trial(seed)
+        assert _refuse_below_floor(trial, x2) is None
+        inside = np.maximum(trial, 0.1 * x2)
+        assert _refuse_below_floor(inside, x2) is inside
+
+    def test_rank_one_fits_clip_and_circulant_fits_refuse(self, monkeypatch):
+        seen = []
+
+        def spy(module, name):
+            vet = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda t, x2: seen.append(name) or vet(t, x2))
+
+        spy(structcov.rankone, "_clip_to_floor")
+        spy(structcov.toeplitz, "_refuse_below_floor")
+        X = sample_elliptical(ar_cov(6, 0.5), 40, seed=35)
+        estimate_toeplitz(X)
+        estimate_banded_toeplitz(X, 2)
+        assert set(seen) == {"_refuse_below_floor"}
+        seen.clear()
+        _fit_rank_one(X)
+        assert set(seen) == {"_clip_to_floor"}
+
+
+# K=6 DOA draws fitted to tol 1e-11. Over seeds 0-7 the largest measured
+# max_j p_j |gamma_j| was 1.6e-9 and max_j -gamma_j 6.6e-6; at the default
+# tol 1e-8 the latter reaches 3.6e-3
+KKT_COMPLEMENTARITY = 1e-8
+KKT_DUAL_FEASIBILITY = 5e-5
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_one_estimate_meets_kkt(seed):
+    dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+    X = sample_elliptical(doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1), 30, seed)
+    res = estimate_rank_one(dictionary, X, MMSettings(tol=1e-11, max_iter=20000))
+    assert res.termination == "converged"
+    gamma = rank_one_gradient(dictionary.atoms, res, X)
+    assert np.max(res.params * np.abs(gamma)) <= KKT_COMPLEMENTARITY
+    assert np.max(-gamma) <= KKT_DUAL_FEASIBILITY
 
 
 def _fit_rank_one(X, **kwargs):

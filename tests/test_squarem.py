@@ -122,7 +122,7 @@ def _random_start(name, seed):
     init = rng.uniform(0.01, 2.0, emb.n_folded)
     return structcov.rankone._run(
         emb.half_matrix, _ar_samples(seed), None, 0.0, init, power_update,
-        emb.identity_spectrum,
+        structcov.rankone._refuse_below_floor, emb.identity_spectrum,
     )
 
 
