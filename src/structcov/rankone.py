@@ -248,12 +248,12 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) 
     Its surrogate weights are the same w_j = ||L^{-1} a_j||^2 and
     d_j = p_j^2 Re(g_j^H S g_j), and S is real.
 
-    The driver extrapolates the powers; ``vet`` is its ``extrapolate``.
+    ``mm_drive`` extrapolates the powers; ``vet`` is its ``extrapolate``.
     Rank-one fits clip a trial to 0.1 x2 per power (:func:`_clip_to_floor`):
     their many decaying powers leave a refused trial no room to move.
     Circulant fits refuse it (:func:`_refuse_below_floor`): a clip breaks
     the banded equality constraints, which an affine combination of
-    feasible powers keeps, and it made Toeplitz fits take more maps.
+    feasible powers keeps, and saved Toeplitz fits no maps.
     """
     if epsilon < 0.0:
         raise InvalidInputError("epsilon must be nonnegative")

@@ -41,8 +41,8 @@ RANK_ONE_SETTINGS = MMSettings(max_iter=300)
 # Extrapolation makes the path of a fit depend on roundoff (a trial that
 # passes its checks by 1e-15 may fail them on permuted samples), so the
 # invariances are checked at the estimate, not at a truncated path: on these
-# rank-one inputs, fits stopped at max_iter=300 end up to 3e-4 apart and
-# fits converged to tol 1e-8 up to 3e-6; at this tol they agree to 2e-10.
+# rank-one inputs (40 seeds), fits stopped at max_iter=300 end up to 1.5e-4
+# apart and fits converged to tol 1e-8 up to 2.4e-5; at this tol, up to 2.6e-8.
 CONVERGED = MMSettings(tol=1e-11, max_iter=20000)
 
 
