@@ -25,7 +25,6 @@ from .kronecker import (
     kron_objective,
 )
 from .linalg import (
-    EigenDecomposition,
     chol_pd,
     dft_matrix,
     hermitian_eig,
@@ -49,7 +48,6 @@ from .rankone import (
     RankOneDictionary,
     estimate_rank_one,
     power_update,
-    surrogate_params,
 )
 from .simulate import (
     MusicResult,
@@ -72,7 +70,6 @@ from .toeplitz import (
     BandedSpec,
     CirculantEmbedding,
     banded_inner_update,
-    build_embedding,
     diagonal_spread,
     estimate_banded_toeplitz,
     estimate_toeplitz,

@@ -15,6 +15,7 @@ kept at unit trace to resolve the scale ambiguity of the factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,13 +25,13 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import check_hermitian, hermitize, pd_geometric_mean
+from .linear import _pd_inverse, inner_update
 from .tyler import (
-    TERMINATION_CONVERGED,
-    TERMINATION_MAX_ITER,
     EstimatorResult,
     MMSettings,
     SampleSet,
     _rel_change,
+    mm_drive,
 )
 
 _OBJECTIVE_FLOOR = -1e12
@@ -151,16 +152,20 @@ def kron_objective(factors: KroneckerFactors, reshaped: ReshapedSamples) -> floa
     )
 
 
-def _tyler_factor_loop(stack, dim, n, init, inner_tol, max_inner):
+def _weighted_moment(stack, F, dim) -> np.ndarray:
+    """The factor's MM moment (dim/N) sum_i S_i / Tr(F^{-1} S_i), Hermitian."""
+    weights = _batch_weights(stack, np.linalg.inv(F))
+    if np.any(weights <= 0.0):
+        raise NumericalFailureError("factor update hit a non-positive weight")
+    return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
+
+
+def _tyler_factor_loop(stack, dim, init, inner_tol, max_inner):
     """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point."""
     F = init / np.trace(init).real
     for _ in range(max_inner):
-        F_inv = np.linalg.inv(F)
-        weights = _batch_weights(stack, F_inv)
-        if np.any(weights <= 0.0):
-            raise NumericalFailureError("factor update hit a non-positive weight")
-        F_new = (dim / n) * np.einsum("n,nij->ij", 1.0 / weights, stack)
-        F_new = hermitize(F_new) / np.trace(F_new).real
+        F_new = _weighted_moment(stack, F, dim)
+        F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
         F = F_new
         if delta <= inner_tol:
@@ -170,53 +175,52 @@ def _tyler_factor_loop(stack, dim, n, init, inner_tol, max_inner):
     )
 
 
+def _factor_update(stack, F_t, structure=None, coeffs=None):
+    """MM update of one factor at its whitened stack, normalized to unit trace.
+
+    The geometric mean of F_t and the weighted moment, or with
+    ``structure`` that structure's surrogate step warm-started at
+    ``coeffs``. Returns ``(F, coeffs)``, ``coeffs`` None when unstructured.
+    """
+    M = _weighted_moment(stack, F_t, F_t.shape[0])
+    if structure is None:
+        try:
+            F_new = pd_geometric_mean(F_t, M)
+        except InvalidInputError as exc:
+            raise NumericalFailureError(
+                "weighted factor moment is numerically singular; data may be degenerate"
+            ) from exc
+        coeffs = None
+    else:
+        coeffs = inner_update(structure, coeffs, _pd_inverse(F_t), M)
+        F_new = hermitize(structure.assemble(coeffs))
+    tr = np.trace(F_new).real
+    if coeffs is not None:
+        coeffs = coeffs / tr
+    return F_new / tr, coeffs
+
+
 def gauss_seidel_step(
     factors: KroneckerFactors,
     reshaped: ReshapedSamples,
+    b_structure=None,
+    b_coeffs=None,
     inner_tol: float = _GS_INNER_TOL,
     max_inner: int = _GS_MAX_INNER,
-) -> KroneckerFactors:
-    """One sweep of the alternating scheme: solve for A with B fixed, then for B."""
-    n = reshaped.n
-    T = _whiten_b(reshaped, factors.factor_b)
-    A = _tyler_factor_loop(T, factors.p, n, factors.factor_a, inner_tol, max_inner)
-    U = _whiten_a(reshaped, A)
-    B = _tyler_factor_loop(U, factors.q, n, factors.factor_b, inner_tol, max_inner)
-    return KroneckerFactors(factor_a=A, factor_b=B)
+):
+    """One sweep of the alternating scheme: solve for A with B fixed, then for B.
 
-
-def _geometric_mean_update(F_t, M):
-    try:
-        return pd_geometric_mean(F_t, M)
-    except InvalidInputError as exc:
-        raise NumericalFailureError(
-            "weighted factor moment is numerically singular; data may be degenerate"
-        ) from exc
-
-
-def _update_b(reshaped: ReshapedSamples, A, B_t, b_structure=None, b_coeffs=None):
-    """MM update of B at fixed A, normalized to unit trace.
-
-    The closed-form geometric mean, or with ``b_structure`` the linear
-    structure's surrogate step warm-started at ``b_coeffs``. Returns
-    ``(B, coeffs)``; ``coeffs`` is None when unstructured.
+    With ``b_structure`` B takes one structured surrogate step instead,
+    as in :func:`block_mm_step`; returns ``(factors, b_coeffs)`` as it does.
     """
-    from .linear import inner_update  # local import to avoid a cycle
-
-    q = B_t.shape[0]
+    T = _whiten_b(reshaped, factors.factor_b)
+    A = _tyler_factor_loop(T, factors.p, factors.factor_a, inner_tol, max_inner)
     U = _whiten_a(reshaped, A)
-    weights = _batch_weights(U, np.linalg.inv(B_t))
-    M_b = hermitize((q / reshaped.n) * np.einsum("n,nij->ij", 1.0 / weights, U))
     if b_structure is None:
-        B_new = _geometric_mean_update(B_t, M_b)
-        coeffs = None
+        B = _tyler_factor_loop(U, factors.q, factors.factor_b, inner_tol, max_inner)
     else:
-        coeffs = inner_update(b_structure, b_coeffs, B_t, M_b)
-        B_new = hermitize(b_structure.assemble(coeffs))
-    tr_b = np.trace(B_new).real
-    if coeffs is not None:
-        coeffs = coeffs / tr_b
-    return B_new / tr_b, coeffs
+        B, b_coeffs = _factor_update(U, factors.factor_b, b_structure, b_coeffs)
+    return KroneckerFactors(factor_a=A, factor_b=B), b_coeffs
 
 
 def block_mm_step(
@@ -235,13 +239,45 @@ def block_mm_step(
     unstructured.
     """
     A_t, B_t = factors.factor_a, factors.factor_b
-    T = _whiten_b(reshaped, B_t)
-    weights = _batch_weights(T, np.linalg.inv(A_t))
-    M_a = (factors.p / reshaped.n) * np.einsum("n,nij->ij", 1.0 / weights, T)
-    A_new = _geometric_mean_update(A_t, hermitize(M_a))
-    A_new = A_new / np.trace(A_new).real
-    B_new, new_coeffs = _update_b(reshaped, A_new, B_t, b_structure, b_coeffs)
+    A_new, _ = _factor_update(_whiten_b(reshaped, B_t), A_t)
+    B_new, new_coeffs = _factor_update(_whiten_a(reshaped, A_new), B_t, b_structure, b_coeffs)
     return KroneckerFactors(factor_a=A_new, factor_b=B_new), new_coeffs
+
+
+class _FactorIterate:
+    """A Kronecker iterate: the factor pair and its cost, checked against the floor."""
+
+    def __init__(self, factors: KroneckerFactors, reshaped: ReshapedSamples):
+        self.factors = factors
+        self.cost = kron_objective(factors, reshaped)
+        # detects unbounded descent at every map, with or without a trace
+        if self.cost < _OBJECTIVE_FLOOR:
+            raise DegenerateDataError(
+                "objective is unbounded below; samples are too degenerate "
+                "for the Kronecker structure"
+            )
+
+    @property
+    def R(self) -> np.ndarray:
+        scatter = self.factors.assemble()
+        return scatter / np.trace(scatter).real
+
+
+class _FactorSpace:
+    """The :func:`mm_drive` space of one fit; its params are the pair (A, B).
+
+    The steps return unit-trace factors checked PD: normalize changes nothing.
+    """
+
+    def __init__(self, reshaped: ReshapedSamples):
+        self.reshaped = reshaped
+
+    @staticmethod
+    def normalize(factors: KroneckerFactors):
+        return (factors.factor_a, factors.factor_b), factors
+
+    def __call__(self, factors: KroneckerFactors) -> _FactorIterate:
+        return _FactorIterate(factors, self.reshaped)
 
 
 def estimate_kronecker(
@@ -258,6 +294,7 @@ def estimate_kronecker(
 
     Unlike the other estimators this supports N <= K: the factor
     updates pool information across the reshaped sample matrices.
+    :func:`mm_drive` runs the sweeps as plain MM over the pair (A, B).
 
     Parameters
     ----------
@@ -269,7 +306,6 @@ def estimate_kronecker(
         Linear structure imposed on the B factor (e.g. a Toeplitz
         basis); only supported with its dimension equal to q.
     """
-    settings = settings or MMSettings()
     if method not in ("mm", "gs"):
         raise InvalidInputError(f"unknown method {method!r}; expected 'mm' or 'gs'")
     reshaped = ReshapedSamples.from_samples(samples, p, q)
@@ -296,61 +332,23 @@ def estimate_kronecker(
         rhs = (vecs.conj() @ factors.factor_b.reshape(-1)).real
         b_coeffs = np.linalg.solve(gram, rhs)
 
-    objective = []
-    if settings.record_trace:
-        objective.append(kron_objective(factors, reshaped))
+    step = block_mm_step if method == "mm" else partial(gauss_seidel_step, inner_tol=inner_tol)
 
-    iterations = 0
-    termination = TERMINATION_MAX_ITER
-    for t in range(1, settings.max_iter + 1):
-        if method == "gs" and b_structure is None:
-            new_factors = gauss_seidel_step(factors, reshaped, inner_tol=inner_tol)
-            new_coeffs = None
-        elif method == "gs":
-            # A gets its full inner solve; B takes the structured surrogate step.
-            T = _whiten_b(reshaped, factors.factor_b)
-            A = _tyler_factor_loop(
-                T, p, reshaped.n, factors.factor_a, inner_tol, _GS_MAX_INNER
-            )
-            B, new_coeffs = _update_b(reshaped, A, factors.factor_b, b_structure, b_coeffs)
-            new_factors = KroneckerFactors(factor_a=A, factor_b=B)
-        else:
-            new_factors, new_coeffs = block_mm_step(
-                factors, reshaped, b_structure=b_structure, b_coeffs=b_coeffs
-            )
-        delta = max(
-            _rel_change(new_factors.factor_a, factors.factor_a),
-            _rel_change(new_factors.factor_b, factors.factor_b),
-        )
-        factors = new_factors
-        b_coeffs = new_coeffs if b_structure is not None else None
-        iterations = t
-        # cheap factor-space objective: detects unbounded descent even
-        # when the trace is not recorded
-        value = kron_objective(factors, reshaped)
-        if value < _OBJECTIVE_FLOOR:
-            raise DegenerateDataError(
-                "objective is unbounded below; samples are too degenerate "
-                "for the Kronecker structure"
-            )
-        if settings.record_trace:
-            objective.append(value)
-        if delta <= settings.tol:
-            termination = TERMINATION_CONVERGED
-            break
+    def inner(params, it):
+        nonlocal b_coeffs
+        new_factors, b_coeffs = step(it.factors, reshaped, b_structure, b_coeffs)
+        return new_factors
 
-    scatter = factors.assemble()
-    scatter = scatter / np.trace(scatter).real
-    return EstimatorResult(
-        scatter=scatter,
-        params=None,
-        objective_trace=np.asarray(objective, dtype=float),
-        iterations=iterations,
-        termination=termination,
-        details={
-            "factor_a": factors.factor_a,
-            "factor_b": factors.factor_b,
-            "method": method,
-            "b_coeffs": b_coeffs,
-        },
+    result = mm_drive(
+        inner=inner,
+        space=_FactorSpace(reshaped),
+        init_params=factors,
+        settings=settings,
+        extrapolate=None,
     )
+    factor_a, factor_b = result.params
+    result.params = None
+    result.details.update(
+        factor_a=factor_a, factor_b=factor_b, method=method, b_coeffs=b_coeffs
+    )
+    return result

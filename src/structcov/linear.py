@@ -21,7 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import _cholesky, as_field_array, check_hermitian, chol_pd, hermitize
-from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, mm_drive
+from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
 
 _NEWTON_GRAD_TOL = 1e-8
 _NEWTON_MAX_ITER = 120
@@ -339,21 +339,17 @@ def surrogate_value(struct: LinearStructure, coeffs, R_t, M) -> float:
     return _point_at(struct, coeffs, R_t, M)[2]
 
 
-def inner_update(struct: LinearStructure, coeffs, R_t, M_t) -> np.ndarray:
+def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
     """Minimize the MM surrogate over the structure's coefficients.
 
-    Starts from ``coeffs`` (warm start) and returns coefficients with
-    surrogate gradient norm at most 1e-8 * (1 + |f|) and R(a) > 0.
-    A -mu*logdet safeguard with mu = 1e-10 * Tr(M_t) is applied when
-    M_t is singular, followed by an unbarriered polish.
+    ``Wt`` is the inverse R_t^{-1} of the outer iterate and ``M_t`` its
+    Hermitian weighted scatter. Starts from ``coeffs`` (warm start) and
+    returns coefficients with surrogate gradient norm at most
+    1e-8 * (1 + |f|) and R(a) > 0. A -mu*logdet safeguard with
+    mu = 1e-10 * Tr(M_t) is applied when M_t is singular, followed by an
+    unbarriered polish.
     """
-    R_t = check_hermitian(R_t, "R_t")
     M_t = check_hermitian(M_t, "M_t")
-    return _inner_update(struct, coeffs, _pd_inverse(R_t), M_t)
-
-
-def _inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
-    """:func:`inner_update` given Wt = R_t^{-1} and a Hermitian M_t."""
     eigs = np.linalg.eigvalsh(M_t)
     trace_m = float(np.trace(M_t).real)
     mu = 0.0
@@ -389,11 +385,10 @@ def estimate_linear(
     if chol_pd(hermitize(struct.assemble(coeffs))) is None:
         raise InvalidInputError("initial coefficients are infeasible")
     return mm_drive(
-        inner=lambda a, it: _inner_update(struct, a, it.inverse(), it.M),
-        samples=samples,
+        inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M),
+        space=_Whitening(samples, struct.assemble),
         init_params=coeffs,
         settings=settings,
-        assemble=struct.assemble,
     )
 
 

@@ -23,7 +23,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import as_field_array, hermitize
-from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, mm_drive
+from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
 
 _EPS_RESTART = 1e-10
 _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
@@ -278,11 +278,13 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) 
         )
         result = mm_drive(
             inner=inner,
-            samples=samples,
+            space=_Whitening(
+                samples,
+                assemble=lambda p: _assemble(columns, np.repeat(p + ridged, 1 + split)),
+                rescale=rescale,
+            ),
             init_params=init_powers,
             settings=settings,
-            assemble=lambda p: _assemble(columns, np.repeat(p + ridged, 1 + split)),
-            rescale=rescale,
             extrapolate=vet,
         )
         result.details["epsilon"] = eps

@@ -21,6 +21,7 @@ from .tyler import (
     EstimatorResult,
     MMSettings,
     SampleSet,
+    _Whitening,
     mm_drive,
 )
 
@@ -120,7 +121,7 @@ def estimate_spiked(
         init = np.eye(samples.k) / samples.k
     result = mm_drive(
         inner=inner,
-        samples=samples,
+        space=_Whitening(samples),
         init_params=init,
         settings=settings,
         # an affine combination of spiked matrices leaves the (non-convex) set

@@ -258,7 +258,7 @@ def estimate_toeplitz(
     samples.require_oversampled()
     if samples.k == 1:
         return _trivial_result(samples)
-    emb = build_embedding(samples.k, embedding_size)
+    emb = CirculantEmbedding.build(samples.k, embedding_size)
     return _fit(emb, samples, settings, epsilon, _unchecked(power_update))
 
 
@@ -275,7 +275,7 @@ def estimate_banded_toeplitz(
         if bandwidth != 0:
             raise InvalidInputError("bandwidth must lie in [0, K-1]")
         return _trivial_result(samples)
-    emb = build_embedding(samples.k, embedding_size)
+    emb = CirculantEmbedding.build(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth, samples.is_complex)
     result = _fit(emb, samples, settings, epsilon, lambda w, d: banded_inner_update(spec, w, d))
     result.details["bandwidth"] = bandwidth

@@ -120,26 +120,45 @@ def _prepare(R, samples: SampleSet):
 
 
 class _Whitening:
-    """What every iterate of one fit shares: the samples and the triangular solver.
+    """The full-K space of one fit: the samples, the structure and the triangular solver.
+
+    :meth:`normalize` scales parameters to a unit-trace scatter, and
+    calling the space at a scatter factors it into an :class:`Iterate`.
 
     The LAPACK ``trtrs`` routine is looked up once, for the field of the
-    first scatter and the samples; it is swapped for the complex one if a
-    complex factor turns up later. A real factor solves a complex
-    right-hand side as its real float view, real and imaginary parts
-    side by side.
+    samples; it is swapped for the complex one if a complex factor turns
+    up. A real factor solves a complex right-hand side as its real float
+    view, real and imaginary parts side by side.
     """
 
-    def __init__(self, samples: SampleSet, R):
-        if R.shape != (samples.k, samples.k):
-            raise InvalidInputError(
-                f"dimension mismatch: scatter has shape {R.shape}, samples have K={samples.k}"
-            )
+    def __init__(self, samples: SampleSet, assemble=None, rescale=None):
         X = samples.data
         self.samples = samples
         self.xt = X.T
         self.xc = X.conj()
         self.ratio = samples.k / samples.n
-        (self.trtrs,) = get_lapack_funcs(("trtrs",), (R, X))
+        self.assemble = assemble if assemble is not None else lambda p: p
+        self.rescale = rescale
+        (self.trtrs,) = get_lapack_funcs(("trtrs",), (X,))
+
+    def normalize(self, params):
+        """(params, R) of the scatter assemble(params) scaled to unit trace.
+
+        None when that trace is not finite and positive. Without a
+        ``rescale`` the scatter is linear in the parameters, so scaling both
+        by c = 1 / trace is exact; a ``rescale`` callable is followed by
+        assembling its result.
+        """
+        params = np.asarray(params)
+        R = self.assemble(params)
+        tr = float(np.trace(R).real)
+        if not np.isfinite(tr) or tr <= 0.0:
+            return None
+        c = 1.0 / tr
+        if self.rescale is None:
+            return params * c, c * R
+        params = self.rescale(params, c)
+        return params, self.assemble(params)
 
     def solve(self, L, B):
         """L^{-1} B for a lower triangular L."""
@@ -155,6 +174,11 @@ class _Whitening:
 
     def __call__(self, R) -> "Iterate | None":
         """The iterate at R, or None when R is not positive definite."""
+        k = self.samples.k
+        if R.shape != (k, k):
+            raise InvalidInputError(
+                f"dimension mismatch: scatter has shape {R.shape}, samples have K={k}"
+            )
         L = _cholesky(R, "scatter")
         if L is None:
             return None
@@ -186,7 +210,7 @@ class Iterate:
     def at(cls, R, samples: SampleSet) -> "Iterate":
         """The iterate at a given scatter; InvalidInputError unless R is PD."""
         R = _prepare(R, samples)
-        it = _Whitening(samples, R)(R)
+        it = _Whitening(samples)(R)
         if it is None:
             raise InvalidInputError("scatter matrix is not positive definite")
         return it
@@ -198,9 +222,8 @@ class Iterate:
 
     @property
     def cost(self) -> float:
-        """log det(R) + (K/N) * sum_i log q_i."""
-        logdet = 2.0 * np.sum(np.log(np.diag(self.chol).real))
-        return float(logdet + self.ratio * np.sum(np.log(self.quad)))
+        """log det(R) + (K/N) * sum_i log q_i, evaluated by :func:`tyler_cost`."""
+        return tyler_cost(self, self._whitening.samples)
 
     @property
     def M(self) -> np.ndarray:
@@ -228,11 +251,12 @@ def tyler_cost(R, samples: SampleSet) -> float:
     :class:`Iterate` of these samples at a scatter; its factor is then
     reused, which is how :func:`mm_drive` records the objective trace.
     """
-    if isinstance(R, Iterate):
-        if R._whitening.samples is not samples:
-            raise InvalidInputError("iterate belongs to a different sample set")
-        return R.cost
-    return Iterate.at(R, samples).cost
+    if not isinstance(R, Iterate):
+        R = Iterate.at(R, samples)
+    elif R._whitening.samples is not samples:
+        raise InvalidInputError("iterate belongs to a different sample set")
+    logdet = 2.0 * np.sum(np.log(np.diag(R.chol).real))
+    return float(logdet + R.ratio * np.sum(np.log(R.quad)))
 
 
 def weighted_scatter(R, samples: SampleSet) -> np.ndarray:
@@ -240,30 +264,14 @@ def weighted_scatter(R, samples: SampleSet) -> np.ndarray:
     return Iterate.at(R, samples).M
 
 
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
+def _rel_change(new, old) -> float:
+    """||new - old|| / ||old||; for a tuple of blocks, the largest block's."""
+    if isinstance(new, tuple):
+        return max(_rel_change(n, o) for n, o in zip(new, old))
     denom = np.linalg.norm(old.ravel())
     if denom == 0.0:
         return float(np.linalg.norm(new.ravel()))
     return float(np.linalg.norm((new - old).ravel()) / denom)
-
-
-def _trace_one(params, assemble, rescale):
-    """(params, R) of the scatter assemble(params) scaled to unit trace.
-
-    None when that trace is not finite and positive. Without a
-    ``rescale`` the scatter is linear in the parameters, so scaling both
-    by c = 1 / trace is exact; a ``rescale`` callable is followed by
-    assembling its result.
-    """
-    R = assemble(params)
-    tr = float(np.trace(R).real)
-    if not np.isfinite(tr) or tr <= 0.0:
-        return None
-    c = 1.0 / tr
-    if rescale is None:
-        return params * c, c * R
-    params = rescale(params, c)
-    return params, assemble(params)
 
 
 def _any_point(trial, x2):
@@ -278,18 +286,18 @@ _ALPHA_FALLBACK = -1.2
 
 def mm_drive(
     inner,
-    samples: SampleSet,
+    space,
     init_params,
     settings: MMSettings | None = None,
-    assemble=None,
-    rescale=None,
     extrapolate=_any_point,
 ) -> EstimatorResult:
     """Generic majorization-minimization loop shared by the structured estimators.
 
-    Each iterate R_t is factored once, R_t = L L^H; that factor is the
-    positive-definiteness check, and one triangular solve Z = L^{-1} X^T
-    gives the quadratic forms, the cost and the weighted scatter.
+    The ``space`` turns parameters into iterates and hides how they are
+    factored. In the full-K space each iterate R_t is factored once,
+    R_t = L L^H; that factor is the positive-definiteness check, and one
+    triangular solve Z = L^{-1} X^T gives the quadratic forms, the cost
+    and the weighted scatter. A Kronecker space keeps the factor pair.
 
     The loop runs safeguarded SQUAREM-3 cycles (Varadhan & Roland, 2008)
     unless ``extrapolate`` is None. From x0, a cycle maps x1 = F(x0) and
@@ -305,25 +313,24 @@ def mm_drive(
     inner : callable
         ``inner(params, it) -> params`` returning parameters that do not
         increase that structure's surrogate; one call is one MM map.
-        ``it`` is the :class:`Iterate` at the current trace-normalized
-        scatter: ``it.R``, its factor ``it.chol``, the whitened samples
-        ``it.whitened``, the quadratic forms ``it.quad`` and the weighted
-        scatter ``it.M`` (formed on first read). Exceptions raised by
-        the callback propagate with the map's index attached as
-        ``exc.mm_iteration``.
-    samples : SampleSet
-        Data; held fixed for the whole run.
+        ``it`` is the space's iterate at the current point. A full-K
+        :class:`Iterate` offers ``it.R``, its factor ``it.chol``, the
+        whitened samples ``it.whitened``, the quadratic forms ``it.quad``
+        and the weighted scatter ``it.M`` (formed on first read).
+        Exceptions raised by the callback propagate with the map's index
+        attached as ``exc.mm_iteration``.
+    space : object
+        ``space.normalize(params) -> (params, x) | None`` scales the
+        parameters to a unit-trace point x (None when the scale is lost);
+        ``space(x) -> iterate | None`` builds the iterate at x (None when
+        x is not positive definite), with its ``.cost`` and scatter ``.R``.
+        Full-K fits pass ``_Whitening(samples, assemble, rescale)``:
+        ``assemble(params) -> scatter`` defaults to the identity;
+        ``rescale(params, c) -> params`` matches a scaling of the scatter
+        by ``c`` for a structure that is not linear in its parameters,
+        which by default are multiplied by ``c``.
     init_params : ndarray
         Feasible starting parameters (the assembled scatter must be PD).
-    assemble : callable, optional
-        ``assemble(params) -> scatter``; defaults to the identity, i.e.
-        the parameters are the scatter matrix itself.
-    rescale : callable, optional
-        ``rescale(params, c) -> params`` matching a scaling of the
-        scatter by ``c``, for a structure that is not linear in its
-        parameters; the scatter is then assembled from its result. By
-        default the structure is taken to be linear: the parameters are
-        multiplied by ``c`` and the scatter is c * assemble(params).
     extrapolate : callable or None, optional
         ``extrapolate(trial, x2) -> params | None`` vets an extrapolated
         parameter vector before its PD check: it may return an adjusted
@@ -338,21 +345,18 @@ def mm_drive(
         ``settings.tol``; otherwise terminates after ``max_iter`` maps.
         ``iterations`` counts MM maps; the objective trace holds one cost
         per point taken, starting with the initial one. Without
-        ``record_trace`` only the costs the safeguard compares are
-        evaluated: x1's before a trial, and each trial's. ``details`` holds
+        ``record_trace`` only the costs the safeguard compares are read:
+        x1's before a trial, and each trial's. ``details`` holds
         ``squarem_cycles`` (extrapolations tried) and ``squarem_rejected``
         (trials rejected).
     """
     settings = settings or MMSettings()
-    if assemble is None:
-        assemble = lambda p: p  # noqa: E731 - identity structure
 
-    start = _trace_one(np.asarray(init_params), assemble, rescale)
+    start = space.normalize(init_params)
     if start is None:
         raise InvalidInputError("initial parameters give a scatter with non-positive trace")
-    params, R = start
-    whiten = _Whitening(samples, R)
-    it = whiten(R)
+    params, x = start
+    it = space(x)
     if it is None:
         raise InvalidInputError("initial scatter is not positive definite")
 
@@ -364,28 +368,28 @@ def mm_drive(
         """Record the cost of a point taken; returns it (None without a trace)."""
         if settings.record_trace:
             if cost is None:
-                cost = tyler_cost(it_new, samples)
+                cost = it_new.cost
             objective.append(cost)
         return cost
 
     def mm_map(p, at):
-        """x = F(p): (trace-one params, scatter, relative change), not yet factored."""
+        """x = F(p): (normalized params, point, relative change), not yet factored."""
         nonlocal t
         t += 1
         try:
-            new_params = np.asarray(inner(p, at))
+            new_params = inner(p, at)
         except Exception as exc:
             exc.mm_iteration = t
             raise
-        step = _trace_one(new_params, assemble, rescale)
+        step = space.normalize(new_params)
         if step is None:
             raise FailedToConvergeError(
                 "iterate lost a usable scale; samples may be degenerate", iteration=t
             )
         return step[0], step[1], _rel_change(step[0], p)
 
-    def factor(R_new):
-        it_new = whiten(R_new)
+    def factor(x_new):
+        it_new = space(x_new)
         if it_new is None:
             raise FailedToConvergeError(
                 "iterate lost positive definiteness; samples may be degenerate",
@@ -402,10 +406,10 @@ def mm_drive(
         alpha = min(-np.linalg.norm(r.ravel()) / norm_v, -1.0) if norm_v > 0.0 else -1.0
         while alpha <= _ALPHA_FALLBACK:
             trial = extrapolate(x0 - 2.0 * alpha * r + alpha * alpha * v, x2)
-            step = None if trial is None else _trace_one(trial, assemble, rescale)
-            it_trial = None if step is None else whiten(step[1])
+            step = None if trial is None else space.normalize(trial)
+            it_trial = None if step is None else space(step[1])
             if it_trial is not None:
-                cost = tyler_cost(it_trial, samples)
+                cost = it_trial.cost
                 if cost <= bound:
                     return step[0], it_trial, cost
             rejected += 1
@@ -415,8 +419,8 @@ def mm_drive(
     def advance():
         """Map the current point, factor and record the result; True once converged."""
         nonlocal params, it, cost
-        params, R_new, delta = mm_map(params, it)
-        it = factor(R_new)
+        params, x_new, delta = mm_map(params, it)
+        it = factor(x_new)
         cost = take(it)
         return delta <= settings.tol
 
@@ -430,15 +434,15 @@ def mm_drive(
         if converged or extrapolate is None or t == settings.max_iter:
             continue
         # x2 = F(x1), factored only when it is taken
-        x2, R2, delta = mm_map(params, it)
+        x2, point2, delta = mm_map(params, it)
         found = None
         if delta > settings.tol and t < settings.max_iter:
             cycles += 1
-            # without a trace, x1's cost is evaluated only here, as the bound
-            bound = tyler_cost(it, samples) if cost is None else cost
+            # without a trace, x1's cost is read only here, as the bound
+            bound = it.cost if cost is None else cost
             found = extrapolated(x0, params, x2, bound)
         if found is None:
-            params, it = x2, factor(R2)
+            params, it = x2, factor(point2)
             cost = take(it)
             converged = delta <= settings.tol
         else:
@@ -484,7 +488,7 @@ def tyler_unconstrained(
     init = _prepare(init, samples)
     result = mm_drive(
         inner=lambda params, it: it.M,
-        samples=samples,
+        space=_Whitening(samples),
         init_params=init,
         settings=settings,
     )

@@ -128,7 +128,7 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.random.default_rng(5).standard_normal((6, 1)))
         resh = ReshapedSamples.from_samples(X, 1, 1)
         f = KroneckerFactors(factor_a=np.eye(1), factor_b=np.eye(1))
-        out = gauss_seidel_step(f, resh)
+        out, _ = gauss_seidel_step(f, resh)
         assert np.allclose(out.factor_a, [[1.0]])
         assert np.allclose(out.factor_b, [[1.0]])
 
@@ -146,7 +146,7 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.stack([m.reshape(-1, order="F") for m in mats]))
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q))
-        out = gauss_seidel_step(f, resh)
+        out, _ = gauss_seidel_step(f, resh)
         expected = W / np.trace(W)
         assert np.linalg.norm(out.factor_a - expected) <= 1e-8
 
@@ -156,7 +156,7 @@ class TestGaussSeidel:
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q) / q)
         before = kron_objective(f, resh)
-        out = gauss_seidel_step(f, resh)
+        out, _ = gauss_seidel_step(f, resh)
         after = kron_objective(out, resh)
         assert after <= before + 1e-10
         # fixed-point residual of the A-subproblem at the returned factors
@@ -277,3 +277,77 @@ class TestEstimateKronecker:
         monkeypatch.setattr(kron_mod, "_OBJECTIVE_FLOOR", 1e12)
         with pytest.raises(DegenerateDataError):
             estimate_kronecker(X, 2, 3)
+
+
+class TestKroneckerOnTheDriver:
+    """Kronecker fits run on ``mm_drive`` as plain MM over the pair (A, B)."""
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("method", ["mm", "gs"])
+    def test_the_trace_does_not_change_the_fit(self, method, structured):
+        X, _ = _kron_samples(3, 4, 10, seed=23)
+        b_structure = toeplitz_basis(4) if structured else None
+        traced, untraced = (
+            estimate_kronecker(
+                X, 3, 4, MMSettings(record_trace=trace), method=method, b_structure=b_structure
+            )
+            for trace in (True, False)
+        )
+        assert len(traced.objective_trace) == traced.iterations + 1
+        assert len(untraced.objective_trace) == 0
+        assert untraced.iterations == traced.iterations
+        assert untraced.termination == traced.termination == "converged"
+        assert np.array_equal(untraced.scatter, traced.scatter)
+        for key in ("factor_a", "factor_b", "b_coeffs"):
+            assert np.array_equal(untraced.details[key], traced.details[key])
+
+    def test_the_floor_holds_without_a_trace(self, monkeypatch):
+        from structcov import DegenerateDataError
+        import structcov.kronecker as kron_mod
+
+        X, _ = _kron_samples(2, 3, 5, seed=22)
+        costs = estimate_kronecker(X, 2, 3).objective_trace
+        assert costs[2] > costs[3]
+        # a floor between the costs after maps 2 and 3 stops the fit at map 3
+        monkeypatch.setattr(kron_mod, "_OBJECTIVE_FLOOR", 0.5 * (costs[2] + costs[3]))
+        steps = []
+        step = kron_mod.block_mm_step
+        monkeypatch.setattr(
+            kron_mod, "block_mm_step", lambda *a, **k: steps.append(1) or step(*a, **k)
+        )
+        with pytest.raises(DegenerateDataError):
+            estimate_kronecker(X, 2, 3, MMSettings(record_trace=False))
+        assert len(steps) == 3
+
+    @pytest.mark.parametrize("method,name", [("mm", "block_mm_step"), ("gs", "gauss_seidel_step")])
+    def test_a_failed_step_carries_its_iteration(self, method, name, monkeypatch):
+        from structcov import NumericalFailureError
+        import structcov.kronecker as kron_mod
+
+        step = getattr(kron_mod, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalFailureError("step failed")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(kron_mod, name, failing)
+        X, _ = _kron_samples(3, 4, 10, seed=23)
+        with pytest.raises(NumericalFailureError) as err:
+            estimate_kronecker(X, 3, 4, MMSettings(tol=1e-14), method=method)
+        assert err.value.mm_iteration == 3
+
+    def test_the_change_of_a_pair_is_its_largest_blocks(self):
+        from structcov.tyler import _rel_change
+
+        rng = np.random.default_rng(24)
+        A, B = rand_pd(3, rng), rand_pd(4, rng)
+        dA, dB = rand_pd(3, rng), rand_pd(4, rng)
+        for scale_a, scale_b, largest in ((1e-3, 1e-1, 1), (1e-1, 1e-3, 0)):
+            new = (A + scale_a * dA, B + scale_b * dB)
+            assert _rel_change(new, (A, B)) == _rel_change(new[largest], (A, B)[largest])
+            assert _rel_change(new[largest], (A, B)[largest]) > _rel_change(
+                new[1 - largest], (A, B)[1 - largest]
+            )

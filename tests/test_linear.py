@@ -110,14 +110,15 @@ class TestInnerUpdate:
         # f(a) = a Tr(R_t^{-1}) + Tr(M)/a minimized at sqrt(Tr(M)/Tr(R_t^{-1}))
         k, r, m = 4, 2.0, 3.0
         struct = LinearStructure(basis=np.eye(k)[None, :, :], init_coeffs=np.array([1.0]))
-        a = inner_update(struct, np.array([1.0]), r * np.eye(k), m * np.eye(k))
+        a = inner_update(struct, np.array([1.0]), np.linalg.inv(r * np.eye(k)), m * np.eye(k))
         expected = np.sqrt((m * k) / (k / r))
         # accuracy implied by the 1e-8 gradient stopping rule
         assert a[0] == pytest.approx(expected, rel=1e-6)
 
     def test_diagonal_closed_form(self):
         struct = diagonal_basis(2)
-        a = inner_update(struct, np.array([1.0, 1.0]), np.eye(2), np.diag([4.0, 9.0]))
+        W_t = np.linalg.inv(np.eye(2))
+        a = inner_update(struct, np.array([1.0, 1.0]), W_t, np.diag([4.0, 9.0]))
         assert np.allclose(a, [2.0, 3.0], rtol=1e-9)
 
     def test_matches_coordinate_descent_oracle(self):
@@ -126,7 +127,7 @@ class TestInnerUpdate:
         R_t = rand_pd(4, rng)
         M_t = rand_pd(4, rng, ridge=1.0)
         start = struct.init_coeffs
-        a_newton = inner_update(struct, start, R_t, M_t)
+        a_newton = inner_update(struct, start, np.linalg.inv(R_t), M_t)
         a_oracle = coordinate_descent_linear(struct, start, R_t, M_t)
         f_newton = linear_surrogate_naive(struct, a_newton, R_t, M_t)
         f_oracle = linear_surrogate_naive(struct, a_oracle, R_t, M_t)
@@ -139,7 +140,7 @@ class TestInnerUpdate:
         R_t = rand_pd(5, rng)
         M_t = rand_pd(5, rng, ridge=1.0)
         start = _feasible_point(struct, rng)
-        a = inner_update(struct, start, R_t, M_t)
+        a = inner_update(struct, start, np.linalg.inv(R_t), M_t)
         f0 = surrogate_value(struct, start, R_t, M_t)
         f1 = surrogate_value(struct, a, R_t, M_t)
         assert f1 <= f0 + 1e-12
@@ -150,7 +151,7 @@ class TestInnerUpdate:
         # rank-deficient M_t keeps a usable minimizer thanks to the barrier
         struct = diagonal_basis(3)
         M = np.diag([1.0, 1.0, 0.0])
-        a = inner_update(struct, np.ones(3), np.eye(3), M)
+        a = inner_update(struct, np.ones(3), np.linalg.inv(np.eye(3)), M)
         assert np.all(np.isfinite(a))
         f_start = linear_surrogate_naive(struct, np.ones(3), np.eye(3), M)
         f_end = linear_surrogate_naive(struct, a, np.eye(3), M)

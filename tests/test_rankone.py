@@ -19,10 +19,15 @@ from structcov import (
     music_spectrum,
     power_update,
     sample_elliptical,
-    surrogate_params,
     ula_dictionary,
 )
-from structcov.rankone import _clip_to_floor, _refuse_below_floor, _weights, check_powers
+from structcov.rankone import (
+    _clip_to_floor,
+    _refuse_below_floor,
+    _weights,
+    check_powers,
+    surrogate_params,
+)
 from structcov.simulate import ar_cov
 from structcov.tyler import Iterate
 from support import nonincreasing, rank_one_gradient, weighted_scatter_naive

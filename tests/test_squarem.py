@@ -30,6 +30,7 @@ from structcov import (
 )
 from structcov.simulate import ar_cov
 from structcov.toeplitz import CirculantEmbedding, power_update
+from structcov.tyler import _Whitening
 from support import nonincreasing, rand_pd
 
 K = 5
@@ -201,7 +202,7 @@ def test_max_iter_caps_the_maps_within_a_cycle(fit, max_iter):
 
 def test_extrapolation_reaches_the_plain_fixed_point_in_fewer_maps():
     X = sample_elliptical(ar_cov(10, 0.8), 60, 4)
-    plain = mm_drive(inner=lambda p, it: it.M, samples=X, init_params=np.eye(10) / 10,
+    plain = mm_drive(inner=lambda p, it: it.M, space=_Whitening(X), init_params=np.eye(10) / 10,
                      extrapolate=None)
     fast = tyler_unconstrained(X)
     assert plain.details["squarem_cycles"] == 0 and fast.details["squarem_cycles"] > 0

@@ -9,7 +9,6 @@ from structcov import (
     NumericalFailureError,
     SampleSet,
     banded_inner_update,
-    build_embedding,
     diagonal_spread,
     dft_matrix,
     estimate_banded_toeplitz,
@@ -23,6 +22,7 @@ from structcov import (
 )
 from structcov.rankone import _weights
 from structcov.simulate import ar_cov, banded_ar_cov, nmse
+from structcov.toeplitz import build_embedding
 from structcov.tyler import TERMINATION_CONVERGED, Iterate
 from support import barrier_equality_solve, nonincreasing
 

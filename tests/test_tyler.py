@@ -15,6 +15,7 @@ from structcov import (
     weighted_scatter,
 )
 from structcov.simulate import ar_cov, nmse
+from structcov.tyler import _Whitening
 from support import rand_pd, tyler_cost_naive, weighted_scatter_naive, nonincreasing
 
 
@@ -190,7 +191,7 @@ class TestMMDrive:
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=15)
         res = mm_drive(
             inner=lambda params, it: params,
-            samples=X,
+            space=_Whitening(X),
             init_params=np.eye(3) / 3,
         )
         assert res.iterations == 1
@@ -203,7 +204,7 @@ class TestMMDrive:
         direct = tyler_unconstrained(X, settings)
         via_driver = mm_drive(
             inner=lambda params, it: it.M,
-            samples=X,
+            space=_Whitening(X),
             init_params=np.eye(4) / 4,
             settings=settings,
         )
@@ -218,7 +219,7 @@ class TestMMDrive:
         X = sample_elliptical(ar_cov(4, 0.5), 40, seed=100 + seed)
         res = mm_drive(
             inner=lambda params, it: pd_geometric_mean(it.R, it.M),
-            samples=X,
+            space=_Whitening(X),
             init_params=np.eye(4) / 4,
             settings=MMSettings(max_iter=200),
         )
@@ -231,7 +232,7 @@ class TestMMDrive:
             raise InvalidInputError("nope")
 
         with pytest.raises(InvalidInputError) as err:
-            mm_drive(inner=bad, samples=X, init_params=np.eye(3) / 3)
+            mm_drive(inner=bad, space=_Whitening(X), init_params=np.eye(3) / 3)
         assert err.value.mm_iteration == 1
 
     def test_bad_init_rejected(self):
@@ -239,7 +240,7 @@ class TestMMDrive:
         with pytest.raises(InvalidInputError):
             mm_drive(
                 inner=lambda p, it: it.M,
-                samples=X,
+                space=_Whitening(X),
                 init_params=np.array([[1.0, 2.0, 0], [2.0, 1.0, 0], [0, 0, 1.0]]),
             )
 
@@ -247,7 +248,9 @@ class TestMMDrive:
     def test_init_of_wrong_dimension_rejected(self, k_init):
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=18)
         with pytest.raises(InvalidInputError, match="dimension mismatch"):
-            mm_drive(inner=lambda p, it: it.M, samples=X, init_params=np.eye(k_init) / k_init)
+            mm_drive(
+                inner=lambda p, it: it.M, space=_Whitening(X), init_params=np.eye(k_init) / k_init
+            )
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_iterate_matches_naive_cost_and_scatter(self, complex_):
@@ -259,7 +262,7 @@ class TestMMDrive:
             seen.append(it)
             return it.M
 
-        res = mm_drive(inner=record, samples=X, init_params=np.eye(5) / 5)
+        res = mm_drive(inner=record, space=_Whitening(X), init_params=np.eye(5) / 5)
         assert len(seen) == res.iterations
         for t, it in enumerate(seen):
             M = weighted_scatter_naive(it.R, X.data)
@@ -313,11 +316,14 @@ def _count_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
-@pytest.mark.parametrize("estimator", ["tyler", "rankone", "toeplitz"])
+@pytest.mark.parametrize(
+    "estimator", ["tyler", "rankone", "toeplitz", "kronecker-mm", "kronecker-gs"]
+)
 def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     from structcov import (
         RankOneDictionary,
         doa_cov,
+        estimate_kronecker,
         estimate_rank_one,
         estimate_toeplitz,
         ula_dictionary,
@@ -328,6 +334,10 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         X = sample_elliptical(doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1), 30, seed=21)
         dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
         fit = lambda: estimate_rank_one(dictionary, X, settings)  # noqa: E731
+    elif estimator.startswith("kronecker"):
+        X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, seed=24)
+        method = estimator.split("-")[1]
+        fit = lambda: estimate_kronecker(X, 3, 4, settings, method=method)  # noqa: E731
     else:
         X = sample_elliptical(ar_cov(6, 0.6), 40, seed=22)
         fit = {
@@ -337,6 +347,13 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     calls = _count_factorizations(monkeypatch)
     res = fit()
     assert res.details.get("epsilon", 0.0) == 0.0
+    if estimator.startswith("kronecker"):
+        # the pair (A, B) is checked PD, one Cholesky factor each, when the
+        # initial factors are built and normalized and once by every step;
+        # the driver's iterates reuse the step's check
+        assert res.iterations > 2
+        assert len(calls) == 2 * (res.iterations + 2)
+        return
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once
     rejected = res.details["squarem_rejected"] if estimator == "rankone" else 0
