@@ -116,10 +116,18 @@ def _whiten_b(reshaped: ReshapedSamples, B) -> np.ndarray:
     return T.conj()  # transpose of a Hermitian batch equals its conjugate
 
 
+def _factor_inverse(F) -> np.ndarray:
+    """F^{-1} of a factor a solver computed; NumericalFailureError when singular."""
+    try:
+        return np.linalg.inv(F)
+    except np.linalg.LinAlgError:
+        raise NumericalFailureError("factor became singular; data may be degenerate") from None
+
+
 def _whiten_a(reshaped: ReshapedSamples, A) -> np.ndarray:
     """U_i = M_i conj(A^{-1}) M_i^H for every sample; q x q Hermitian PSD."""
     mats = reshaped.mats
-    return (mats @ np.linalg.inv(A).conj()) @ mats.conj().transpose(0, 2, 1)
+    return (mats @ _factor_inverse(A).conj()) @ mats.conj().transpose(0, 2, 1)
 
 
 def _batch_weights(stack, F_inv) -> np.ndarray:
@@ -127,17 +135,20 @@ def _batch_weights(stack, F_inv) -> np.ndarray:
     return np.einsum("ij,nji->n", F_inv, stack).real
 
 
-def kron_objective(factors: KroneckerFactors, reshaped: ReshapedSamples) -> float:
+def kron_objective(
+    factors: KroneckerFactors, reshaped: ReshapedSamples, whitened=None
+) -> float:
     """Scatter cost of A kron B expressed in the factors.
 
     Equals ``tyler_cost(kron(A, B), samples)`` for the samples the
-    reshape was built from.
+    reshape was built from. ``whitened`` is the stack
+    ``_whiten_b(reshaped, B)`` when the caller has formed it already.
     """
     A, B = factors.factor_a, factors.factor_b
     p, q = factors.p, factors.q
     n = reshaped.n
     try:
-        T = _whiten_b(reshaped, B)
+        T = _whiten_b(reshaped, B) if whitened is None else whitened
         weights = _batch_weights(T, np.linalg.inv(A))
     except np.linalg.LinAlgError:
         raise InvalidInputError("factors must be positive definite") from None
@@ -154,7 +165,7 @@ def kron_objective(factors: KroneckerFactors, reshaped: ReshapedSamples) -> floa
 
 def _weighted_moment(stack, F, dim) -> np.ndarray:
     """The factor's MM moment (dim/N) sum_i S_i / Tr(F^{-1} S_i), Hermitian."""
-    weights = _batch_weights(stack, np.linalg.inv(F))
+    weights = _batch_weights(stack, _factor_inverse(F))
     if np.any(weights <= 0.0):
         raise NumericalFailureError("factor update hit a non-positive weight")
     return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
@@ -200,6 +211,14 @@ def _factor_update(stack, F_t, structure=None, coeffs=None):
     return F_new / tr, coeffs
 
 
+def _step_pair(A, B) -> KroneckerFactors:
+    """The pair a step computed; NumericalFailureError unless both factors are PD."""
+    try:
+        return KroneckerFactors(factor_a=A, factor_b=B)
+    except InvalidInputError as exc:
+        raise NumericalFailureError(f"{exc} after a factor update; data may be degenerate") from None
+
+
 def gauss_seidel_step(
     factors: KroneckerFactors,
     reshaped: ReshapedSamples,
@@ -207,20 +226,22 @@ def gauss_seidel_step(
     b_coeffs=None,
     inner_tol: float = _GS_INNER_TOL,
     max_inner: int = _GS_MAX_INNER,
+    whitened=None,
 ):
     """One sweep of the alternating scheme: solve for A with B fixed, then for B.
 
     With ``b_structure`` B takes one structured surrogate step instead,
     as in :func:`block_mm_step`; returns ``(factors, b_coeffs)`` as it does.
+    ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
     """
-    T = _whiten_b(reshaped, factors.factor_b)
+    T = _whiten_b(reshaped, factors.factor_b) if whitened is None else whitened
     A = _tyler_factor_loop(T, factors.p, factors.factor_a, inner_tol, max_inner)
     U = _whiten_a(reshaped, A)
     if b_structure is None:
         B = _tyler_factor_loop(U, factors.q, factors.factor_b, inner_tol, max_inner)
     else:
         B, b_coeffs = _factor_update(U, factors.factor_b, b_structure, b_coeffs)
-    return KroneckerFactors(factor_a=A, factor_b=B), b_coeffs
+    return _step_pair(A, B), b_coeffs
 
 
 def block_mm_step(
@@ -228,28 +249,35 @@ def block_mm_step(
     reshaped: ReshapedSamples,
     b_structure=None,
     b_coeffs=None,
+    whitened=None,
 ):
     """One block-MM sweep: geometric-mean update of A, then of B.
 
     With ``b_structure`` (a LinearStructure on the B factor) the B
     update minimizes the same surrogate over the structure instead of
     using the closed form; ``b_coeffs`` warm-starts that solve.
+    ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
 
     Returns ``(factors, b_coeffs)``; ``b_coeffs`` is None when
     unstructured.
     """
     A_t, B_t = factors.factor_a, factors.factor_b
-    A_new, _ = _factor_update(_whiten_b(reshaped, B_t), A_t)
+    T = _whiten_b(reshaped, B_t) if whitened is None else whitened
+    A_new, _ = _factor_update(T, A_t)
     B_new, new_coeffs = _factor_update(_whiten_a(reshaped, A_new), B_t, b_structure, b_coeffs)
-    return KroneckerFactors(factor_a=A_new, factor_b=B_new), new_coeffs
+    return _step_pair(A_new, B_new), new_coeffs
 
 
 class _FactorIterate:
-    """A Kronecker iterate: the factor pair and its cost, checked against the floor."""
+    """A Kronecker iterate: the factor pair, its B-whitened stack T and its cost.
+
+    The cost is checked against the floor; the next sweep reuses T.
+    """
 
     def __init__(self, factors: KroneckerFactors, reshaped: ReshapedSamples):
         self.factors = factors
-        self.cost = kron_objective(factors, reshaped)
+        self.T = _whiten_b(reshaped, factors.factor_b)
+        self.cost = kron_objective(factors, reshaped, self.T)
         # detects unbounded descent at every map, with or without a trace
         if self.cost < _OBJECTIVE_FLOOR:
             raise DegenerateDataError(
@@ -266,18 +294,33 @@ class _FactorIterate:
 class _FactorSpace:
     """The :func:`mm_drive` space of one fit; its params are the pair (A, B).
 
-    The steps return unit-trace factors checked PD: normalize changes nothing.
+    A step returns unit-trace factors checked PD, which normalize passes
+    through. An extrapolated trial is a tuple (A, B): normalize scales each
+    factor to unit trace and checks the pair PD, the one check of a trial.
     """
 
     def __init__(self, reshaped: ReshapedSamples):
         self.reshaped = reshaped
 
     @staticmethod
-    def normalize(factors: KroneckerFactors):
+    def normalize(params):
+        if isinstance(params, KroneckerFactors):
+            return (params.factor_a, params.factor_b), params
+        traces = [np.trace(F).real for F in params]
+        if not all(np.isfinite(tr) and tr > 0.0 for tr in traces):
+            return None
+        try:
+            factors = KroneckerFactors(*(F / tr for F, tr in zip(params, traces)))
+        except InvalidInputError:
+            return None
         return (factors.factor_a, factors.factor_b), factors
 
-    def __call__(self, factors: KroneckerFactors) -> _FactorIterate:
-        return _FactorIterate(factors, self.reshaped)
+    def __call__(self, factors: KroneckerFactors) -> _FactorIterate | None:
+        """The iterate of a PD pair; None when its quadratic forms degenerate."""
+        try:
+            return _FactorIterate(factors, self.reshaped)
+        except InvalidInputError:
+            return None
 
 
 def estimate_kronecker(
@@ -294,7 +337,8 @@ def estimate_kronecker(
 
     Unlike the other estimators this supports N <= K: the factor
     updates pool information across the reshaped sample matrices.
-    :func:`mm_drive` runs the sweeps as plain MM over the pair (A, B).
+    :func:`mm_drive` runs the sweeps with SQUAREM extrapolation of the
+    pair (A, B), block by block.
 
     Parameters
     ----------
@@ -326,26 +370,36 @@ def estimate_kronecker(
             raise InvalidInputError(
                 f"b_structure dimension {b_structure.dim} does not match q={q}"
             )
-        # warm start from the coefficients reproducing the initial B
         vecs = b_structure.basis.reshape(b_structure.size, -1)
         gram = (vecs @ vecs.conj().T).real
-        rhs = (vecs.conj() @ factors.factor_b.reshape(-1)).real
-        b_coeffs = np.linalg.solve(gram, rhs)
+
+        def coeffs_of(B):
+            """The coefficients reproducing a B in the structure's span."""
+            return np.linalg.solve(gram, (vecs.conj() @ B.reshape(-1)).real)
+
+        # warm start from the coefficients reproducing the initial B
+        b_coeffs = coeffs_of(factors.factor_b)
 
     step = block_mm_step if method == "mm" else partial(gauss_seidel_step, inner_tol=inner_tol)
+    owner = factors  # the pair whose B the coefficients reproduce
 
     def inner(params, it):
-        nonlocal b_coeffs
-        new_factors, b_coeffs = step(it.factors, reshaped, b_structure, b_coeffs)
-        return new_factors
+        nonlocal b_coeffs, owner
+        if b_structure is not None and it.factors is not owner:
+            # a trial was taken: its B is an affine combination of structured
+            # factors, so the warm start is found as for the initial B
+            b_coeffs = coeffs_of(it.factors.factor_b)
+        owner, b_coeffs = step(it.factors, reshaped, b_structure, b_coeffs, whitened=it.T)
+        return owner
 
     result = mm_drive(
         inner=inner,
         space=_FactorSpace(reshaped),
         init_params=factors,
         settings=settings,
-        extrapolate=None,
     )
+    # the driver maps once from every trial it takes, so a fit ends on a
+    # step's pair and the coefficients are that step's
     factor_a, factor_b = result.params
     result.params = None
     result.details.update(

@@ -274,6 +274,20 @@ def _rel_change(new, old) -> float:
     return float(np.linalg.norm((new - old).ravel()) / denom)
 
 
+def _blockwise(f, *xs):
+    """``f`` applied block by block to parameters that may be a tuple of blocks."""
+    if isinstance(xs[0], tuple):
+        return tuple(f(*blocks) for blocks in zip(*xs))
+    return f(*xs)
+
+
+def _norm(x) -> float:
+    """The 2-norm of the parameters; of a tuple, of all its blocks' entries."""
+    if isinstance(x, tuple):
+        x = np.concatenate([block.ravel() for block in x])
+    return np.linalg.norm(x.ravel())
+
+
 def _any_point(trial, x2):
     """Default vetting of an extrapolated point: the PD check and the cost decide."""
     return trial
@@ -307,6 +321,9 @@ def mm_drive(
     and its cost is at most x1's; otherwise alpha <- (alpha - 1) / 2, and
     past -1.2 the cycle takes x2. One map from the point taken ends the
     cycle. Every point taken is a monotone step of the recorded cost.
+    Parameters that are a tuple of blocks, such as a Kronecker factor
+    pair, are extrapolated block by block with one alpha; |r| and |v| are
+    then the norms over the entries of all blocks.
 
     Parameters
     ----------
@@ -321,22 +338,25 @@ def mm_drive(
         attached as ``exc.mm_iteration``.
     space : object
         ``space.normalize(params) -> (params, x) | None`` scales the
-        parameters to a unit-trace point x (None when the scale is lost);
+        parameters to a unit-trace point x (None when the scale is lost,
+        or when the space already finds the point infeasible);
         ``space(x) -> iterate | None`` builds the iterate at x (None when
         x is not positive definite), with its ``.cost`` and scatter ``.R``.
+        The driver rejects a trial for which either returns None.
         Full-K fits pass ``_Whitening(samples, assemble, rescale)``:
         ``assemble(params) -> scatter`` defaults to the identity;
         ``rescale(params, c) -> params`` matches a scaling of the scatter
         by ``c`` for a structure that is not linear in its parameters,
         which by default are multiplied by ``c``.
-    init_params : ndarray
-        Feasible starting parameters (the assembled scatter must be PD).
+    init_params : object
+        Feasible starting parameters (the assembled scatter must be PD),
+        in a form the space's ``normalize`` takes.
     extrapolate : callable or None, optional
-        ``extrapolate(trial, x2) -> params | None`` vets an extrapolated
-        parameter vector before its PD check: it may return an adjusted
-        vector, or None to reject the trial. The default accepts every
-        trial. None runs plain MM, for a structure that an affine
-        combination of its members can leave.
+        ``extrapolate(trial, x2) -> params | None`` vets extrapolated
+        parameters before the space normalizes them and checks them PD:
+        it may return adjusted parameters, or None to reject the trial.
+        The default accepts every trial. None runs plain MM, for a
+        structure that an affine combination of its members can leave.
 
     Returns
     -------
@@ -400,12 +420,14 @@ def mm_drive(
     def extrapolated(x0, x1, x2, bound):
         """(params, iterate, cost) of the first admissible trial, or None."""
         nonlocal rejected
-        r = x1 - x0
-        v = x2 - 2.0 * x1 + x0
-        norm_v = np.linalg.norm(v.ravel())
-        alpha = min(-np.linalg.norm(r.ravel()) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+        r = _blockwise(lambda b0, b1: b1 - b0, x0, x1)
+        v = _blockwise(lambda b0, b1, b2: b2 - 2.0 * b1 + b0, x0, x1, x2)
+        norm_v = _norm(v)
+        alpha = min(-_norm(r) / norm_v, -1.0) if norm_v > 0.0 else -1.0
         while alpha <= _ALPHA_FALLBACK:
-            trial = extrapolate(x0 - 2.0 * alpha * r + alpha * alpha * v, x2)
+            point = _blockwise(lambda b0, br, bv: b0 - 2.0 * alpha * br + alpha * alpha * bv,
+                               x0, r, v)
+            trial = extrapolate(point, x2)
             step = None if trial is None else space.normalize(trial)
             it_trial = None if step is None else space(step[1])
             if it_trial is not None:

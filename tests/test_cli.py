@@ -119,6 +119,20 @@ class TestEstimateCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 2)])
+    def test_degenerate_kronecker_fit_is_numerical_failure(self, tmp_path, p, q):
+        # one sample cannot make both factors PD; these Gauss-Seidel fits once
+        # ended in a LinAlgError traceback (3x4) and in exit code 2 (4x2)
+        X = np.random.default_rng(0).standard_normal((1, p * q))
+        path = tmp_path / "one.csv"
+        write_array(path, X)
+        code = main(
+            ["estimate", "--input", str(path), "--out", str(tmp_path / "o.csv"),
+             "--structure", "kronecker-gs", "--dims", f"{p},{q}"]
+        )
+        assert code == 3
+
+
 class TestBenchCommand:
     def test_bench_runs_config(self, tmp_path):
         cfg = {

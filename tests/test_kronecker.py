@@ -279,8 +279,42 @@ class TestEstimateKronecker:
             estimate_kronecker(X, 2, 3)
 
 
+def _one_or_two_gaussian_samples():
+    """72 sample sets of N=1-2 Gaussian samples, real and complex, in three shapes."""
+    for seed in range(6):
+        for p, q in ((3, 4), (4, 2), (2, 5)):
+            for n in (1, 2):
+                for complex_ in (False, True):
+                    rng = np.random.default_rng(seed)
+                    data = rng.standard_normal((n, p * q))
+                    if complex_:
+                        data = data + 1j * rng.standard_normal((n, p * q))
+                    yield p, q, SampleSet.from_array(data)
+
+
+@pytest.mark.parametrize("method", ["mm", "gs"])
+def test_degenerate_fits_fail_as_numerical_failures(method):
+    """Too few samples make a factor singular: the fit fails as NumericalFailureError.
+
+    Gauss-Seidel fits used to raise a bare LinAlgError or InvalidInputError
+    (the factors the solver built itself were not PD) on 36 of these draws.
+    """
+    from structcov import NumericalFailureError
+
+    failed = 0
+    for p, q, X in _one_or_two_gaussian_samples():
+        try:
+            res = estimate_kronecker(X, p, q, method=method)
+        except NumericalFailureError:
+            failed += 1
+            continue
+        assert abs(np.trace(res.scatter).real - 1.0) <= 1e-10
+    # 48 mm and 47 gs fits of the 72 fail
+    assert failed >= 36
+
+
 class TestKroneckerOnTheDriver:
-    """Kronecker fits run on ``mm_drive`` as plain MM over the pair (A, B)."""
+    """Kronecker fits run on ``mm_drive``, extrapolating the pair (A, B) block by block."""
 
     @pytest.mark.parametrize("structured", [False, True])
     @pytest.mark.parametrize("method", ["mm", "gs"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import structcov.kronecker
 import structcov.rankone
 import structcov.tyler
 from structcov import (
@@ -18,6 +19,7 @@ from structcov import (
     SampleSet,
     doa_cov,
     estimate_banded_toeplitz,
+    estimate_kronecker,
     estimate_linear,
     estimate_rank_one,
     estimate_spiked,
@@ -209,3 +211,104 @@ def test_extrapolation_reaches_the_plain_fixed_point_in_fewer_maps():
     assert fast.iterations < plain.iterations
     assert _rel(fast.scatter, plain.scatter) <= 1e-6
     assert fast.objective_trace[-1] <= plain.objective_trace[-1] + 1e-9
+
+
+# Kronecker fits extrapolate the factor pair (A, B) block by block:
+# name -> (p, q, N, method, structured B, complex samples, seed)
+KRONECKER = {
+    "mm": (3, 4, 10, "mm", False, False, 31),
+    "mm-complex": (3, 4, 10, "mm", False, True, 32),
+    "gs": (3, 4, 10, "gs", False, False, 33),
+    "gs-complex": (3, 4, 10, "gs", False, True, 34),
+    "toeplitz-b": (3, 4, 10, "mm", True, False, 35),
+    "toeplitz-b-complex": (3, 4, 10, "mm", True, True, 36),
+    "gs-toeplitz-b": (3, 4, 10, "gs", True, False, 37),
+    "10x8-n4": (10, 8, 4, "mm", True, False, 38),
+}
+
+
+def _kronecker_fit(name, settings_=None):
+    """The fit of case ``name``, its samples and its dimensions."""
+    p, q, n, method, structured, complex_, seed = KRONECKER[name]
+    R0 = np.kron(ar_cov(p, 0.5), ar_cov(q, 0.8))
+    X = sample_elliptical(R0.astype(complex) if complex_ else R0, n, seed)
+    b_structure = toeplitz_basis(q) if structured else None
+    return estimate_kronecker(X, p, q, settings_, method=method, b_structure=b_structure)
+
+
+@pytest.mark.parametrize("name", list(KRONECKER))
+def test_kronecker_extrapolation_takes_fewer_maps(name, monkeypatch):
+    tight = MMSettings(tol=1e-11, max_iter=20000)
+    fast = _kronecker_fit(name, tight)
+    # the same fit on the same space, as plain MM
+    monkeypatch.setattr(
+        structcov.kronecker, "mm_drive",
+        lambda *args, **kwargs: mm_drive(*args, **kwargs, extrapolate=None),
+    )
+    plain = _kronecker_fit(name, tight)
+    assert plain.details["squarem_cycles"] == 0 and fast.details["squarem_cycles"] > 0
+    assert fast.termination == plain.termination == "converged"
+    assert fast.iterations < plain.iterations
+    assert fast.objective_trace[-1] <= plain.objective_trace[-1] + 1e-9
+    assert nonincreasing(fast.objective_trace)
+    assert len(fast.objective_trace) == fast.iterations + 1
+
+
+def test_a_trial_that_is_not_pd_is_rejected(monkeypatch):
+    space = structcov.kronecker._FactorSpace
+    normalize = space.normalize
+    A, B = np.eye(3) / 3, np.eye(4) / 4
+    assert normalize((A, -B)) is None  # negative trace
+    assert normalize((A, B - np.diag([1.0, 0, 0, 0]))) is None  # unit trace, not PD
+    assert normalize((A, B))[1].factor_b[0, 0] == 0.25
+
+    spoiled = []
+
+    def spoil(params):
+        # the first three trials get an indefinite B of unit trace
+        if isinstance(params, tuple) and len(spoiled) < 3:
+            spoiled.append(1)
+            q = params[1].shape[0]
+            params = (params[0], np.diag([2.0] + [-1.0 / (q - 1)] * (q - 1)))
+        return normalize(params)
+
+    tight = MMSettings(tol=1e-11)
+    clean = _kronecker_fit("mm", tight)
+    monkeypatch.setattr(space, "normalize", staticmethod(spoil))
+    res = _kronecker_fit("mm", tight)
+    assert len(spoiled) == 3
+    assert res.details["squarem_rejected"] >= 3
+    assert res.termination == "converged"
+    assert nonincreasing(res.objective_trace)
+    assert abs(res.objective_trace[-1] - clean.objective_trace[-1]) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["mm", "gs"])
+def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
+    """Every step starts from coefficients of its own B, a taken trial's included."""
+    struct = toeplitz_basis(4)
+    X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, 41)
+    name = "block_mm_step" if method == "mm" else "gauss_seidel_step"
+    step = getattr(structcov.kronecker, name)
+    made = []
+    from_trials = 0
+
+    def checked(factors, reshaped, b_structure, b_coeffs, **kwargs):
+        nonlocal from_trials
+        from_trials += not any(factors is f for f in made)
+        B = factors.factor_b
+        assert np.linalg.norm(struct.assemble(b_coeffs) - B) <= 1e-12
+        out = step(factors, reshaped, b_structure, b_coeffs, **kwargs)
+        made.append(out[0])
+        return out
+
+    monkeypatch.setattr(structcov.kronecker, name, checked)
+    for max_iter in [*range(1, 12), 1000]:
+        made.clear()
+        res = estimate_kronecker(X, 3, 4, MMSettings(tol=1e-12, max_iter=max_iter),
+                                 method=method, b_structure=struct)
+        B = res.details["factor_b"]
+        assert np.linalg.norm(struct.assemble(res.details["b_coeffs"]) - B) <= 1e-12
+        # the first step starts from the initial pair, which no step made
+        from_trials -= 1
+    assert from_trials > 0

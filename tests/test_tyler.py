@@ -345,14 +345,30 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
             "toeplitz": lambda: estimate_toeplitz(X, settings),
         }[estimator]
     calls = _count_factorizations(monkeypatch)
+    trials = []
+    if estimator.startswith("kronecker"):
+        import structcov.kronecker as kron_mod
+
+        normalize = kron_mod._FactorSpace.normalize
+
+        def counted(params):
+            if isinstance(params, tuple):
+                trials.append(1)
+            return normalize(params)
+
+        monkeypatch.setattr(kron_mod._FactorSpace, "normalize", staticmethod(counted))
     res = fit()
     assert res.details.get("epsilon", 0.0) == 0.0
     if estimator.startswith("kronecker"):
         # the pair (A, B) is checked PD, one Cholesky factor each, when the
-        # initial factors are built and normalized and once by every step;
-        # the driver's iterates reuse the step's check
-        assert res.iterations > 2
-        assert len(calls) == 2 * (res.iterations + 2)
+        # initial factors are built and normalized, once by every step and
+        # once for every extrapolated trial (a tuple of blocks); the driver's
+        # iterates reuse these checks. No trial on this draw fails its PD
+        # check, which would stop at A's factor: mm takes
+        # 68 = 2 * (24 + 2 + 8 trials) factors, gs 28 = 2 * (11 + 2 + 1).
+        assert res.iterations > 2 and trials
+        assert res.details["squarem_rejected"] == 0
+        assert len(calls) == 2 * (res.iterations + 2 + len(trials))
         return
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once
