@@ -398,7 +398,7 @@ def estimate_kronecker(
         init_params=factors,
         settings=settings,
     )
-    # the driver maps once from every trial it takes, so a fit ends on a
+    # mm_drive maps once from every trial it takes, so a fit ends on a
     # step's pair and the coefficients are that step's
     factor_a, factor_b = result.params
     result.params = None

@@ -342,7 +342,7 @@ def mm_drive(
         or when the space already finds the point infeasible);
         ``space(x) -> iterate | None`` builds the iterate at x (None when
         x is not positive definite), with its ``.cost`` and scatter ``.R``.
-        The driver rejects a trial for which either returns None.
+        A trial for which either returns None is rejected.
         Full-K fits pass ``_Whitening(samples, assemble, rescale)``:
         ``assemble(params) -> scatter`` defaults to the identity;
         ``rescale(params, c) -> params`` matches a scaling of the scatter

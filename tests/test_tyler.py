@@ -362,7 +362,7 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     if estimator.startswith("kronecker"):
         # the pair (A, B) is checked PD, one Cholesky factor each, when the
         # initial factors are built and normalized, once by every step and
-        # once for every extrapolated trial (a tuple of blocks); the driver's
+        # once for every extrapolated trial (a tuple of blocks); mm_drive's
         # iterates reuse these checks. No trial on this draw fails its PD
         # check, which would stop at A's factor: mm takes
         # 68 = 2 * (24 + 2 + 8 trials) factors, gs 28 = 2 * (11 + 2 + 1).
