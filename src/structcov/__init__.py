@@ -16,21 +16,8 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .kronecker import (
-    KroneckerFactors,
-    ReshapedSamples,
-    block_mm_step,
-    estimate_kronecker,
-    gauss_seidel_step,
-    kron_objective,
-)
-from .linalg import (
-    chol_pd,
-    dft_matrix,
-    hermitian_eig,
-    pd_geometric_mean,
-    pd_sqrt,
-)
+from .kronecker import KroneckerFactors, estimate_kronecker, kron_objective
+from .linalg import pd_geometric_mean
 from .linear import (
     LinearStructure,
     banded_toeplitz_basis,
@@ -39,16 +26,11 @@ from .linear import (
     estimate_linear,
     full_symmetric_basis,
     hermitian_basis,
-    inner_update,
     stationarity_residual,
     structure_from_name,
     toeplitz_basis,
 )
-from .rankone import (
-    RankOneDictionary,
-    estimate_rank_one,
-    power_update,
-)
+from .rankone import RankOneDictionary, estimate_rank_one
 from .simulate import (
     MusicResult,
     angles_recovered,
@@ -65,7 +47,7 @@ from .simulate import (
     subspace_error,
     ula_dictionary,
 )
-from .spiked import SpikedModel, estimate_spiked, project_spiked, spiked_inner_update
+from .spiked import SpikedModel, estimate_spiked, project_spiked
 from .toeplitz import (
     BandedSpec,
     CirculantEmbedding,
@@ -73,7 +55,6 @@ from .toeplitz import (
     diagonal_spread,
     estimate_banded_toeplitz,
     estimate_toeplitz,
-    first_correlations,
 )
 from .tyler import (
     EstimatorResult,

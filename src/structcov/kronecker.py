@@ -15,7 +15,6 @@ kept at unit trace to resolve the scale ambiguity of the factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -171,18 +170,18 @@ def _weighted_moment(stack, F, dim) -> np.ndarray:
     return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
 
 
-def _tyler_factor_loop(stack, dim, init, inner_tol, max_inner):
+def _tyler_factor_loop(stack, dim, init):
     """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point."""
     F = init / np.trace(init).real
-    for _ in range(max_inner):
+    for _ in range(_GS_MAX_INNER):
         F_new = _weighted_moment(stack, F, dim)
         F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
         F = F_new
-        if delta <= inner_tol:
+        if delta <= _GS_INNER_TOL:
             return F
     raise NumericalFailureError(
-        "factor fixed-point loop exceeded its iteration budget", max_inner=max_inner
+        "factor fixed-point loop exceeded its iteration budget", max_inner=_GS_MAX_INNER
     )
 
 
@@ -224,8 +223,6 @@ def gauss_seidel_step(
     reshaped: ReshapedSamples,
     b_structure=None,
     b_coeffs=None,
-    inner_tol: float = _GS_INNER_TOL,
-    max_inner: int = _GS_MAX_INNER,
     whitened=None,
 ):
     """One sweep of the alternating scheme: solve for A with B fixed, then for B.
@@ -235,10 +232,10 @@ def gauss_seidel_step(
     ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
     """
     T = _whiten_b(reshaped, factors.factor_b) if whitened is None else whitened
-    A = _tyler_factor_loop(T, factors.p, factors.factor_a, inner_tol, max_inner)
+    A = _tyler_factor_loop(T, factors.p, factors.factor_a)
     U = _whiten_a(reshaped, A)
     if b_structure is None:
-        B = _tyler_factor_loop(U, factors.q, factors.factor_b, inner_tol, max_inner)
+        B = _tyler_factor_loop(U, factors.q, factors.factor_b)
     else:
         B, b_coeffs = _factor_update(U, factors.factor_b, b_structure, b_coeffs)
     return _step_pair(A, B), b_coeffs
@@ -331,7 +328,6 @@ def estimate_kronecker(
     method: str = "mm",
     b_structure=None,
     init: KroneckerFactors | None = None,
-    inner_tol: float = _GS_INNER_TOL,
 ) -> EstimatorResult:
     """Tyler-type scatter estimation over Kronecker products A kron B.
 
@@ -380,7 +376,7 @@ def estimate_kronecker(
         # warm start from the coefficients reproducing the initial B
         b_coeffs = coeffs_of(factors.factor_b)
 
-    step = block_mm_step if method == "mm" else partial(gauss_seidel_step, inner_tol=inner_tol)
+    step = block_mm_step if method == "mm" else gauss_seidel_step
     owner = factors  # the pair whose B the coefficients reproduce
 
     def inner(params, it):

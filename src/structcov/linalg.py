@@ -13,8 +13,6 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 
-HERMITIAN_RTOL = 1e-12
-
 
 def as_field_array(arr, name: str = "array") -> np.ndarray:
     """Cast to float64 or complex128 and require finite entries."""
@@ -31,13 +29,13 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def check_hermitian(M, name: str = "matrix", rtol: float = 1e-10) -> np.ndarray:
-    """Validate that ``M`` is square and Hermitian within ``rtol`` (Frobenius)."""
+def check_hermitian(M, name: str = "matrix") -> np.ndarray:
+    """Validate that ``M`` is square and Hermitian within 1e-10 relative (Frobenius)."""
     M = as_field_array(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {M.shape}")
     scale = np.linalg.norm(M)
-    if scale > 0 and np.linalg.norm(M - M.conj().T) > rtol * scale:
+    if scale > 0 and np.linalg.norm(M - M.conj().T) > 1e-10 * scale:
         raise InvalidInputError(f"{name} is not Hermitian")
     return M
 
@@ -48,10 +46,6 @@ class EigenDecomposition:
 
     values: np.ndarray   # real, descending
     vectors: np.ndarray  # unitary, columns match ``values``
-
-    def reconstruct(self) -> np.ndarray:
-        U = self.vectors
-        return (U * self.values) @ U.conj().T
 
 
 def hermitian_eig(M) -> EigenDecomposition:
@@ -94,29 +88,24 @@ def _cholesky(M, name: str = "matrix") -> np.ndarray | None:
         return None
 
 
+def _eigen_root(M) -> tuple[np.ndarray, np.ndarray]:
+    """(U, sqrt(lambda)) of a positive definite M = U diag(lambda) U^H."""
+    eig = hermitian_eig(M)
+    if eig.values[-1] <= 0.0:
+        raise InvalidInputError("matrix is not positive definite")
+    return eig.vectors, np.sqrt(eig.values)
+
+
 def pd_sqrt(M) -> np.ndarray:
     """Unique positive definite square root of a positive definite matrix."""
-    eig = hermitian_eig(M)
-    if eig.values[-1] <= 0.0:
-        raise InvalidInputError("matrix is not positive definite")
-    U = eig.vectors
-    S = (U * np.sqrt(eig.values)) @ U.conj().T
-    return hermitize(S)
-
-
-def _sqrt_and_inv_sqrt(M) -> tuple[np.ndarray, np.ndarray]:
-    """(M^{1/2}, M^{-1/2}) from a single eigendecomposition; M must be PD."""
-    eig = hermitian_eig(M)
-    if eig.values[-1] <= 0.0:
-        raise InvalidInputError("matrix is not positive definite")
-    U = eig.vectors
-    r = np.sqrt(eig.values)
-    return hermitize((U * r) @ U.conj().T), hermitize((U / r) @ U.conj().T)
+    U, r = _eigen_root(M)
+    return hermitize((U * r) @ U.conj().T)
 
 
 def pd_geometric_mean(A, M) -> np.ndarray:
     """Matrix geometric mean of PD matrices: the PD solution X of X A^{-1} X = M."""
-    A_half, A_half_inv = _sqrt_and_inv_sqrt(A)
+    U, r = _eigen_root(A)
+    A_half, A_half_inv = hermitize((U * r) @ U.conj().T), hermitize((U / r) @ U.conj().T)
     inner = pd_sqrt(hermitize(A_half_inv @ np.asarray(M) @ A_half_inv))
     return hermitize(A_half @ inner @ A_half)
 

@@ -93,10 +93,7 @@ class LinearStructure:
 
 def toeplitz_basis(k: int) -> LinearStructure:
     """Symmetric Toeplitz family: one indicator basis matrix per diagonal offset."""
-    basis = [np.eye(k)]
-    for m in range(1, k):
-        basis.append(np.eye(k, k=m) + np.eye(k, k=-m))
-    return LinearStructure(basis=np.stack(basis))
+    return banded_toeplitz_basis(k, k - 1)
 
 
 def banded_toeplitz_basis(k: int, bandwidth: int) -> LinearStructure:
@@ -259,14 +256,14 @@ def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float, point=N
     )
 
 
-def _newton_minimize(struct, coeffs, Wt, M, mu, grad_tol=_NEWTON_GRAD_TOL):
+def _newton_minimize(struct, coeffs, Wt, M, mu):
     coeffs = np.asarray(coeffs, dtype=float).copy()
     pieces = _surrogate_pieces(struct, coeffs, Wt, M, mu)
     if pieces is None:
         raise InvalidInputError("inner solve started from an infeasible point")
     value, grad, H = pieces
     for _ in range(_NEWTON_MAX_ITER):
-        if np.linalg.norm(grad) <= grad_tol * (1.0 + abs(value)):
+        if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
             return coeffs, value, grad
         damping = 0.0
         scale = np.trace(H) / H.shape[0]
@@ -311,32 +308,15 @@ def _pd_inverse(R) -> np.ndarray:
     return cho_solve(factor, np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
 
 
-def _point_at(struct: LinearStructure, coeffs, R_t, M):
-    """(Wt, M, value, W) at ``coeffs`` for the public surrogate functions."""
+def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
+    """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``."""
     Wt = _pd_inverse(check_hermitian(R_t, "R_t"))
     M = np.asarray(M)
     point = _surrogate_value(struct, coeffs, Wt, M, 0.0)
     if point is None:
         raise InvalidInputError("coefficients are infeasible")
-    return (Wt, M, *point)
-
-
-def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
-    """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``."""
-    Wt, M, _, W = _point_at(struct, coeffs, R_t, M)
+    W = point[1]
     return _surrogate_gradient(struct, Wt, W, W @ M @ W, 0.0)
-
-
-def surrogate_hessian(struct: LinearStructure, coeffs, M) -> np.ndarray:
-    """Hessian of the Tr(M R(a)^{-1}) term (the linear term contributes nothing)."""
-    # R_t only enters the value's linear term, so the identity will do
-    _, M, _, W = _point_at(struct, coeffs, np.eye(struct.dim), M)
-    return _surrogate_hessian(struct, W, W @ M @ W, 0.0)
-
-
-def surrogate_value(struct: LinearStructure, coeffs, R_t, M) -> float:
-    """f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1})."""
-    return _point_at(struct, coeffs, R_t, M)[2]
 
 
 def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
@@ -382,8 +362,6 @@ def estimate_linear(
             f"structure dimension {struct.dim} does not match samples K={samples.k}"
         )
     coeffs = np.asarray(init_coeffs, dtype=float) if init_coeffs is not None else struct.init_coeffs
-    if chol_pd(hermitize(struct.assemble(coeffs))) is None:
-        raise InvalidInputError("initial coefficients are infeasible")
     return mm_drive(
         inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M),
         space=_Whitening(samples, struct.assemble),

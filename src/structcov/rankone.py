@@ -27,6 +27,7 @@ from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, 
 
 _EPS_RESTART = 1e-10
 _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
+_SPARK_SUBSETS = 8  # random K-column subsets whose rank a dictionary's check tests
 
 
 def _clip_to_floor(trial, x2):
@@ -63,7 +64,7 @@ class RankOneDictionary:
         if not self.augmented:
             self._check_spark()
 
-    def _check_spark(self, subsets: int = 8):
+    def _check_spark(self):
         k, l = self.atoms.shape
         if l <= k:
             raise InvalidInputError(
@@ -71,7 +72,7 @@ class RankOneDictionary:
                 "augment with identity columns for a noisy model"
             )
         rng = np.random.default_rng(20160714)
-        for _ in range(subsets):
+        for _ in range(_SPARK_SUBSETS):
             cols = rng.choice(l, size=k, replace=False)
             if np.linalg.matrix_rank(self.atoms[:, cols]) < k:
                 raise InvalidInputError(

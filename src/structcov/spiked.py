@@ -110,12 +110,11 @@ def estimate_spiked(
     if not 1 <= n_spikes < samples.k:
         raise InvalidInputError(f"spike count must lie in [1, K-1], got {n_spikes}")
 
-    flags = {"degenerate": False}
+    last = {}
 
     def inner(params, it):
-        model = spiked_inner_update(it.M, n_spikes)
-        flags["degenerate"] = model.degenerate
-        return model.assemble()
+        last["model"] = spiked_inner_update(it.M, n_spikes)
+        return last["model"].assemble()
 
     if init is None:
         init = np.eye(samples.k) / samples.k
@@ -127,24 +126,13 @@ def estimate_spiked(
         # an affine combination of spiked matrices leaves the (non-convex) set
         extrapolate=None,
     )
-    model = _model_from_scatter(result.scatter, n_spikes, flags["degenerate"])
+    # the scatter is the last map's model scaled to unit trace, as mm_drive scales it
+    model = last["model"]
+    model = model.scaled(1.0 / float(np.trace(model.assemble()).real))
     result.params = np.concatenate([model.powers, [model.noise_var]])
     result.details["model"] = model
-    result.details["degenerate_spectrum"] = flags["degenerate"]
+    result.details["degenerate_spectrum"] = model.degenerate
     return result
-
-
-def _model_from_scatter(R, n_spikes: int, degenerate: bool) -> SpikedModel:
-    """Exact spiked parameters of a matrix that already has the structure."""
-    eig = hermitian_eig(R)
-    noise_var = float(np.mean(eig.values[n_spikes:]))
-    powers = np.maximum(eig.values[:n_spikes] - noise_var, 0.0)
-    return SpikedModel(
-        directions=eig.vectors[:, :n_spikes].copy(),
-        powers=powers,
-        noise_var=noise_var,
-        degenerate=degenerate,
-    )
 
 
 def project_spiked(R, n_spikes: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from .exceptions import (
 )
 from .linalg import dft_matrix
 from .rankone import _assemble, _refuse_below_floor, _run, _unchecked, power_update
-from .tyler import TERMINATION_CONVERGED, EstimatorResult, MMSettings, SampleSet
+from .tyler import EstimatorResult, MMSettings, SampleSet
 
 _DUAL_MAX_ITER = 200
 _DUAL_KKT_TOL = 1e-10
@@ -132,13 +132,7 @@ class BandedSpec:
         return cls(bandwidth=bandwidth, constraint_matrix=A_t)
 
 
-def banded_inner_update(
-    spec: BandedSpec,
-    w_t,
-    d_t,
-    kkt_tol: float = _DUAL_KKT_TOL,
-    return_dual: bool = False,
-):
+def banded_inner_update(spec: BandedSpec, w_t, d_t, return_dual: bool = False):
     """Minimize w~^T p~ + sum_j d~_j/p~_j subject to A~ p~ = 0, p~ >= 0.
 
     Indices with d~_j = 0 are fixed at zero and dropped from the dual.
@@ -179,7 +173,7 @@ def banded_inner_update(
     for _ in range(_DUAL_MAX_ITER):
         ps = primal(c)
         grad = As @ ps
-        if np.linalg.norm(grad) <= kkt_tol * (1.0 + np.linalg.norm(ps)):
+        if np.linalg.norm(grad) <= _DUAL_KKT_TOL * (1.0 + np.linalg.norm(ps)):
             p[support] = ps
             return (p, lam) if return_dual else p
         if np.linalg.norm(lam, np.inf) > _LAMBDA_BLOWUP * scale:
@@ -210,16 +204,6 @@ def banded_inner_update(
     raise NumericalFailureError(
         "dual Newton did not converge in the banded inner solve",
         kkt_residual=float(np.linalg.norm(As @ primal(c))),
-    )
-
-
-def _trivial_result(samples: SampleSet) -> EstimatorResult:
-    return EstimatorResult(
-        scatter=np.ones((1, 1), dtype=samples.data.dtype),
-        params=np.array([1.0]),
-        objective_trace=np.asarray([]),
-        iterations=0,
-        termination=TERMINATION_CONVERGED,
     )
 
 
@@ -256,8 +240,6 @@ def estimate_toeplitz(
     holds by construction: the fit runs on the half dictionary.
     """
     samples.require_oversampled()
-    if samples.k == 1:
-        return _trivial_result(samples)
     emb = CirculantEmbedding.build(samples.k, embedding_size)
     return _fit(emb, samples, settings, epsilon, _unchecked(power_update))
 
@@ -271,10 +253,6 @@ def estimate_banded_toeplitz(
 ) -> EstimatorResult:
     """Toeplitz scatter estimation with correlations zero beyond ``bandwidth``."""
     samples.require_oversampled()
-    if samples.k == 1:
-        if bandwidth != 0:
-            raise InvalidInputError("bandwidth must lie in [0, K-1]")
-        return _trivial_result(samples)
     emb = CirculantEmbedding.build(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth, samples.is_complex)
     result = _fit(emb, samples, settings, epsilon, lambda w, d: banded_inner_update(spec, w, d))
@@ -293,9 +271,3 @@ def diagonal_spread(R) -> float:
         worst = max(worst, float(spread))
     return worst
 
-
-def first_correlations(R) -> np.ndarray:
-    """First row of a (numerically) Toeplitz matrix, averaged along diagonals."""
-    R = np.asarray(R)
-    k = R.shape[0]
-    return np.asarray([np.mean(np.diagonal(R, offset=off)) for off in range(k)])

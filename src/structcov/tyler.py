@@ -367,14 +367,14 @@ def mm_drive(
         per point taken, starting with the initial one. Without
         ``record_trace`` only the costs the safeguard compares are read:
         x1's before a trial, and each trial's. ``details`` holds
-        ``squarem_cycles`` (extrapolations tried) and ``squarem_rejected``
-        (trials rejected).
+        ``squarem_cycles`` (cycles that formed a trial) and
+        ``squarem_rejected`` (trials rejected).
     """
     settings = settings or MMSettings()
 
     start = space.normalize(init_params)
     if start is None:
-        raise InvalidInputError("initial parameters give a scatter with non-positive trace")
+        raise InvalidInputError("initial parameters give a scatter whose trace is not positive")
     params, x = start
     it = space(x)
     if it is None:
@@ -419,11 +419,13 @@ def mm_drive(
 
     def extrapolated(x0, x1, x2, bound):
         """(params, iterate, cost) of the first admissible trial, or None."""
-        nonlocal rejected
+        nonlocal cycles, rejected
         r = _blockwise(lambda b0, b1: b1 - b0, x0, x1)
         v = _blockwise(lambda b0, b1, b2: b2 - 2.0 * b1 + b0, x0, x1, x2)
         norm_v = _norm(v)
         alpha = min(-_norm(r) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+        if alpha <= _ALPHA_FALLBACK:
+            cycles += 1  # a cycle counts once it forms a trial
         while alpha <= _ALPHA_FALLBACK:
             point = _blockwise(lambda b0, br, bv: b0 - 2.0 * alpha * br + alpha * alpha * bv,
                                x0, r, v)
@@ -459,7 +461,6 @@ def mm_drive(
         x2, point2, delta = mm_map(params, it)
         found = None
         if delta > settings.tol and t < settings.max_iter:
-            cycles += 1
             # without a trace, x1's cost is read only here, as the bound
             bound = it.cost if cost is None else cost
             found = extrapolated(x0, params, x2, bound)

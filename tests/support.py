@@ -87,8 +87,8 @@ def coordinate_descent_linear(struct, coeffs, R_t, M, grad_tol=1e-10, max_sweeps
     """Cyclic exact 1-D minimization of the linear-structure surrogate.
 
     Uses only function evaluations (scipy's scalar minimizer on a
-    feasibility-probed bracket) plus a central-difference gradient for
-    the stopping rule.
+    feasibility-probed bracket). It stops when a sweep no longer lowers
+    the value or a central-difference gradient is small.
     """
     from scipy.optimize import minimize_scalar
 
@@ -106,6 +106,7 @@ def coordinate_descent_linear(struct, coeffs, R_t, M, grad_tol=1e-10, max_sweeps
             g[j] = (value(v + e) - value(v - e)) / (2 * h)
         return g
 
+    best = value(a)
     for _ in range(max_sweeps):
         for j in range(L):
             def f1(t, j=j):
@@ -127,8 +128,10 @@ def coordinate_descent_linear(struct, coeffs, R_t, M, grad_tol=1e-10, max_sweeps
                                   options={"xatol": 1e-14})
             if res.fun < f1(a[j]):
                 a[j] = res.x
-        if np.linalg.norm(num_grad(a)) <= grad_tol * (1.0 + abs(value(a))):
+        swept = value(a)
+        if swept >= best or np.linalg.norm(num_grad(a)) <= grad_tol * (1.0 + abs(swept)):
             break
+        best = swept
     return a
 
 

@@ -5,19 +5,23 @@ from structcov import (
     InvalidInputError,
     KroneckerFactors,
     MMSettings,
-    ReshapedSamples,
     SampleSet,
-    block_mm_step,
     estimate_kronecker,
-    gauss_seidel_step,
     kron_objective,
-    pd_sqrt,
     sample_elliptical,
     toeplitz_basis,
     tyler_cost,
     tyler_unconstrained,
 )
-from structcov.kronecker import _batch_weights, _whiten_a, _whiten_b
+from structcov.kronecker import (
+    ReshapedSamples,
+    _batch_weights,
+    _whiten_a,
+    _whiten_b,
+    block_mm_step,
+    gauss_seidel_step,
+)
+from structcov.linalg import pd_sqrt
 from structcov.simulate import ar_cov
 from support import rand_pd, nonincreasing
 

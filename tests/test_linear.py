@@ -10,19 +10,13 @@ from structcov import (
     estimate_linear,
     full_symmetric_basis,
     hermitian_basis,
-    inner_update,
     sample_elliptical,
     stationarity_residual,
     structure_from_name,
     toeplitz_basis,
     tyler_unconstrained,
 )
-from structcov.linear import (
-    _surrogate_pieces,
-    surrogate_gradient,
-    surrogate_hessian,
-    surrogate_value,
-)
+from structcov.linear import _surrogate_pieces, inner_update, surrogate_gradient
 from structcov.simulate import ar_cov, nmse
 from support import (
     coordinate_descent_linear,
@@ -140,8 +134,8 @@ class TestInnerUpdate:
         M_t = rand_pd(5, rng, ridge=1.0)
         start = _feasible_point(struct, rng)
         a = inner_update(struct, start, np.linalg.inv(R_t), M_t)
-        f0 = surrogate_value(struct, start, R_t, M_t)
-        f1 = surrogate_value(struct, a, R_t, M_t)
+        f0 = linear_surrogate_naive(struct, start, R_t, M_t)
+        f1 = linear_surrogate_naive(struct, a, R_t, M_t)
         assert f1 <= f0 + 1e-12
         g = surrogate_gradient(struct, a, R_t, M_t)
         assert np.linalg.norm(g) <= 1e-7 * (1.0 + abs(f1))
@@ -182,7 +176,7 @@ class TestDerivatives:
         M_t = rand_pd(5, rng, ridge=1.0)
         for _ in range(50):
             a = _feasible_point(struct, rng)
-            H = surrogate_hessian(struct, a, M_t)
+            H = _surrogate_pieces(struct, a, np.eye(5), M_t, 0.0)[2]
             assert np.linalg.eigvalsh(H)[0] >= -1e-8
 
 
@@ -274,3 +268,18 @@ class TestEstimateLinear:
         X = sample_elliptical(ar_cov(6, 0.5), 5, seed=25)
         with pytest.raises(InvalidInputError):
             estimate_linear(toeplitz_basis(6), X)
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            [1.0, 2.0, 0.0],  # unit diagonal, correlation 2: not positive definite
+            [-1.0, 0.0, 0.0],  # negative trace
+            [0.0, 1.0, 0.0],  # zero trace
+            [np.nan, 0.0, 0.0],
+            [np.inf, 0.0, 0.0],
+        ],
+    )
+    def test_infeasible_init_coeffs_rejected(self, init):
+        X = sample_elliptical(ar_cov(4, 0.5), 30, seed=27)
+        with pytest.raises(InvalidInputError):
+            estimate_linear(banded_toeplitz_basis(4, 2), X, init_coeffs=init)

@@ -17,7 +17,6 @@ from structcov import (
     estimate_rank_one,
     estimate_toeplitz,
     music_spectrum,
-    power_update,
     sample_elliptical,
     ula_dictionary,
 )
@@ -26,6 +25,7 @@ from structcov.rankone import (
     _refuse_below_floor,
     _weights,
     check_powers,
+    power_update,
     surrogate_params,
 )
 from structcov.simulate import ar_cov

@@ -9,9 +9,9 @@ from structcov import (
     project_spiked,
     sample_elliptical,
     spiked_cov,
-    spiked_inner_update,
     weighted_scatter,
 )
+from structcov.spiked import spiked_inner_update
 from support import rand_pd, spiked_objective, nonincreasing
 
 
@@ -105,6 +105,16 @@ class TestEstimateSpiked:
         assert nonincreasing(res.objective_trace)
         assert abs(np.trace(res.scatter) - 1.0) <= 1e-12
         assert res.params.shape == (4,)  # three powers plus the noise variance
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_model_reassembles_the_scatter(self, complex_):
+        R0 = spiked_cov(8, 3, 0.2, rng=10)
+        X = sample_elliptical(R0.astype(complex) if complex_ else R0, 90, seed=11)
+        res = estimate_spiked(X, 3)
+        model = res.details["model"]
+        assert np.linalg.norm(model.assemble() - res.scatter) <= 1e-12
+        assert np.array_equal(res.params, [*model.powers, model.noise_var])
+        assert res.details["degenerate_spectrum"] == model.degenerate
 
     def test_projection_helper(self):
         rng = np.random.default_rng(8)

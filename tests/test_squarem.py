@@ -14,6 +14,7 @@ import structcov.kronecker
 import structcov.rankone
 import structcov.tyler
 from structcov import (
+    InvalidInputError,
     MMSettings,
     RankOneDictionary,
     SampleSet,
@@ -189,6 +190,58 @@ def test_spiked_fits_run_plain_mm():
     assert res.details["squarem_cycles"] == 0
     assert res.details["squarem_rejected"] == 0
     assert nonincreasing(res.objective_trace)
+
+
+ONE_DIMENSIONAL = {
+    "tyler": tyler_unconstrained,
+    "toeplitz": estimate_toeplitz,
+    "banded": lambda X: estimate_banded_toeplitz(X, 0),
+    "linear": lambda X: estimate_linear(toeplitz_basis(1), X),
+    "rankone": lambda X: estimate_rank_one(
+        RankOneDictionary.augment(ula_dictionary(1, 30.0)), X
+    ),
+    "kron_mm": lambda X: estimate_kronecker(X, 1, 1, method="mm"),
+    "kron_gs": lambda X: estimate_kronecker(X, 1, 1, method="gs"),
+}
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("name", list(ONE_DIMENSIONAL))
+def test_one_dimensional_fits_run_the_driver(name, complex_):
+    """At K=1 every fit is the scalar 1, reached and reported by mm_drive."""
+    X = sample_elliptical(np.ones((1, 1), dtype=complex if complex_ else float), 8, 5)
+    res = ONE_DIMENSIONAL[name](X)
+    assert res.scatter.shape == (1, 1)
+    assert abs(res.scatter[0, 0] - 1.0) <= 1e-15
+    assert res.termination == "converged"
+    assert len(res.objective_trace) == res.iterations + 1
+    assert res.iterations >= 1
+
+
+@pytest.mark.parametrize("bandwidth", [-1, 1])
+def test_one_dimensional_banded_fits_take_bandwidth_zero_only(bandwidth):
+    X = sample_elliptical(np.ones((1, 1)), 8, 5)
+    with pytest.raises(InvalidInputError):
+        estimate_banded_toeplitz(X, bandwidth)
+
+
+def test_squarem_cycles_count_the_cycles_that_form_a_trial(monkeypatch):
+    """A cycle whose first alpha is already past -1.2 tries no trial and is not counted."""
+    X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, seed=24)
+    space = structcov.kronecker._FactorSpace
+    normalize = space.normalize
+    trials = []
+
+    def counted(params):
+        if isinstance(params, tuple):
+            trials.append(1)
+        return normalize(params)
+
+    monkeypatch.setattr(space, "normalize", staticmethod(counted))
+    res = estimate_kronecker(X, 3, 4, MMSettings(max_iter=200), method="gs")
+    # no trial is rejected, so each cycle that forms a trial forms exactly one
+    assert res.details["squarem_rejected"] == 0
+    assert trials and res.details["squarem_cycles"] == len(trials)
 
 
 @pytest.mark.parametrize("max_iter", range(1, 8))
