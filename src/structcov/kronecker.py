@@ -146,20 +146,13 @@ def kron_objective(
     A, B = factors.factor_a, factors.factor_b
     p, q = factors.p, factors.q
     n = reshaped.n
-    try:
-        T = _whiten_b(reshaped, B) if whitened is None else whitened
-        weights = _batch_weights(T, np.linalg.inv(A))
-    except np.linalg.LinAlgError:
-        raise InvalidInputError("factors must be positive definite") from None
+    T = _whiten_b(reshaped, B) if whitened is None else whitened
+    weights = _batch_weights(T, np.linalg.inv(A))
     if np.any(weights <= 0.0):
         raise InvalidInputError("encountered a non-positive quadratic form")
-    sign_a, logdet_a = np.linalg.slogdet(A)
-    sign_b, logdet_b = np.linalg.slogdet(B)
-    if sign_a.real <= 0 or sign_b.real <= 0:
-        raise InvalidInputError("factors must be positive definite")
-    return float(
-        (p * q / n) * np.sum(np.log(weights)) + q * logdet_a.real + p * logdet_b.real
-    )
+    # a KroneckerFactors pair is PD by construction: both determinants are positive
+    logdet_a, logdet_b = np.linalg.slogdet(A).logabsdet, np.linalg.slogdet(B).logabsdet
+    return float((p * q / n) * np.sum(np.log(weights)) + q * logdet_a + p * logdet_b)
 
 
 def _weighted_moment(stack, F, dim) -> np.ndarray:
@@ -360,31 +353,19 @@ def estimate_kronecker(
         raise InvalidInputError("initial factors have the wrong dimensions")
     factors = init.normalized()
 
-    b_coeffs = None
-    if b_structure is not None:
-        if b_structure.dim != q:
-            raise InvalidInputError(
-                f"b_structure dimension {b_structure.dim} does not match q={q}"
-            )
-        vecs = b_structure.basis.reshape(b_structure.size, -1)
-        gram = (vecs @ vecs.conj().T).real
-
-        def coeffs_of(B):
-            """The coefficients reproducing a B in the structure's span."""
-            return np.linalg.solve(gram, (vecs.conj() @ B.reshape(-1)).real)
-
-        # warm start from the coefficients reproducing the initial B
-        b_coeffs = coeffs_of(factors.factor_b)
+    if b_structure is not None and b_structure.dim != q:
+        raise InvalidInputError(f"b_structure dimension {b_structure.dim} does not match q={q}")
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
-    owner = factors  # the pair whose B the coefficients reproduce
+    b_coeffs = None
+    owner = None  # the pair whose B the coefficients reproduce
 
     def inner(params, it):
         nonlocal b_coeffs, owner
         if b_structure is not None and it.factors is not owner:
-            # a trial was taken: its B is an affine combination of structured
-            # factors, so the warm start is found as for the initial B
-            b_coeffs = coeffs_of(it.factors.factor_b)
+            # the first sweep, or a trial was taken: its B is an affine combination
+            # of structured factors, so the warm start is the B's own coefficients
+            b_coeffs = b_structure.coeffs_of(it.factors.factor_b)
         owner, b_coeffs = step(it.factors, reshaped, b_structure, b_coeffs, whitened=it.T)
         return owner
 

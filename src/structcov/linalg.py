@@ -67,18 +67,12 @@ def hermitian_eig(M) -> EigenDecomposition:
     return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
 
-def chol_pd(M) -> np.ndarray | None:
+def chol_pd(M, name: str = "matrix") -> np.ndarray | None:
     """Lower Cholesky factor of ``M``, or None when ``M`` is not positive definite.
 
-    The None return is a value used for feasibility checks, not an error.
-    """
-    return _cholesky(check_hermitian(M))
-
-
-def _cholesky(M, name: str = "matrix") -> np.ndarray | None:
-    """:func:`chol_pd` for a matrix its caller built Hermitian: skips that check.
-
-    Non-finite entries are still rejected; only the lower triangle is read.
+    ``M`` is trusted to be Hermitian: only its lower triangle is read.
+    Non-finite entries raise InvalidInputError; the None return is a value
+    used for feasibility checks, not an error.
     """
     if not np.isfinite(M).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
@@ -106,7 +100,7 @@ def pd_geometric_mean(A, M) -> np.ndarray:
     """Matrix geometric mean of PD matrices: the PD solution X of X A^{-1} X = M."""
     U, r = _eigen_root(A)
     A_half, A_half_inv = hermitize((U * r) @ U.conj().T), hermitize((U / r) @ U.conj().T)
-    inner = pd_sqrt(hermitize(A_half_inv @ np.asarray(M) @ A_half_inv))
+    inner = pd_sqrt(hermitize(A_half_inv @ check_hermitian(M, "M") @ A_half_inv))
     return hermitize(A_half @ inner @ A_half)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
-from .linalg import _cholesky, as_field_array, check_hermitian, chol_pd, hermitize
+from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
 from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
 
 _NEWTON_GRAD_TOL = 1e-8
@@ -47,6 +47,8 @@ class LinearStructure:
     # Bt[l] = B_l^T.ravel(): Tr(A B_l) = Bt[l] . vec(A), so every contraction
     # against the basis is one GEMV or GEMM
     Bt: np.ndarray = field(init=False, repr=False, compare=False)
+    # gram[l, m] = Re Tr(B_l B_m^H), the normal matrix of the projection onto the span
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_field_array(self.basis, "basis")
@@ -61,14 +63,12 @@ class LinearStructure:
             raise InvalidInputError("basis matrices are not linearly independent")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "Bt", basis.transpose(0, 2, 1).reshape(basis.shape[0], -1).copy())
+        object.__setattr__(self, "gram", gram)
 
         if self.init_coeffs is None:
-            target = np.eye(basis.shape[1], dtype=basis.dtype).reshape(-1)
-            coeffs = np.linalg.solve(gram, (vecs.conj() @ target).real)
+            coeffs = self.coeffs_of(np.eye(basis.shape[1], dtype=basis.dtype))
         else:
-            coeffs = np.asarray(self.init_coeffs, dtype=float)
-            if coeffs.shape != (basis.shape[0],):
-                raise InvalidInputError("init_coeffs length must match the basis size")
+            coeffs = self._checked_coeffs(self.init_coeffs)
         object.__setattr__(self, "init_coeffs", coeffs)
         if chol_pd(hermitize(self.assemble(coeffs))) is None:
             raise InvalidInputError("initial coefficients do not give a positive definite matrix")
@@ -85,6 +85,20 @@ class LinearStructure:
         """R(a) = sum_l a_l B_l."""
         k = self.dim
         return (np.asarray(coeffs, dtype=float) @ self.Bt).reshape(k, k).T
+
+    def coeffs_of(self, R) -> np.ndarray:
+        """Coefficients of the member nearest R in Frobenius norm; R's own when R is one."""
+        vecs = self.basis.reshape(self.size, -1)
+        return np.linalg.solve(self.gram, (vecs.conj() @ R.reshape(-1)).real)
+
+    def _checked_coeffs(self, coeffs) -> np.ndarray:
+        """A caller's coefficient vector as floats; InvalidInputError unless finite of length L."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.size,):
+            raise InvalidInputError("init_coeffs length must match the basis size")
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidInputError("init_coeffs contains non-finite entries")
+        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,7 @@ def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
     barrier used only when M is singular.
     """
     R = hermitize(struct.assemble(coeffs))
-    L = _cholesky(R)
+    L = chol_pd(R)
     if L is None:
         return None
     W = cho_solve((L, True), np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
@@ -329,7 +343,6 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
     mu = 1e-10 * Tr(M_t) is applied when M_t is singular, followed by an
     unbarriered polish.
     """
-    M_t = check_hermitian(M_t, "M_t")
     eigs = np.linalg.eigvalsh(M_t)
     trace_m = float(np.trace(M_t).real)
     mu = 0.0
@@ -361,7 +374,7 @@ def estimate_linear(
         raise InvalidInputError(
             f"structure dimension {struct.dim} does not match samples K={samples.k}"
         )
-    coeffs = np.asarray(init_coeffs, dtype=float) if init_coeffs is not None else struct.init_coeffs
+    coeffs = struct.init_coeffs if init_coeffs is None else struct._checked_coeffs(init_coeffs)
     return mm_drive(
         inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M),
         space=_Whitening(samples, struct.assemble),
@@ -377,7 +390,7 @@ def stationarity_residual(struct: LinearStructure, scatter, samples: SampleSet) 
     derivatives Tr(R^{-1} B_j) - Tr(R^{-1} M R^{-1} B_j) vanish; the
     residual is normalized by the scale of the first term.
     """
-    it = Iterate.at(check_hermitian(scatter, "scatter"), samples)
+    it = Iterate.at(scatter, samples)
     M, W = it.M, it.inverse()
     lin = _basis_traces(struct, W)
     # the cost gradient is the surrogate gradient taken at R_t = R(a) = R

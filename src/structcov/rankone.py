@@ -161,24 +161,12 @@ def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
     return R_t, it.M, w, d
 
 
-def _closed_form(w, d) -> np.ndarray:
-    """p_j = sqrt(d_j / w_j) for weights known to satisfy w > 0 and d >= 0."""
-    return np.sqrt(d / w)
-
-
 def power_update(w_t, d_t) -> np.ndarray:
-    """Closed-form surrogate minimizer p_j = sqrt(d_j / w_j), with 0 at d_j = 0."""
-    w = np.asarray(w_t, dtype=float)
-    d = np.asarray(d_t, dtype=float)
-    if np.any(w <= 0.0):
-        raise InvalidInputError("surrogate weights w must be positive")
-    if np.any(d < 0.0):
-        raise InvalidInputError("surrogate weights d must be nonnegative")
-    return _closed_form(w, d)
+    """Closed-form surrogate minimizer p_j = sqrt(d_j / w_j), with 0 at d_j = 0.
 
-
-# the MM runner calls this form: _weights builds w > 0 and d >= 0
-power_update.unchecked = _closed_form
+    The weights are trusted: :func:`_weights` builds w > 0 and d >= 0.
+    """
+    return np.sqrt(np.divide(d_t, w_t))
 
 
 def _match_field(dictionary: RankOneDictionary, samples: SampleSet) -> SampleSet:
@@ -225,13 +213,9 @@ def estimate_rank_one(
     else:
         init_powers = check_powers(init_powers, dictionary.l)
 
-    solve = _unchecked(power_update)
-    return _run(dictionary.atoms, samples, settings, epsilon, init_powers, solve, _clip_to_floor)
-
-
-def _unchecked(solve):
-    """The form of an inner solve that skips its input checks, if it has one."""
-    return getattr(solve, "unchecked", solve)
+    return _run(
+        dictionary.atoms, samples, settings, epsilon, init_powers, power_update, _clip_to_floor
+    )
 
 
 def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:

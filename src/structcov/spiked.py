@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSpectrumWarning, InvalidInputError
-from .linalg import check_hermitian, hermitize, hermitian_eig
+from .linalg import hermitize, hermitian_eig
 from .tyler import (
     EstimatorResult,
     MMSettings,
     SampleSet,
+    _prepare,
     _Whitening,
     mm_drive,
 )
@@ -68,12 +69,10 @@ def spiked_inner_update(M_t, n_spikes: int) -> SpikedModel:
     ``degenerate`` and built from the eigensolver's deterministic
     ordering, and a DegenerateSpectrumWarning is emitted.
     """
-    M_t = check_hermitian(M_t, "M_t")
-    k = M_t.shape[0]
-    if not 1 <= n_spikes < k:
-        raise InvalidInputError(f"spike count must lie in [1, K-1], got {n_spikes}")
     eig = hermitian_eig(M_t)
     lam = eig.values
+    if not 1 <= n_spikes < len(lam):
+        raise InvalidInputError(f"spike count must lie in [1, K-1], got {n_spikes}")
     if lam[-1] < -1e-12 * max(lam[0], 1.0):
         raise InvalidInputError("M_t must be positive semidefinite")
     noise_var = float(np.mean(lam[n_spikes:]))
@@ -121,7 +120,7 @@ def estimate_spiked(
     result = mm_drive(
         inner=inner,
         space=_Whitening(samples),
-        init_params=init,
+        init_params=_prepare(init, samples),
         settings=settings,
         # an affine combination of spiked matrices leaves the (non-convex) set
         extrapolate=None,

@@ -37,7 +37,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import dft_matrix
-from .rankone import _assemble, _refuse_below_floor, _run, _unchecked, power_update
+from .rankone import _assemble, _refuse_below_floor, _run, power_update
 from .tyler import EstimatorResult, MMSettings, SampleSet
 
 _DUAL_MAX_ITER = 200
@@ -241,7 +241,7 @@ def estimate_toeplitz(
     """
     samples.require_oversampled()
     emb = CirculantEmbedding.build(samples.k, embedding_size)
-    return _fit(emb, samples, settings, epsilon, _unchecked(power_update))
+    return _fit(emb, samples, settings, epsilon, power_update)
 
 
 def estimate_banded_toeplitz(

@@ -20,7 +20,7 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import _cholesky, as_field_array, hermitize
+from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -107,9 +107,8 @@ class EstimatorResult:
 
 
 def _prepare(R, samples: SampleSet):
-    R = as_field_array(R, "scatter")
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise InvalidInputError(f"scatter must be square, got shape {R.shape}")
+    """A user's scatter for these samples: finite, square, Hermitian, in their field."""
+    R = check_hermitian(R, "scatter")
     if R.shape[0] != samples.k:
         raise InvalidInputError(
             f"dimension mismatch: scatter is {R.shape[0]}x{R.shape[0]}, samples have K={samples.k}"
@@ -179,7 +178,7 @@ class _Whitening:
             raise InvalidInputError(
                 f"dimension mismatch: scatter has shape {R.shape}, samples have K={k}"
             )
-        L = _cholesky(R, "scatter")
+        L = chol_pd(R, "scatter")
         if L is None:
             return None
         Z = self.solve(L, self.xt)
@@ -524,8 +523,7 @@ def fixed_point_residual(R, samples: SampleSet) -> float:
 
     ``Phi`` is the weighted scatter followed by trace normalization.
     """
-    R = _prepare(R, samples)
-    M = weighted_scatter(R, samples)
-    M = M / np.trace(M).real
-    Rn = R / np.trace(R).real
+    it = Iterate.at(R, samples)
+    M = it.M / np.trace(it.M).real
+    Rn = it.R / np.trace(it.R).real
     return float(np.linalg.norm(Rn - M) / np.linalg.norm(Rn))

@@ -78,6 +78,29 @@ def test_whiten_a_matches_einsum(p, q, n, complex_):
     assert np.linalg.norm(U - U_ref) <= 1e-13 * np.linalg.norm(U_ref)
 
 
+class TestKroneckerFactors:
+    """The constructor is the one check of a pair: kron_objective trusts it."""
+
+    @staticmethod
+    def _rejected_in_either_place(bad):
+        with pytest.raises(InvalidInputError):
+            KroneckerFactors(factor_a=bad, factor_b=np.eye(3))
+        with pytest.raises(InvalidInputError):
+            KroneckerFactors(factor_a=np.eye(3), factor_b=bad)
+
+    def test_singular_factor_rejected(self):
+        self._rejected_in_either_place(np.diag([1.0, 1.0, 0.0]))
+
+    def test_indefinite_factor_rejected(self):
+        self._rejected_in_either_place(np.diag([1.0, 1.0, -1.0]))
+
+    def test_non_hermitian_factor_rejected(self):
+        # PD lower triangle: a Cholesky factor alone would accept it
+        upper = np.eye(3)
+        upper[0, 1] = 5.0
+        self._rejected_in_either_place(upper)
+
+
 class TestKronObjective:
     def test_standard_basis_value(self):
         p, q = 2, 3
@@ -99,15 +122,6 @@ class TestKronObjective:
         f1 = KroneckerFactors(factor_a=A, factor_b=B)
         f2 = KroneckerFactors(factor_a=c * A, factor_b=B / c)
         assert kron_objective(f1, resh) == pytest.approx(kron_objective(f2, resh), rel=1e-12)
-
-    def test_singular_factor_rejected(self):
-        X, _ = _kron_samples(2, 3, 5, seed=21)
-        resh = ReshapedSamples.from_samples(X, 2, 3)
-        with pytest.raises(InvalidInputError):
-            f = KroneckerFactors.__new__(KroneckerFactors)
-            object.__setattr__(f, "factor_a", np.diag([1.0, 0.0]))
-            object.__setattr__(f, "factor_b", np.eye(3))
-            kron_objective(f, resh)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_matches_full_kronecker_cost_differences(self, complex_):

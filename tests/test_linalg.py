@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from structcov import InvalidInputError, pd_geometric_mean
-from structcov.linalg import _cholesky, chol_pd, dft_matrix, hermitian_eig, pd_sqrt
+from structcov.linalg import chol_pd, dft_matrix, hermitian_eig, pd_sqrt
 from support import rand_hermitian, rand_pd
 
 
@@ -72,14 +72,16 @@ class TestCholPd:
         assert np.allclose(chol_pd(np.array([[9.0]])), [[3.0]])
         assert chol_pd(np.array([[-1.0]])) is None
 
-    def test_unchecked_factor_rejects_non_finite_and_indefinite(self):
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidInputError):
+            chol_pd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(InvalidInputError):
+            chol_pd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_reads_the_lower_triangle_only(self):
+        # callers pass matrices they built Hermitian; the upper triangle is not read
         M = np.array([[4.0, 2.0], [2.0, 3.0]])
-        assert np.array_equal(_cholesky(M), chol_pd(M))
-        assert _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
-        with pytest.raises(InvalidInputError):
-            _cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-        with pytest.raises(InvalidInputError):
-            _cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(chol_pd(np.array([[4.0, 99.0], [2.0, 3.0]])), chol_pd(M))
 
 
 class TestPdSqrt:
@@ -139,3 +141,10 @@ class TestGeometricMean:
         rng = np.random.default_rng(7)
         M = rand_pd(4, rng)
         assert np.allclose(pd_geometric_mean(np.eye(4), M), pd_sqrt(M), atol=1e-10)
+
+    def test_non_hermitian_rejected(self):
+        not_hermitian = np.array([[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(InvalidInputError):
+            pd_geometric_mean(np.eye(2), not_hermitian)
+        with pytest.raises(InvalidInputError):
+            pd_geometric_mean(not_hermitian, np.eye(2))

@@ -88,6 +88,13 @@ class TestPresets:
         with pytest.raises(InvalidInputError):
             LinearStructure(basis=B, init_coeffs=np.array([1.0]))
 
+    def test_infinite_init_coeffs_rejected(self):
+        # checked as for estimate_linear(init_coeffs=...), before R(a) is assembled
+        with pytest.raises(InvalidInputError):
+            LinearStructure(
+                basis=banded_toeplitz_basis(4, 2).basis, init_coeffs=[np.inf, 0.0, 0.0]
+            )
+
     def test_custom_hermitian_structure(self):
         rng = np.random.default_rng(0)
         base = [np.eye(3, dtype=complex)]
@@ -277,6 +284,7 @@ class TestEstimateLinear:
             [0.0, 1.0, 0.0],  # zero trace
             [np.nan, 0.0, 0.0],
             [np.inf, 0.0, 0.0],
+            [1.0, 0.0],  # one coefficient short
         ],
     )
     def test_infeasible_init_coeffs_rejected(self, init):

@@ -184,10 +184,6 @@ class TestPowerUpdate:
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
-            power_update([0.0], [1.0])
-        with pytest.raises(InvalidInputError):
-            power_update([1.0], [-1.0])
-        with pytest.raises(InvalidInputError):
             check_powers(np.array([0.0, 0.0]), 2)
 
 

@@ -6,6 +6,7 @@ from structcov import (
     InvalidInputError,
     MMSettings,
     SampleSet,
+    estimate_spiked,
     fixed_point_residual,
     mm_drive,
     pd_geometric_mean,
@@ -98,6 +99,28 @@ class TestTylerCost:
         X = SampleSet.from_array(np.ones((3, 2)))
         with pytest.raises(InvalidInputError):
             tyler_cost(np.array([[1.0, 2.0], [2.0, 1.0]]), X)
+
+
+# its lower triangle is the identity's, and a Cholesky factor reads only that
+# triangle: only a Hermitian check at the entry point rejects it
+_NOT_HERMITIAN = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        tyler_cost,
+        weighted_scatter,
+        fixed_point_residual,
+        lambda R, X: tyler_unconstrained(X, init=R),
+        lambda R, X: estimate_spiked(X, 1, init=R),
+    ],
+    ids=["tyler_cost", "weighted_scatter", "fixed_point_residual", "tyler_init", "spiked_init"],
+)
+def test_non_hermitian_scatter_rejected(entry):
+    X = sample_elliptical(ar_cov(3, 0.5), 30, seed=1)
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        entry(_NOT_HERMITIAN, X)
 
 
 class TestWeightedScatter:
