@@ -23,7 +23,7 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import check_hermitian, hermitize, pd_geometric_mean
+from .linalg import _geometric_mean, check_hermitian, hermitize
 from .linear import _pd_inverse, inner_update
 from .tyler import (
     EstimatorResult,
@@ -81,27 +81,13 @@ class ReshapedSamples:
 
     @classmethod
     def from_samples(cls, samples: SampleSet, p: int, q: int) -> "ReshapedSamples":
-        if p * q != samples.k:
+        if p < 1 or q < 1 or p * q != samples.k:
             raise InvalidInputError(
-                f"factor dimensions ({p}, {q}) do not match samples K={samples.k}"
+                f"factor dimensions ({p}, {q}) must be positive and match samples K={samples.k}"
             )
         mats = samples.data.reshape(samples.n, p, q).transpose(0, 2, 1).copy()
         # reshape((q, p), order="F") per row, vectorized over the batch
-        cls._verify_reshape(samples, mats, p, q)
         return cls(mats=mats)
-
-    @staticmethod
-    def _verify_reshape(samples: SampleSet, mats, p, q):
-        rng = np.random.default_rng(13)
-        i = int(rng.integers(samples.n))
-        a = rng.uniform(0.5, 2.0, size=p)   # random diagonal PD factors
-        b = rng.uniform(0.5, 2.0, size=q)
-        x = samples.data[i]
-        quad = np.real(x.conj() @ ((np.kron(np.diag(1.0 / a), np.diag(1.0 / b))) @ x))
-        M = mats[i]
-        tr = np.real(np.trace(np.diag(1.0 / a) @ M.conj().T @ np.diag(1.0 / b) @ M))
-        if abs(quad - tr) > 1e-10 * max(1.0, abs(quad)):
-            raise NumericalFailureError("reshape convention check failed")
 
     @property
     def n(self) -> int:
@@ -163,11 +149,11 @@ def _weighted_moment(stack, F, dim) -> np.ndarray:
     return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
 
 
-def _tyler_factor_loop(stack, dim, init):
-    """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point."""
-    F = init / np.trace(init).real
+def _tyler_factor_loop(stack, F_t):
+    """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point from F_t."""
+    F = F_t / np.trace(F_t).real
     for _ in range(_GS_MAX_INNER):
-        F_new = _weighted_moment(stack, F, dim)
+        F_new = _weighted_moment(stack, F, F_t.shape[0])
         F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
         F = F_new
@@ -178,35 +164,43 @@ def _tyler_factor_loop(stack, dim, init):
     )
 
 
-def _factor_update(stack, F_t, structure=None, coeffs=None):
-    """MM update of one factor at its whitened stack, normalized to unit trace.
-
-    The geometric mean of F_t and the weighted moment, or with
-    ``structure`` that structure's surrogate step warm-started at
-    ``coeffs``. Returns ``(F, coeffs)``, ``coeffs`` None when unstructured.
-    """
+def _mm_factor_step(stack, F_t):
+    """Geometric mean of F_t and its weighted moment, the MM update of one factor, at unit trace."""
     M = _weighted_moment(stack, F_t, F_t.shape[0])
-    if structure is None:
-        try:
-            F_new = pd_geometric_mean(F_t, M)
-        except InvalidInputError as exc:
-            raise NumericalFailureError(
-                "weighted factor moment is numerically singular; data may be degenerate"
-            ) from exc
-        coeffs = None
-    else:
-        coeffs = inner_update(structure, coeffs, _pd_inverse(F_t), M)
-        F_new = hermitize(structure.assemble(coeffs))
-    tr = np.trace(F_new).real
-    if coeffs is not None:
-        coeffs = coeffs / tr
-    return F_new / tr, coeffs
-
-
-def _step_pair(A, B) -> KroneckerFactors:
-    """The pair a step computed; NumericalFailureError unless both factors are PD."""
     try:
-        return KroneckerFactors(factor_a=A, factor_b=B)
+        F_new = _geometric_mean(F_t, M)
+    except InvalidInputError as exc:
+        raise NumericalFailureError(
+            "weighted factor moment is numerically singular; data may be degenerate"
+        ) from exc
+    return F_new / np.trace(F_new).real
+
+
+def _structured_step(stack, F_t, structure, coeffs):
+    """``structure``'s surrogate step for one factor from ``coeffs``: (unit-trace F, coeffs)."""
+    M = _weighted_moment(stack, F_t, F_t.shape[0])
+    coeffs = inner_update(structure, coeffs, _pd_inverse(F_t), M)
+    F_new = hermitize(structure.assemble(coeffs))
+    tr = np.trace(F_new).real
+    return F_new / tr, coeffs / tr
+
+
+def _sweep(update, factors, reshaped, b_structure, b_coeffs, whitened):
+    """One sweep of either scheme; ``update(stack, F_t)`` is its factor update.
+
+    Whitens by B, updates A, whitens by A, then updates B, or with
+    ``b_structure`` takes B's structured step. Nothing re-checks the factors
+    it builds but the pair's own constructor.
+    """
+    T = _whiten_b(reshaped, factors.factor_b) if whitened is None else whitened
+    A = update(T, factors.factor_a)
+    U = _whiten_a(reshaped, A)
+    if b_structure is None:
+        B, b_coeffs = update(U, factors.factor_b), None
+    else:
+        B, b_coeffs = _structured_step(U, factors.factor_b, b_structure, b_coeffs)
+    try:
+        return KroneckerFactors(factor_a=A, factor_b=B), b_coeffs
     except InvalidInputError as exc:
         raise NumericalFailureError(f"{exc} after a factor update; data may be degenerate") from None
 
@@ -224,14 +218,7 @@ def gauss_seidel_step(
     as in :func:`block_mm_step`; returns ``(factors, b_coeffs)`` as it does.
     ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
     """
-    T = _whiten_b(reshaped, factors.factor_b) if whitened is None else whitened
-    A = _tyler_factor_loop(T, factors.p, factors.factor_a)
-    U = _whiten_a(reshaped, A)
-    if b_structure is None:
-        B = _tyler_factor_loop(U, factors.q, factors.factor_b)
-    else:
-        B, b_coeffs = _factor_update(U, factors.factor_b, b_structure, b_coeffs)
-    return _step_pair(A, B), b_coeffs
+    return _sweep(_tyler_factor_loop, factors, reshaped, b_structure, b_coeffs, whitened)
 
 
 def block_mm_step(
@@ -251,11 +238,7 @@ def block_mm_step(
     Returns ``(factors, b_coeffs)``; ``b_coeffs`` is None when
     unstructured.
     """
-    A_t, B_t = factors.factor_a, factors.factor_b
-    T = _whiten_b(reshaped, B_t) if whitened is None else whitened
-    A_new, _ = _factor_update(T, A_t)
-    B_new, new_coeffs = _factor_update(_whiten_a(reshaped, A_new), B_t, b_structure, b_coeffs)
-    return _step_pair(A_new, B_new), new_coeffs
+    return _sweep(_mm_factor_step, factors, reshaped, b_structure, b_coeffs, whitened)
 
 
 class _FactorIterate:

@@ -54,7 +54,8 @@ def hermitian_eig(M) -> EigenDecomposition:
     Parameters
     ----------
     M : ndarray, shape (k, k)
-        Hermitian (real symmetric or complex Hermitian) matrix.
+        Hermitian (real symmetric or complex Hermitian) matrix, trusted:
+        callers check their input first.
 
     Returns
     -------
@@ -62,7 +63,6 @@ def hermitian_eig(M) -> EigenDecomposition:
         ``values`` sorted descending, ``vectors`` unitary, such that
         ``vectors @ diag(values) @ vectors.conj().T`` reproduces ``M``.
     """
-    M = check_hermitian(M)
     values, vectors = np.linalg.eigh(M)
     return EigenDecomposition(values=values[::-1].copy(), vectors=vectors[:, ::-1].copy())
 
@@ -98,9 +98,14 @@ def pd_sqrt(M) -> np.ndarray:
 
 def pd_geometric_mean(A, M) -> np.ndarray:
     """Matrix geometric mean of PD matrices: the PD solution X of X A^{-1} X = M."""
+    return _geometric_mean(check_hermitian(A, "A"), check_hermitian(M, "M"))
+
+
+def _geometric_mean(A, M) -> np.ndarray:
+    """:func:`pd_geometric_mean` of Hermitian A and M, trusted as given."""
     U, r = _eigen_root(A)
     A_half, A_half_inv = hermitize((U * r) @ U.conj().T), hermitize((U / r) @ U.conj().T)
-    inner = pd_sqrt(hermitize(A_half_inv @ check_hermitian(M, "M") @ A_half_inv))
+    inner = pd_sqrt(hermitize(A_half_inv @ M @ A_half_inv))
     return hermitize(A_half @ inner @ A_half)
 
 

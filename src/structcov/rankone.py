@@ -115,8 +115,8 @@ def check_powers(p, l: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (l,):
         raise InvalidInputError(f"power vector must have length {l}")
-    if np.any(p < 0.0):
-        raise InvalidInputError("powers must be nonnegative")
+    if not np.all(np.isfinite(p) & (p >= 0.0)):
+        raise InvalidInputError("powers must be finite and nonnegative")
     if not np.any(p > 0.0):
         raise InvalidInputError("powers must not all be zero")
     return p
@@ -240,8 +240,8 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) 
     the banded equality constraints, which an affine combination of
     feasible powers keeps, and saved Toeplitz fits no maps.
     """
-    if epsilon < 0.0:
-        raise InvalidInputError("epsilon must be nonnegative")
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise InvalidInputError("epsilon must be finite and nonnegative")
     # a real fit on complex atoms weighs each power on the two real columns
     # [Re a_j, Im a_j] of their float view
     split = np.iscomplexobj(atoms) and not samples.is_complex

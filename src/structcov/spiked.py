@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSpectrumWarning, InvalidInputError
-from .linalg import hermitize, hermitian_eig
+from .linalg import check_hermitian, hermitize, hermitian_eig
 from .tyler import (
     EstimatorResult,
     MMSettings,
@@ -138,5 +138,5 @@ def project_spiked(R, n_spikes: int) -> np.ndarray:
     """Project a scatter matrix onto the spiked set (closed-form fit of R itself)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        model = spiked_inner_update(R, n_spikes)
+        model = spiked_inner_update(check_hermitian(R, "R"), n_spikes)
     return model.assemble()

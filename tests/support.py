@@ -6,6 +6,8 @@ loops) and optimize by generic means (coordinate descent, null-space
 barrier Newton, random search).
 """
 
+import sys
+
 import numpy as np
 import scipy.linalg
 
@@ -202,3 +204,24 @@ def rank_one_gradient(atoms, result, samples):
     """
     w, s = _weights(atoms, np.ones(atoms.shape[1]), Iterate.at(result.scatter, samples))
     return w - s
+
+
+def count_calls(monkeypatch, targets):
+    """Record each call of the ``(owner, attr)`` functions, wherever structcov bound the name.
+
+    Returns the list of recorded calls, one ``attr`` per call, in call order.
+    """
+    calls = []
+    for owner, attr in targets:
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        holders = [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("structcov")]
+        for module in holders:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls

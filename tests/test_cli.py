@@ -108,6 +108,14 @@ class TestEstimateCommand:
         code = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_non_positive_kronecker_dims_are_invalid_input(self, sample_file, tmp_path):
+        # -2 * -2 matches K=4, but a factor size must be at least 1
+        code = main(
+            ["estimate", "--input", str(sample_file), "--out", str(tmp_path / "o.csv"),
+             "--structure", "kronecker-mm", "--dims=-2,-2"]
+        )
+        assert code == 2
+
     def test_degenerate_samples_are_numerical_failure(self, tmp_path):
         # samples confined to a plane: the fixed point iteration collapses
         rng = np.random.default_rng(4)

@@ -61,8 +61,10 @@ class TestReshapedSamples:
 
     def test_dimension_mismatch(self):
         X = SampleSet.from_array(np.random.default_rng(2).standard_normal((3, 6)))
-        with pytest.raises(InvalidInputError):
-            ReshapedSamples.from_samples(X, 4, 2)
+        # (-2, -3) matches K=6 but names no factor size
+        for p, q in [(4, 2), (-2, -3)]:
+            with pytest.raises(InvalidInputError):
+                ReshapedSamples.from_samples(X, p, q)
 
 
 @pytest.mark.parametrize("p,q,n", [(3, 4, 10), (10, 8, 4)])

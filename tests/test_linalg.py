@@ -35,16 +35,6 @@ class TestHermitianEig:
         eig = hermitian_eig(rand_pd(6, rng, complex_=bool(seed % 2)))
         assert eig.values[-1] > 0
 
-    def test_nonfinite_rejected(self):
-        M = np.eye(3)
-        M[0, 0] = np.nan
-        with pytest.raises(InvalidInputError):
-            hermitian_eig(M)
-
-    def test_nonhermitian_rejected(self):
-        with pytest.raises(InvalidInputError):
-            hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
 
 class TestCholPd:
     def test_identity(self):

@@ -183,8 +183,9 @@ class TestPowerUpdate:
         assert best <= values.min() + 1e-9
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError):
-            check_powers(np.array([0.0, 0.0]), 2)
+        for p in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(InvalidInputError):
+                check_powers(np.array(p), 2)
 
 
 class TestEstimateRankOne:
@@ -373,5 +374,6 @@ def test_epsilon_ridge_restart(name, monkeypatch):
         run({3}, epsilon=1e-6)
     with pytest.raises(FailedToConvergeError):
         run({3, 5})
-    with pytest.raises(InvalidInputError):
-        run(set(), epsilon=-1e-6)
+    for epsilon in (-1e-6, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            run(set(), epsilon=epsilon)

@@ -12,7 +12,7 @@ from structcov import (
     weighted_scatter,
 )
 from structcov.spiked import spiked_inner_update
-from support import rand_pd, spiked_objective, nonincreasing
+from support import count_calls, nonincreasing, rand_pd, spiked_objective
 
 
 class TestInnerUpdate:
@@ -122,6 +122,33 @@ class TestEstimateSpiked:
         P = project_spiked(R, 2)
         ev = np.linalg.eigvalsh(P)
         assert np.max(ev[:4]) - np.min(ev[:4]) <= 1e-10
+
+    def test_projection_rejects_non_finite(self):
+        M = np.eye(3)
+        M[0, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            project_spiked(M, 1)
+
+    def test_projection_rejects_non_hermitian(self):
+        with pytest.raises(InvalidInputError):
+            project_spiked(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+
+    def test_fit_checks_its_start_only(self, monkeypatch):
+        # the start is checked at the boundary; every map trusts the M_t
+        # that mm_drive built, so no later call checks it again
+        import structcov.linalg
+        import structcov.spiked
+
+        X = sample_elliptical(spiked_cov(8, 2, 0.05, rng=12), 60, seed=13)
+        events = count_calls(
+            monkeypatch,
+            [(structcov.linalg, "check_hermitian"), (structcov.spiked, "spiked_inner_update")],
+        )
+        res = estimate_spiked(X, 2)
+        assert res.iterations > 2
+        assert events[0] == "check_hermitian"
+        assert events.count("check_hermitian") == 1
+        assert events.count("spiked_inner_update") == res.iterations
 
     def test_spike_count_validation(self):
         X = sample_elliptical(np.eye(4) / 4, 30, seed=9)

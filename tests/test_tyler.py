@@ -17,7 +17,7 @@ from structcov import (
 )
 from structcov.simulate import ar_cov, nmse
 from structcov.tyler import _Whitening
-from support import rand_pd, tyler_cost_naive, weighted_scatter_naive, nonincreasing
+from support import count_calls, nonincreasing, rand_pd, tyler_cost_naive, weighted_scatter_naive
 
 
 def _samples(rng, n, k, complex_=False):
@@ -317,25 +317,10 @@ class TestMMDrive:
 
 def _count_factorizations(monkeypatch):
     """Count every dense Cholesky factorization, wherever structcov bound the name."""
-    import sys
-
     import scipy.linalg
 
-    calls = []
     targets = [(np.linalg, "cholesky"), (scipy.linalg, "cholesky"), (scipy.linalg, "cho_factor")]
-    for owner, attr in targets:
-        original = getattr(owner, attr)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        holders = [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("structcov")]
-        for module in holders:
-            for name, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, name, counted)
-    return calls
+    return count_calls(monkeypatch, targets)
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
@@ -371,6 +356,9 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     trials = []
     if estimator.startswith("kronecker"):
         import structcov.kronecker as kron_mod
+        import structcov.linalg
+
+        checks = count_calls(monkeypatch, [(structcov.linalg, "check_hermitian")])
 
         normalize = kron_mod._FactorSpace.normalize
 
@@ -392,6 +380,9 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         assert res.iterations > 2 and trials
         assert res.details["squarem_rejected"] == 0
         assert len(calls) == 2 * (res.iterations + 2 + len(trials))
+        # the pair's Hermitian check is the only one: a sweep trusts the
+        # factors it built, so nothing inside it checks them again
+        assert len(checks) == len(calls)
         return
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once
