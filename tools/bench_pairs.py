@@ -1,6 +1,6 @@
 """Compare two source trees on the benchmark: fit parity, traced runs and alternating pairs.
 
-    python tools/bench_pairs.py PARENT CHANGE OUT.json [--pairs 6] [--seconds 30] [--seed-base 1301]
+    python tools/bench_pairs.py PARENT CHANGE OUT.json
 
 PARENT and CHANGE are two checkouts (for example from ``git archive``).
 The script runs, in order, and rewrites OUT.json after each phase:
@@ -9,13 +9,16 @@ The script runs, in order, and rewrites OUT.json after each phase:
    comparison of the two hash files;
 2. one traced run (``perfbench/run.py --trace 1``, seed 7) per workload
    and side, parent first;
-3. ``--pairs`` pairs of untraced runs per workload, alternating which side
-   runs first; pair i of workload w uses seed ``seed-base + 10 w + i``.
+3. PAIRS pairs of untraced runs per workload, alternating which side
+   runs first; pair i of workload w uses seed ``SEED_BASE + 10 w + i``.
 
 Each run is the unchanged ``perfbench/run.py`` of its own checkout, one
-process tree at a time. The summary gives each end-to-end metric's
-quartiles per side, the pairs the change won, the relative change of the
-medians and whether it stays inside the bound of ``BENCHMARK.json``.
+process tree at a time, for the ``run_seconds`` of ``BENCHMARK.json``. The
+summary gives each end-to-end metric's quartiles per side (the harness's
+``statistics.quantiles(values, n=4)``) and its quartile spread
+(``perfbench/stats.quartile_spread``), the pairs the change won, the
+relative change of the medians and whether it stays inside the bound of
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,13 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+from stats import quartile_spread  # noqa: E402
+
 WORKLOADS = ("fit-closedform", "fit-newton", "mc-study")
 TRACE_SEED = 7
+PAIRS = 6
+SEED_BASE = 1301
 
 
 def machine() -> dict:
@@ -94,8 +102,9 @@ def parity(parent: str, change: str) -> dict:
 
 
 def _quartiles(values) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"min": min(values), "q1": q1, "median": median, "q3": q3, "max": max(values)}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"min": min(values), "q1": q1, "median": median, "q3": q3, "max": max(values),
+            "spread": quartile_spread(values)}
 
 
 def summarize(pairs: list, spec: dict) -> dict:
@@ -122,20 +131,18 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("out")
-    parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--seed-base", type=int, default=1301)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    seconds = spec["run_seconds"]
 
     out = {
         "what": "fit parity (tools/fit_parity.py), traced per-layer runs (trace 1, seed "
                 f"{TRACE_SEED}) and alternating pairs of the unchanged perfbench/run.py "
-                f"(trace 0, {args.seconds:g}-s runs) on the parent and on the change",
-        "command": f"python tools/bench_pairs.py PARENT CHANGE OUT.json --pairs {args.pairs} "
-                   f"--seconds {args.seconds:g} --seed-base {args.seed_base}",
+                f"(trace 0, {seconds:g}-s runs, {PAIRS} pairs from seed {SEED_BASE}) "
+                "on the parent and on the change",
+        "command": "python tools/bench_pairs.py PARENT CHANGE OUT.json",
         "machine": machine(),
         "claim": "none: no end-to-end gain is claimed",
     }
@@ -149,17 +156,17 @@ def main(argv=None) -> int:
     out["traced"] = {}
     for workload in WORKLOADS:
         out["traced"][f"{workload}@{TRACE_SEED}"] = {
-            side: run_bench(root, workload, TRACE_SEED, args.seconds, 1) for side, root in roots.items()
+            side: run_bench(root, workload, TRACE_SEED, seconds, 1) for side, root in roots.items()
         }
         save()
     out["workloads"] = {workload: {"pairs": []} for workload in WORKLOADS}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w, workload in enumerate(WORKLOADS):
-            seed = args.seed_base + 10 * w + i
+            seed = SEED_BASE + 10 * w + i
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_bench(roots[side], workload, seed, args.seconds, 0)
+                pair[side] = run_bench(roots[side], workload, seed, seconds, 0)
             record = out["workloads"][workload]
             record["pairs"].append(pair)
             record["all_runs_correct"] = all(
