@@ -165,6 +165,8 @@ def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):
 
 
 def _banded_toeplitz(k, settings, bandwidth, embedding_size=None, epsilon=0.0):
+    if not 0 <= bandwidth <= k - 1:
+        raise InvalidInputError(f"bandwidth must lie in [0, K-1], got {bandwidth} for K={k}")
     return lambda X: estimate_banded_toeplitz(
         X, bandwidth, settings, embedding_size=embedding_size, epsilon=epsilon
     )
@@ -198,10 +200,14 @@ def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
 
 
 def _spiked(k, settings, n_spikes):
+    if not 1 <= n_spikes < k:
+        raise InvalidInputError(f"spike count must lie in [1, K-1], got {n_spikes} for K={k}")
     return lambda X: estimate_spiked(X, n_spikes, settings)
 
 
 def _kronecker(method, k, settings, p, q, b_structure=None):
+    if p < 1 or q < 1 or p * q != k:
+        raise InvalidInputError(f"factor dimensions ({p}, {q}) must be positive and match K={k}")
     b_basis = toeplitz_basis(q) if b_structure == "toeplitz" else None
     return lambda X: estimate_kronecker(X, p, q, settings, method=method, b_structure=b_basis)
 
@@ -382,6 +388,7 @@ def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
     fits stopped at ``max_iter``. Deterministic for a fixed seed,
     including under parallel execution.
     """
+    _estimators(cfg)  # a structure that does not fit k fails here, before any trial
     jobs = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     if cfg.workers > 1:
         cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}

@@ -20,7 +20,7 @@ import numpy as np
 from .bench import STRUCTURE_KINDS, ExperimentConfig, run_experiment, structure_fit
 from .exceptions import EstimationError, InvalidInputError
 from .fileio import read_samples, write_array, write_results_csv
-from .simulate import doa_cov, music_spectrum, sample_elliptical, sample_cov
+from .simulate import default_music_grid, doa_cov, music_spectrum, sample_cov, sample_elliptical
 from .tyler import MMSettings, tyler_unconstrained
 
 EXIT_OK = 0
@@ -100,8 +100,7 @@ def _cmd_doa(args) -> int:
     else:
         scatter = sample_cov(samples)
 
-    result = music_spectrum(scatter, args.sources, None if args.eval_step is None
-                            else np.arange(-90.0, 90.0 + args.eval_step / 2, args.eval_step))
+    result = music_spectrum(scatter, args.sources, default_music_grid(args.eval_step))
     peaks = set(np.round(result.peak_angles_deg, 9))
     rows = [
         {

@@ -23,7 +23,7 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import _geometric_mean, check_hermitian, hermitize
+from .linalg import _geometric_mean, check_hermitian, chol_pd, hermitize
 from .linear import _pd_inverse, inner_update
 from .tyler import (
     EstimatorResult,
@@ -40,21 +40,20 @@ _GS_MAX_INNER = 5000
 
 @dataclass(frozen=True)
 class KroneckerFactors:
-    """Positive definite factor pair (A, B) of a Kronecker-structured scatter."""
+    """Positive definite factor pair (A, B) of a Kronecker-structured scatter.
+
+    The pair a user passes in; it unpacks as ``A, B = factors``.
+    """
 
     factor_a: np.ndarray
     factor_b: np.ndarray
 
     def __post_init__(self):
-        A = check_hermitian(self.factor_a, "factor_a")
-        B = check_hermitian(self.factor_b, "factor_b")
-        for name, F in (("factor_a", A), ("factor_b", B)):
-            try:
-                np.linalg.cholesky(F)
-            except np.linalg.LinAlgError:
-                raise InvalidInputError(f"{name} is not positive definite") from None
-        object.__setattr__(self, "factor_a", A)
-        object.__setattr__(self, "factor_b", B)
+        for name in ("factor_a", "factor_b"):
+            F = check_hermitian(getattr(self, name), name)
+            if chol_pd(F, name) is None:
+                raise InvalidInputError(f"{name} is not positive definite")
+            object.__setattr__(self, name, F)
 
     @property
     def p(self) -> int:
@@ -67,10 +66,8 @@ class KroneckerFactors:
     def assemble(self) -> np.ndarray:
         return np.kron(self.factor_a, self.factor_b)
 
-    def normalized(self) -> "KroneckerFactors":
-        A = self.factor_a / np.trace(self.factor_a).real
-        B = self.factor_b / np.trace(self.factor_b).real
-        return KroneckerFactors(factor_a=A, factor_b=B)
+    def __iter__(self):
+        return iter((self.factor_a, self.factor_b))
 
 
 @dataclass(frozen=True)
@@ -120,23 +117,23 @@ def _batch_weights(stack, F_inv) -> np.ndarray:
     return np.einsum("ij,nji->n", F_inv, stack).real
 
 
-def kron_objective(
-    factors: KroneckerFactors, reshaped: ReshapedSamples, whitened=None
-) -> float:
-    """Scatter cost of A kron B expressed in the factors.
+def kron_objective(factors, reshaped: ReshapedSamples, whitened=None) -> float:
+    """Scatter cost of A kron B expressed in the PD pair ``factors``, (A, B).
 
-    Equals ``tyler_cost(kron(A, B), samples)`` for the samples the
-    reshape was built from. ``whitened`` is the stack
-    ``_whiten_b(reshaped, B)`` when the caller has formed it already.
+    ``factors`` is a :class:`KroneckerFactors` or a tuple (A, B). Equals
+    ``tyler_cost(kron(A, B), samples)`` for the samples the reshape was
+    built from. ``whitened`` is the stack ``_whiten_b(reshaped, B)`` when
+    the caller has formed it already.
     """
-    A, B = factors.factor_a, factors.factor_b
-    p, q = factors.p, factors.q
+    A, B = factors
+    p, q = A.shape[0], B.shape[0]
     n = reshaped.n
     T = _whiten_b(reshaped, B) if whitened is None else whitened
     weights = _batch_weights(T, np.linalg.inv(A))
     if np.any(weights <= 0.0):
         raise InvalidInputError("encountered a non-positive quadratic form")
-    # a KroneckerFactors pair is PD by construction: both determinants are positive
+    # the pair is PD, checked by KroneckerFactors or by the fit's space:
+    # both determinants are positive
     logdet_a, logdet_b = np.linalg.slogdet(A).logabsdet, np.linalg.slogdet(B).logabsdet
     return float((p * q / n) * np.sum(np.log(weights)) + q * logdet_a + p * logdet_b)
 
@@ -165,80 +162,60 @@ def _tyler_factor_loop(stack, F_t):
 
 
 def _mm_factor_step(stack, F_t):
-    """Geometric mean of F_t and its weighted moment, the MM update of one factor, at unit trace."""
+    """Geometric mean of F_t and its weighted moment, the MM update of one factor."""
     M = _weighted_moment(stack, F_t, F_t.shape[0])
     try:
-        F_new = _geometric_mean(F_t, M)
+        return _geometric_mean(F_t, M)
     except InvalidInputError as exc:
         raise NumericalFailureError(
             "weighted factor moment is numerically singular; data may be degenerate"
         ) from exc
-    return F_new / np.trace(F_new).real
 
 
-def _structured_step(stack, F_t, structure, coeffs):
-    """``structure``'s surrogate step for one factor from ``coeffs``: (unit-trace F, coeffs)."""
+def _structured_step(stack, F_t, structure):
+    """``structure``'s surrogate step for one factor, warm-started from F_t's coefficients."""
     M = _weighted_moment(stack, F_t, F_t.shape[0])
-    coeffs = inner_update(structure, coeffs, _pd_inverse(F_t), M)
-    F_new = hermitize(structure.assemble(coeffs))
-    tr = np.trace(F_new).real
-    return F_new / tr, coeffs / tr
+    coeffs = inner_update(structure, structure.coeffs_of(F_t), _pd_inverse(F_t), M)
+    return hermitize(structure.assemble(coeffs))
 
 
-def _sweep(update, factors, reshaped, b_structure, b_coeffs, whitened):
+def _sweep(update, factors, reshaped, b_structure, whitened):
     """One sweep of either scheme; ``update(stack, F_t)`` is its factor update.
 
     Whitens by B, updates A, whitens by A, then updates B, or with
-    ``b_structure`` takes B's structured step. Nothing re-checks the factors
-    it builds but the pair's own constructor.
+    ``b_structure`` takes B's structured step. Returns the pair (A, B)
+    unscaled and unchecked: the fit's space scales it and checks it PD.
     """
-    T = _whiten_b(reshaped, factors.factor_b) if whitened is None else whitened
-    A = update(T, factors.factor_a)
+    A_t, B_t = factors
+    T = _whiten_b(reshaped, B_t) if whitened is None else whitened
+    A = update(T, A_t)
     U = _whiten_a(reshaped, A)
     if b_structure is None:
-        B, b_coeffs = update(U, factors.factor_b), None
-    else:
-        B, b_coeffs = _structured_step(U, factors.factor_b, b_structure, b_coeffs)
-    try:
-        return KroneckerFactors(factor_a=A, factor_b=B), b_coeffs
-    except InvalidInputError as exc:
-        raise NumericalFailureError(f"{exc} after a factor update; data may be degenerate") from None
+        return A, update(U, B_t)
+    return A, _structured_step(U, B_t, b_structure)
 
 
-def gauss_seidel_step(
-    factors: KroneckerFactors,
-    reshaped: ReshapedSamples,
-    b_structure=None,
-    b_coeffs=None,
-    whitened=None,
-):
+def gauss_seidel_step(factors, reshaped: ReshapedSamples, b_structure=None, whitened=None):
     """One sweep of the alternating scheme: solve for A with B fixed, then for B.
 
     With ``b_structure`` B takes one structured surrogate step instead,
-    as in :func:`block_mm_step`; returns ``(factors, b_coeffs)`` as it does.
+    as in :func:`block_mm_step`; returns the pair (A, B) as it does.
     ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
     """
-    return _sweep(_tyler_factor_loop, factors, reshaped, b_structure, b_coeffs, whitened)
+    return _sweep(_tyler_factor_loop, factors, reshaped, b_structure, whitened)
 
 
-def block_mm_step(
-    factors: KroneckerFactors,
-    reshaped: ReshapedSamples,
-    b_structure=None,
-    b_coeffs=None,
-    whitened=None,
-):
+def block_mm_step(factors, reshaped: ReshapedSamples, b_structure=None, whitened=None):
     """One block-MM sweep: geometric-mean update of A, then of B.
 
     With ``b_structure`` (a LinearStructure on the B factor) the B
     update minimizes the same surrogate over the structure instead of
-    using the closed form; ``b_coeffs`` warm-starts that solve.
+    using the closed form, warm-started from the coefficients of B.
     ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
 
-    Returns ``(factors, b_coeffs)``; ``b_coeffs`` is None when
-    unstructured.
+    Returns the pair (A, B), neither scaled nor checked.
     """
-    return _sweep(_mm_factor_step, factors, reshaped, b_structure, b_coeffs, whitened)
+    return _sweep(_mm_factor_step, factors, reshaped, b_structure, whitened)
 
 
 class _FactorIterate:
@@ -247,9 +224,9 @@ class _FactorIterate:
     The cost is checked against the floor; the next sweep reuses T.
     """
 
-    def __init__(self, factors: KroneckerFactors, reshaped: ReshapedSamples):
+    def __init__(self, factors, reshaped: ReshapedSamples):
         self.factors = factors
-        self.T = _whiten_b(reshaped, factors.factor_b)
+        self.T = _whiten_b(reshaped, factors[1])
         self.cost = kron_objective(factors, reshaped, self.T)
         # detects unbounded descent at every map, with or without a trace
         if self.cost < _OBJECTIVE_FLOOR:
@@ -260,16 +237,16 @@ class _FactorIterate:
 
     @property
     def R(self) -> np.ndarray:
-        scatter = self.factors.assemble()
+        scatter = np.kron(*self.factors)
         return scatter / np.trace(scatter).real
 
 
 class _FactorSpace:
     """The :func:`mm_drive` space of one fit; its params are the pair (A, B).
 
-    A step returns unit-trace factors checked PD, which normalize passes
-    through. An extrapolated trial is a tuple (A, B): normalize scales each
-    factor to unit trace and checks the pair PD, the one check of a trial.
+    The contract of the full-K space: :meth:`normalize` scales, and
+    calling the space checks. A step and an extrapolated trial are both
+    plain pairs, so each is scaled and checked in the same two places.
     """
 
     def __init__(self, reshaped: ReshapedSamples):
@@ -277,20 +254,21 @@ class _FactorSpace:
 
     @staticmethod
     def normalize(params):
-        if isinstance(params, KroneckerFactors):
-            return (params.factor_a, params.factor_b), params
+        """(pair, pair), each factor at unit trace; None unless both traces are finite and > 0."""
         traces = [np.trace(F).real for F in params]
         if not all(np.isfinite(tr) and tr > 0.0 for tr in traces):
             return None
-        try:
-            factors = KroneckerFactors(*(F / tr for F, tr in zip(params, traces)))
-        except InvalidInputError:
-            return None
-        return (factors.factor_a, factors.factor_b), factors
+        pair = tuple(F / tr for F, tr in zip(params, traces))
+        return pair, pair
 
-    def __call__(self, factors: KroneckerFactors) -> _FactorIterate | None:
-        """The iterate of a PD pair; None when its quadratic forms degenerate."""
+    def __call__(self, factors) -> _FactorIterate | None:
+        """The iterate of a pair; None when a factor is not PD or its quadratic forms degenerate.
+
+        One Cholesky factor of each factor is the PD check.
+        """
         try:
+            if any(chol_pd(F, "factor") is None for F in factors):
+                return None
             return _FactorIterate(factors, self.reshaped)
         except InvalidInputError:
             return None
@@ -334,35 +312,19 @@ def estimate_kronecker(
         )
     if init.p != p or init.q != q:
         raise InvalidInputError("initial factors have the wrong dimensions")
-    factors = init.normalized()
 
     if b_structure is not None and b_structure.dim != q:
         raise InvalidInputError(f"b_structure dimension {b_structure.dim} does not match q={q}")
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
-    b_coeffs = None
-    owner = None  # the pair whose B the coefficients reproduce
-
-    def inner(params, it):
-        nonlocal b_coeffs, owner
-        if b_structure is not None and it.factors is not owner:
-            # the first sweep, or a trial was taken: its B is an affine combination
-            # of structured factors, so the warm start is the B's own coefficients
-            b_coeffs = b_structure.coeffs_of(it.factors.factor_b)
-        owner, b_coeffs = step(it.factors, reshaped, b_structure, b_coeffs, whitened=it.T)
-        return owner
-
     result = mm_drive(
-        inner=inner,
+        inner=lambda params, it: step(params, reshaped, b_structure, whitened=it.T),
         space=_FactorSpace(reshaped),
-        init_params=factors,
+        init_params=init,
         settings=settings,
     )
-    # mm_drive maps once from every trial it takes, so a fit ends on a
-    # step's pair and the coefficients are that step's
     factor_a, factor_b = result.params
     result.params = None
-    result.details.update(
-        factor_a=factor_a, factor_b=factor_b, method=method, b_coeffs=b_coeffs
-    )
+    b_coeffs = None if b_structure is None else b_structure.coeffs_of(factor_b)
+    result.details.update(factor_a=factor_a, factor_b=factor_b, method=method, b_coeffs=b_coeffs)
     return result

@@ -51,11 +51,8 @@ def steering_vector(k: int, angle_deg: float) -> np.ndarray:
 
 
 def ula_dictionary(k: int, step_deg: float) -> np.ndarray:
-    """Steering atoms on a uniform angle grid over [-90, 90] degrees."""
-    if step_deg <= 0:
-        raise InvalidInputError("grid step must be positive")
-    angles = np.arange(-90.0, 90.0 + step_deg / 2, step_deg)
-    return np.stack([steering_vector(k, a) for a in angles], axis=1)
+    """Steering atoms on the angle grid :func:`default_music_grid` of ``step_deg``."""
+    return np.stack([steering_vector(k, a) for a in default_music_grid(step_deg)], axis=1)
 
 
 def doa_cov(k: int, angles_deg, powers, noise_var: float) -> np.ndarray:
@@ -206,6 +203,9 @@ class MusicResult:
 
 
 def default_music_grid(step_deg: float = 0.5) -> np.ndarray:
+    """Angles from -90 to 90 degrees every ``step_deg``; the step must be positive and finite."""
+    if not 0 < step_deg < np.inf:
+        raise InvalidInputError("grid step must be positive and finite")
     return np.arange(-90.0, 90.0 + step_deg / 2, step_deg)
 
 

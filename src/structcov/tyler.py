@@ -337,10 +337,10 @@ def mm_drive(
         attached as ``exc.mm_iteration``.
     space : object
         ``space.normalize(params) -> (params, x) | None`` scales the
-        parameters to a unit-trace point x (None when the scale is lost,
-        or when the space already finds the point infeasible);
-        ``space(x) -> iterate | None`` builds the iterate at x (None when
-        x is not positive definite), with its ``.cost`` and scatter ``.R``.
+        parameters to a unit-trace point x (None when the scale is lost);
+        ``space(x) -> iterate | None`` checks x and builds the iterate at
+        x (None when x is not positive definite), with its ``.cost`` and
+        scatter ``.R``.
         A trial for which either returns None is rejected.
         Full-K fits pass ``_Whitening(samples, assemble, rescale)``:
         ``assemble(params) -> scatter`` defaults to the identity;

@@ -177,6 +177,10 @@ class TestBenchCommand:
             {"structure": {"kind": "rank-one", "dictionary": 5}},
             {"truth": {"kind": "spiked", "n_spikes": 1, "noise_var": 0.1, "power_range": None},
              "structure": None},
+            # values of the right type that do not fit k = 4
+            {"structure": {"kind": "kronecker-mm", "p": 3, "q": 2}},
+            {"structure": {"kind": "banded-toeplitz", "bandwidth": 7}},
+            {"structure": {"kind": "spiked", "n_spikes": 4}},
         ],
     )
     def test_bad_spec_value_is_invalid_input(self, tmp_path, spec):
@@ -209,6 +213,13 @@ class TestDoaCommand:
              "--sources", "2", "--estimator", "scm"]
         )
         assert code == 0
+
+    def test_non_positive_eval_step_is_invalid_input(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        code = main(["doa", "--out", str(out), "--sources", "2", "--estimator", "scm",
+                     "--eval-step", "0"])
+        assert code == 2
+        assert not out.exists()
 
     def test_real_input_rejected(self, sample_file, tmp_path):
         code = main(

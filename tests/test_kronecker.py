@@ -15,6 +15,7 @@ from structcov import (
 )
 from structcov.kronecker import (
     ReshapedSamples,
+    _FactorSpace,
     _batch_weights,
     _whiten_a,
     _whiten_b,
@@ -148,9 +149,9 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.random.default_rng(5).standard_normal((6, 1)))
         resh = ReshapedSamples.from_samples(X, 1, 1)
         f = KroneckerFactors(factor_a=np.eye(1), factor_b=np.eye(1))
-        out, _ = gauss_seidel_step(f, resh)
-        assert np.allclose(out.factor_a, [[1.0]])
-        assert np.allclose(out.factor_b, [[1.0]])
+        A, B = gauss_seidel_step(f, resh)
+        assert np.allclose(A, [[1.0]])
+        assert np.allclose(B, [[1.0]])
 
     def test_common_whitened_moment_fixed_point(self):
         # all M_i^T M_i equal to a single PD matrix W: the A-subproblem
@@ -166,9 +167,9 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.stack([m.reshape(-1, order="F") for m in mats]))
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q))
-        out, _ = gauss_seidel_step(f, resh)
+        A, _B = gauss_seidel_step(f, resh)
         expected = W / np.trace(W)
-        assert np.linalg.norm(out.factor_a - expected) <= 1e-8
+        assert np.linalg.norm(A - expected) <= 1e-8
 
     def test_descent_and_inner_residual(self):
         p, q, n = 2, 2, 10
@@ -176,15 +177,21 @@ class TestGaussSeidel:
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q) / q)
         before = kron_objective(f, resh)
-        out, _ = gauss_seidel_step(f, resh)
-        after = kron_objective(out, resh)
+        A, B = gauss_seidel_step(f, resh)
+        after = kron_objective((A, B), resh)
         assert after <= before + 1e-10
         # fixed-point residual of the A-subproblem at the returned factors
         T = _whiten_b(resh, f.factor_b)
-        weights = _batch_weights(T, np.linalg.inv(out.factor_a))
+        weights = _batch_weights(T, np.linalg.inv(A))
         A_fp = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
         A_fp = A_fp / np.trace(A_fp).real
-        assert np.linalg.norm(A_fp - out.factor_a) <= 1e-8
+        assert np.linalg.norm(A_fp - A) <= 1e-8
+
+
+def _scaled_step(step, factors, reshaped):
+    """The pair a fit takes from ``step``: the space scales each factor to unit trace."""
+    pair, _point = _FactorSpace.normalize(step(factors, reshaped))
+    return pair
 
 
 class TestBlockMM:
@@ -196,10 +203,10 @@ class TestBlockMM:
         T = _whiten_b(resh, f.factor_b)
         weights = _batch_weights(T, np.eye(p))
         M = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
-        out, _coeffs = block_mm_step(f, resh)
+        A, _B = _scaled_step(block_mm_step, f, resh)
         expected = pd_sqrt(0.5 * (M + M.T))
         expected = expected / np.trace(expected)
-        assert np.linalg.norm(out.factor_a - expected) <= 1e-10
+        assert np.linalg.norm(A - expected) <= 1e-10
 
     def test_geometric_mean_identity_along_iterations(self):
         from structcov import pd_geometric_mean
@@ -207,8 +214,8 @@ class TestBlockMM:
         p, q, n = 3, 3, 12
         X, _ = _kron_samples(p, q, n, seed=14)
         resh = ReshapedSamples.from_samples(X, p, q)
-        f = KroneckerFactors(factor_a=rand_pd(p, np.random.default_rng(7)),
-                             factor_b=np.eye(q) / q).normalized()
+        A_0 = rand_pd(p, np.random.default_rng(7))
+        f = KroneckerFactors(factor_a=A_0 / np.trace(A_0), factor_b=np.eye(q) / q)
         T = _whiten_b(resh, f.factor_b)
         weights = _batch_weights(T, np.linalg.inv(f.factor_a))
         M = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
@@ -217,8 +224,8 @@ class TestBlockMM:
         G = pd_geometric_mean(f.factor_a, M)
         resid = np.linalg.norm(G @ np.linalg.solve(f.factor_a, G) - M)
         assert resid / np.linalg.norm(M) <= 1e-8
-        out, _coeffs = block_mm_step(f, resh)
-        assert np.linalg.norm(out.factor_a - G / np.trace(G)) <= 1e-10
+        A, _B = _scaled_step(block_mm_step, f, resh)
+        assert np.linalg.norm(A - G / np.trace(G)) <= 1e-10
         # the weighted moment stays PD on generic data
         assert np.linalg.eigvalsh(M)[0] > 0
 
@@ -235,7 +242,7 @@ class TestBlockMM:
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q) / q)
         before = kron_objective(f, resh)
-        out, _ = block_mm_step(f, resh)
+        out = block_mm_step(f, resh)
         assert kron_objective(out, resh) <= before + 1e-10
 
 
@@ -392,6 +399,29 @@ class TestKroneckerOnTheDriver:
         with pytest.raises(NumericalFailureError) as err:
             estimate_kronecker(X, 3, 4, MMSettings(tol=1e-14), method=method)
         assert err.value.mm_iteration == 3
+
+    @pytest.mark.parametrize("method,name", [("mm", "block_mm_step"), ("gs", "gauss_seidel_step")])
+    def test_a_step_that_is_not_pd_stops_the_fit(self, method, name, monkeypatch):
+        """A step returns its pair unchecked; the space's PD check stops the fit at that map."""
+        from structcov import FailedToConvergeError
+        import structcov.kronecker as kron_mod
+
+        step = getattr(kron_mod, name)
+        calls = []
+
+        def spoiled(*args, **kwargs):
+            calls.append(1)
+            A, B = step(*args, **kwargs)
+            if len(calls) == 3:
+                B = np.diag([2.0, -1.0, 0.5, 0.5])  # positive trace, indefinite
+            return A, B
+
+        monkeypatch.setattr(kron_mod, name, spoiled)
+        X, _ = _kron_samples(3, 4, 10, seed=23)
+        # map 3 ends the first cycle, so its point is always factored
+        with pytest.raises(FailedToConvergeError) as err:
+            estimate_kronecker(X, 3, 4, MMSettings(tol=1e-14), method=method)
+        assert err.value.diagnostics["iteration"] == 3
 
     def test_the_change_of_a_pair_is_its_largest_blocks(self):
         from structcov.tyler import _rel_change

@@ -192,6 +192,14 @@ class TestMusic:
         with pytest.raises(InvalidInputError):
             music_spectrum(R, 1, grid_deg=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_one_grid_rejects_a_step_that_is_not_positive(self, step):
+        # the dictionary grid and the pseudospectrum grid are the same grid
+        with pytest.raises(InvalidInputError):
+            default_music_grid(step)
+        with pytest.raises(InvalidInputError):
+            ula_dictionary(4, step)
+
     def test_short_peak_list_flag(self):
         # a grid window where the pseudospectrum is monotone has no
         # strict interior maximum, so fewer peaks than sources

@@ -230,18 +230,16 @@ def test_squarem_cycles_count_the_cycles_that_form_a_trial(monkeypatch):
     X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, seed=24)
     space = structcov.kronecker._FactorSpace
     normalize = space.normalize
-    trials = []
-
-    def counted(params):
-        if isinstance(params, tuple):
-            trials.append(1)
-        return normalize(params)
-
-    monkeypatch.setattr(space, "normalize", staticmethod(counted))
+    calls = []
+    monkeypatch.setattr(
+        space, "normalize", staticmethod(lambda params: calls.append(1) or normalize(params))
+    )
     res = estimate_kronecker(X, 3, 4, MMSettings(max_iter=200), method="gs")
+    # the space normalizes the start, every map's pair and every trial
+    trials = len(calls) - res.iterations - 1
     # no trial is rejected, so each cycle that forms a trial forms exactly one
     assert res.details["squarem_rejected"] == 0
-    assert trials and res.details["squarem_cycles"] == len(trials)
+    assert trials and res.details["squarem_cycles"] == trials
 
 
 @pytest.mark.parametrize("max_iter", range(1, 8))
@@ -308,26 +306,32 @@ def test_kronecker_extrapolation_takes_fewer_maps(name, monkeypatch):
 
 
 def test_a_trial_that_is_not_pd_is_rejected(monkeypatch):
-    space = structcov.kronecker._FactorSpace
-    normalize = space.normalize
+    kron = structcov.kronecker
+    X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, 31)
+    space = kron._FactorSpace(kron.ReshapedSamples.from_samples(X, 3, 4))
     A, B = np.eye(3) / 3, np.eye(4) / 4
-    assert normalize((A, -B)) is None  # negative trace
-    assert normalize((A, B - np.diag([1.0, 0, 0, 0]))) is None  # unit trace, not PD
-    assert normalize((A, B))[1].factor_b[0, 0] == 0.25
+    assert space.normalize((A, -B)) is None  # negative trace
+    assert space.normalize((A, B - np.diag([1.0, 0, 0, 0]))) is None  # zero trace
+    # unit trace, not PD: normalize only scales, and the space's call refuses it
+    indefinite = np.diag([2.0, -1.0 / 3, -1.0 / 3, -1.0 / 3])
+    pair, point = space.normalize((A, indefinite))
+    assert np.linalg.eigvalsh(pair[1])[0] < 0 and space(point) is None
+    assert space.normalize((A, B))[1][1][0, 0] == 0.25
 
     spoiled = []
 
-    def spoil(params):
+    def spoil(trial, x2):
         # the first three trials get an indefinite B of unit trace
-        if isinstance(params, tuple) and len(spoiled) < 3:
+        if len(spoiled) < 3:
             spoiled.append(1)
-            q = params[1].shape[0]
-            params = (params[0], np.diag([2.0] + [-1.0 / (q - 1)] * (q - 1)))
-        return normalize(params)
+            q = trial[1].shape[0]
+            trial = (trial[0], np.diag([2.0] + [-1.0 / (q - 1)] * (q - 1)))
+        return trial
 
     tight = MMSettings(tol=1e-11)
     clean = _kronecker_fit("mm", tight)
-    monkeypatch.setattr(space, "normalize", staticmethod(spoil))
+    monkeypatch.setattr(kron, "mm_drive", lambda *args, **kwargs: mm_drive(
+        *args, **kwargs, extrapolate=spoil))
     res = _kronecker_fit("mm", tight)
     assert len(spoiled) == 3
     assert res.details["squarem_rejected"] >= 3
@@ -339,23 +343,34 @@ def test_a_trial_that_is_not_pd_is_rejected(monkeypatch):
 @pytest.mark.parametrize("method", ["mm", "gs"])
 def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
     """Every step starts from coefficients of its own B, a taken trial's included."""
+    kron = structcov.kronecker
     struct = toeplitz_basis(4)
     X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, 41)
     name = "block_mm_step" if method == "mm" else "gauss_seidel_step"
-    step = getattr(structcov.kronecker, name)
-    made = []
+    step = getattr(kron, name)
+    inner_update = kron.inner_update
+    made = []  # the pairs the space took from the steps
+    starts = []  # the B of each step, in order
+    warm = []  # the B each structured solve started from
     from_trials = 0
 
-    def checked(factors, reshaped, b_structure, b_coeffs, **kwargs):
+    def checked(factors, reshaped, b_structure, **kwargs):
         nonlocal from_trials
-        from_trials += not any(factors is f for f in made)
-        B = factors.factor_b
-        assert np.linalg.norm(struct.assemble(b_coeffs) - B) <= 1e-12
-        out = step(factors, reshaped, b_structure, b_coeffs, **kwargs)
-        made.append(out[0])
+        from_trials += not any(
+            all(np.array_equal(F, G) for F, G in zip(factors, pair)) for pair in made
+        )
+        starts.append(factors[1])
+        out = step(factors, reshaped, b_structure, **kwargs)
+        made.append(kron._FactorSpace.normalize(out)[0])
         return out
 
-    monkeypatch.setattr(structcov.kronecker, name, checked)
+    def warm_started(structure, coeffs, *args):
+        assert np.linalg.norm(struct.assemble(coeffs) - starts[-1]) <= 1e-12
+        warm.append(1)
+        return inner_update(structure, coeffs, *args)
+
+    monkeypatch.setattr(kron, name, checked)
+    monkeypatch.setattr(kron, "inner_update", warm_started)
     for max_iter in [*range(1, 12), 1000]:
         made.clear()
         res = estimate_kronecker(X, 3, 4, MMSettings(tol=1e-12, max_iter=max_iter),
@@ -365,3 +380,4 @@ def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
         # the first step starts from the initial pair, which no step made
         from_trials -= 1
     assert from_trials > 0
+    assert len(warm) == len(starts)

@@ -353,36 +353,38 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
             "toeplitz": lambda: estimate_toeplitz(X, settings),
         }[estimator]
     calls = _count_factorizations(monkeypatch)
-    trials = []
     if estimator.startswith("kronecker"):
         import structcov.kronecker as kron_mod
         import structcov.linalg
 
-        checks = count_calls(monkeypatch, [(structcov.linalg, "check_hermitian")])
-
-        normalize = kron_mod._FactorSpace.normalize
-
-        def counted(params):
-            if isinstance(params, tuple):
-                trials.append(1)
-            return normalize(params)
-
-        monkeypatch.setattr(kron_mod._FactorSpace, "normalize", staticmethod(counted))
+        space = kron_mod._FactorSpace
+        normalize, normalized = space.normalize, []
+        monkeypatch.setattr(space, "normalize", staticmethod(
+            lambda params: normalized.append(1) or normalize(params)))
+        # Hermitian checks and the iterates the space builds, in call order
+        order = count_calls(monkeypatch, [(structcov.linalg, "check_hermitian"),
+                                          (space, "__call__")])
     res = fit()
     assert res.details.get("epsilon", 0.0) == 0.0
     if estimator.startswith("kronecker"):
-        # the pair (A, B) is checked PD, one Cholesky factor each, when the
-        # initial factors are built and normalized, once by every step and
-        # once for every extrapolated trial (a tuple of blocks); mm_drive's
-        # iterates reuse these checks. No trial on this draw fails its PD
-        # check, which would stop at A's factor: mm takes
-        # 68 = 2 * (24 + 2 + 8 trials) factors, gs 28 = 2 * (11 + 2 + 1).
-        assert res.iterations > 2 and trials
+        # the space normalizes the start, every map's pair and every trial
+        trials = len(normalized) - res.iterations - 1
+        assert res.iterations > 2 and trials > 0
         assert res.details["squarem_rejected"] == 0
-        assert len(calls) == 2 * (res.iterations + 2 + len(trials))
-        # the pair's Hermitian check is the only one: a sweep trusts the
-        # factors it built, so nothing inside it checks them again
-        assert len(checks) == len(calls)
+        built = order.count("__call__")
+        # one Cholesky factor per factor of every iterate the space builds,
+        # and one each when the initial pair is built. No iterate on this
+        # draw fails its PD check, which would stop at A's factor.
+        assert len(calls) == 2 * (built + 1)
+        # the space builds the start, every trial and every map's pair but
+        # the x2 a taken trial replaces: mm takes 52 = 2 * (24 + 2) factors
+        # (68 when each step built a checked pair), gs 26 = 2 * (11 + 2)
+        assert built == 1 + trials + (res.iterations - trials)
+        assert len(calls) == 2 * (res.iterations + 2)
+        # the initial pair's Hermitian checks are the only ones: nothing
+        # checks a factor Hermitian once the space builds the start
+        assert order.count("check_hermitian") == 2
+        assert "check_hermitian" not in order[order.index("__call__"):]
         return
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once

@@ -5,8 +5,8 @@
 PARENT and CHANGE are two checkouts (for example from ``git archive``).
 The script runs, in order, and rewrites OUT.json after each phase:
 
-1. ``tools/fit_parity.py`` (this tree's copy) on both checkouts, and the
-   comparison of the two hash files;
+1. ``tools/fit_parity.py`` (this tree's copy) on both checkouts, the
+   comparison of the two hash files and the largest cost gap per group;
 2. one traced run (``perfbench/run.py --trace 1``, seed 7) per workload
    and side, parent first;
 3. PAIRS pairs of untraced runs per workload, alternating which side
@@ -80,7 +80,7 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -
 
 def parity(parent: str, change: str) -> dict:
     sys.path.insert(0, HERE)
-    from fit_parity import compare
+    from fit_parity import compare, cost_gaps
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = {side: os.path.join(tmp, f"{side}.json") for side in ("parent", "change")}
@@ -88,6 +88,7 @@ def parity(parent: str, change: str) -> dict:
             subprocess.run([sys.executable, os.path.join(HERE, "fit_parity.py"), root, paths[side]],
                            check=True)
         differ = compare(paths["parent"], paths["change"])
+        gaps = cost_gaps(paths["parent"], paths["change"])
         hashes = {}
         for side, path in paths.items():
             with open(path) as fh:
@@ -98,6 +99,8 @@ def parity(parent: str, change: str) -> dict:
                               "change": hashes["change"]["groups"][name]["iterations"]}}
         for name, stats in hashes["parent"]["groups"].items()
     }
+    for name, gap in gaps.items():
+        groups[name]["cost_gap"] = gap
     return {"fits": len(hashes["parent"]["fits"]), "differ": differ, "groups": groups}
 
 

@@ -12,10 +12,15 @@ tol 1e-6, max_iter 400, no cost trace), and writes one sha256 per fit
 to OUT.json. The hash covers the scatter, params, objective trace,
 iterations, termination, the SQUAREM counters and, for Kronecker fits,
 factor_a, factor_b and b_coeffs; a fit that raises hashes its error.
-Every BLAS runs on one thread.
+Beside each hash are the fit's iterations, its termination and the cost
+``tyler_cost(result.scatter, samples)`` of its scatter (None for a fit
+that raised). Every BLAS runs on one thread.
 
 The second form lists the fits whose hashes differ (or that only one
-file has) and exits 1 when there is any.
+file has) with both sides' iterations, termination and cost, then the
+largest cost gap of each group, and exits 1 when any hash differs. A
+roundoff change keeps the iterations and the termination and moves the
+cost by a few ulps; a real change does not.
 """
 
 from __future__ import annotations
@@ -53,14 +58,17 @@ def _digest(result) -> str:
     return h.hexdigest()
 
 
-def _fit(fit, samples) -> tuple[str, int | None]:
-    from structcov import EstimationError
+def _fit(fit, samples) -> dict:
+    """The fit's hash, iterations, termination and cost; a fit that raised hashes its error."""
+    from structcov import EstimationError, tyler_cost
 
     try:
         result = fit(samples)
     except EstimationError as exc:
-        return "error:" + hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest(), None
-    return _digest(result), result.iterations
+        digest = hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
+        return {"hash": "error:" + digest, "iterations": None, "termination": None, "cost": None}
+    return {"hash": _digest(result), "iterations": result.iterations,
+            "termination": result.termination, "cost": tyler_cost(result.scatter, samples)}
 
 
 def _mc_fits():
@@ -90,12 +98,11 @@ def hash_fits(root: str) -> dict:
     out = {"root": os.path.abspath(root), "fits": {}, "groups": {}}
 
     def record(group, key, fit, samples):
-        digest, iterations = _fit(fit, samples)
-        out["fits"][key] = digest
+        entry = out["fits"][key] = {"group": group, **_fit(fit, samples)}
         stats = out["groups"].setdefault(group, {"fits": 0, "errors": 0, "iterations": 0})
         stats["fits"] += 1
-        stats["errors"] += iterations is None
-        stats["iterations"] += iterations or 0
+        stats["errors"] += entry["iterations"] is None
+        stats["iterations"] += entry["iterations"] or 0
 
     for workload, build in cases.CASE_BUILDERS.items():
         for seed in SEEDS:
@@ -107,13 +114,36 @@ def hash_fits(root: str) -> dict:
     return out
 
 
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)["fits"]
+
+
 def compare(path_a: str, path_b: str) -> list[str]:
     """Keys whose hashes differ, or that only one of the two files has."""
-    with open(path_a) as fh:
-        a = json.load(fh)["fits"]
-    with open(path_b) as fh:
-        b = json.load(fh)["fits"]
-    return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    a, b = _load(path_a), _load(path_b)
+    return sorted(key for key in a.keys() | b.keys()
+                  if key not in a or key not in b or a[key]["hash"] != b[key]["hash"])
+
+
+def cost_gaps(path_a: str, path_b: str) -> dict:
+    """Per group of the fits both files have: the largest |cost_b - cost_a|, absolute and relative.
+
+    A fit that raised on either side counts as an infinite gap unless it
+    raised on both.
+    """
+    a, b = _load(path_a), _load(path_b)
+    gaps = {}
+    for key in sorted(a.keys() & b.keys()):
+        ca, cb = a[key]["cost"], b[key]["cost"]
+        if ca is None or cb is None:
+            gap = rel = 0.0 if ca is cb else float("inf")
+        else:
+            gap = abs(cb - ca)
+            rel = gap / abs(ca) if ca else gap
+        group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0})
+        group["abs"], group["rel"] = max(group["abs"], gap), max(group["rel"], rel)
+    return gaps
 
 
 def main(argv=None) -> int:
@@ -125,9 +155,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         differ = compare(*args.paths)
+        a, b = (_load(path) for path in args.paths)
+        missing = {"iterations": None, "termination": None, "cost": None}
         for key in differ:
+            sides = [side.get(key, missing) for side in (a, b)]
             print(key)
+            for field in ("iterations", "termination", "cost"):
+                print(f"    {field:<12} {sides[0][field]!r:<24} -> {sides[1][field]!r}")
         print(f"{len(differ)} fits differ")
+        print("largest cost gap per group (absolute, relative):")
+        for group, gap in cost_gaps(*args.paths).items():
+            print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}")
         return 1 if differ else 0
     root, out_path = args.paths
     out = hash_fits(root)
