@@ -63,9 +63,6 @@ class KroneckerFactors:
     def q(self) -> int:
         return self.factor_b.shape[0]
 
-    def assemble(self) -> np.ndarray:
-        return np.kron(self.factor_a, self.factor_b)
-
     def __iter__(self):
         return iter((self.factor_a, self.factor_b))
 

@@ -377,10 +377,10 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         # draw fails its PD check, which would stop at A's factor.
         assert len(calls) == 2 * (built + 1)
         # the space builds the start, every trial and every map's pair but
-        # the x2 a taken trial replaces: mm takes 52 = 2 * (24 + 2) factors
-        # (68 when each step built a checked pair), gs 26 = 2 * (11 + 2)
-        assert built == 1 + trials + (res.iterations - trials)
-        assert len(calls) == 2 * (res.iterations + 2)
+        # the x2 each taken trial replaces, 1 + trials + (iterations - trials):
+        # mm takes 52 = 2 * (24 + 2) factors (68 when each step built a
+        # checked pair), gs 26 = 2 * (11 + 2) (28)
+        assert built == 1 + res.iterations
         # the initial pair's Hermitian checks are the only ones: nothing
         # checks a factor Hermitian once the space builds the start
         assert order.count("check_hermitian") == 2
