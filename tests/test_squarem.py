@@ -351,7 +351,7 @@ def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
     inner_update = kron.inner_update
     made = []  # the pairs the space took from the steps
     starts = []  # the B of each step, in order
-    warm = []  # the B each structured solve started from
+    warm = []  # one entry per structured solve whose start was checked
     from_trials = 0
 
     def checked(factors, reshaped, b_structure, **kwargs):
