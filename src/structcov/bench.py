@@ -160,13 +160,23 @@ TRUTH_KINDS = {
 # that replaces, say, ``structcov.bench.estimate_toeplitz`` sees every fit
 # go through the replacement.
 
+def _check_ridge(epsilon, k=1, embedding_size=None):
+    """Refuse a negative or non-finite ridge and a circulant embedding below 2K-1."""
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if embedding_size is not None and embedding_size < 2 * k - 1:
+        raise InvalidInputError(f"embedding size must be at least 2K-1, got {embedding_size} for K={k}")
+
+
 def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):
+    _check_ridge(epsilon, k, embedding_size)
     return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size, epsilon=epsilon)
 
 
 def _banded_toeplitz(k, settings, bandwidth, embedding_size=None, epsilon=0.0):
     if not 0 <= bandwidth <= k - 1:
         raise InvalidInputError(f"bandwidth must lie in [0, K-1], got {bandwidth} for K={k}")
+    _check_ridge(epsilon, k, embedding_size)
     return lambda X: estimate_banded_toeplitz(
         X, bandwidth, settings, embedding_size=embedding_size, epsilon=epsilon
     )
@@ -180,6 +190,7 @@ def _linear(k, settings, basis="toeplitz"):
 def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
     """Atoms every ``grid_step_deg`` on a ULA, or from ``dictionary``: 'ula:K:step'
     or a CSV of atom rows; identity columns are appended for the noise."""
+    _check_ridge(epsilon)
     if dictionary is None:
         atoms = ula_dictionary(k, grid_step_deg)
     elif dictionary.startswith("ula:"):

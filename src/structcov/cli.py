@@ -21,7 +21,7 @@ from .bench import STRUCTURE_KINDS, ExperimentConfig, run_experiment, structure_
 from .exceptions import EstimationError, InvalidInputError
 from .fileio import read_samples, write_array, write_results_csv
 from .simulate import default_music_grid, doa_cov, music_spectrum, sample_cov, sample_elliptical
-from .tyler import MMSettings, tyler_unconstrained
+from .tyler import TERMINATION_MAX_ITER, MMSettings, tyler_unconstrained
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -34,6 +34,14 @@ _SPEC_FLAGS = ("basis", "bandwidth", "embedding_size", "dictionary", "epsilon", 
 
 def _settings(args) -> MMSettings:
     return MMSettings(tol=args.tol, max_iter=args.max_iter, record_trace=False)
+
+
+def _report(fit) -> str:
+    """The fit's termination and iterations; warns on stderr when it stopped at max_iter."""
+    if fit.termination == TERMINATION_MAX_ITER:
+        print(f"warning: the fit stopped after {fit.iterations} iterations (--max-iter) "
+              "without converging", file=sys.stderr)
+    return f"termination={fit.termination} iterations={fit.iterations}"
 
 
 def _cmd_estimate(args) -> int:
@@ -53,10 +61,7 @@ def _cmd_estimate(args) -> int:
         result = structure_fit({"kind": args.structure, **spec}, samples.k, settings)(samples)
 
     write_array(args.out, result.scatter)
-    print(
-        f"wrote {args.out}: K={samples.k} termination={result.termination} "
-        f"iterations={result.iterations}"
-    )
+    print(f"wrote {args.out}: K={samples.k} {_report(result)}")
     return EXIT_OK
 
 
@@ -91,14 +96,16 @@ def _cmd_doa(args) -> int:
     if not samples.is_complex:
         raise InvalidInputError("DOA estimation needs complex samples")
 
-    if args.estimator == "constrained":
-        fit = structure_fit({"kind": "rank-one", "grid_step_deg": args.grid_step}, samples.k,
-                            settings)
-        scatter = fit(samples).scatter
-    elif args.estimator == "tyler":
-        scatter = tyler_unconstrained(samples, settings).scatter
-    else:
+    if args.estimator == "scm":
         scatter = sample_cov(samples)
+    else:
+        if args.estimator == "constrained":
+            fit = structure_fit({"kind": "rank-one", "grid_step_deg": args.grid_step},
+                                samples.k, settings)(samples)
+        else:
+            fit = tyler_unconstrained(samples, settings)
+        print(f"{args.estimator} fit: {_report(fit)}")
+        scatter = fit.scatter
 
     result = music_spectrum(scatter, args.sources, default_music_grid(args.eval_step))
     peaks = set(np.round(result.peak_angles_deg, 9))

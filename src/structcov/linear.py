@@ -1,15 +1,16 @@
 """Scatter estimation under a general linear structure R = sum_j a_j B_j >= 0.
 
-The MM outer loop repeatedly minimizes the convex surrogate
+Each MM map takes one damped Newton step, with a Cholesky feasibility
+line search, on the convex surrogate
 
     f(a) = Tr(R_t^{-1} R(a)) + Tr(M_t R(a)^{-1})
 
-over the coefficient vector, which is done by a damped Newton method
-with a Cholesky feasibility line search. The second term blows up at
-the boundary of the positive definite cone whenever M_t is positive
-definite, so the iterates stay strictly feasible without an explicit
-inequality handler; a tiny log-det barrier is added only in the
-degenerate case of singular M_t.
+over the coefficient vector: the MM gradient algorithm of K. Lange
+("A gradient algorithm locally equivalent to the EM algorithm", JRSS-B
+57(2), 1995). The second term blows up at the boundary of the positive
+definite cone whenever M_t is positive definite, so the iterates stay
+strictly feasible without an explicit inequality handler; a tiny log-det
+barrier is added only in the degenerate case of singular M_t.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
 from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
 
 _NEWTON_GRAD_TOL = 1e-8
-_NEWTON_MAX_ITER = 120
 _MAX_HALVINGS = 60
 
 
@@ -245,74 +245,25 @@ def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray
     return H
 
 
-def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float, point=None):
+def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float):
     """Value, gradient and Hessian of the surrogate at ``coeffs``.
 
     Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
-    barrier used only when M is singular. ``point`` is the (value, W)
-    that :func:`_surrogate_value` already returned for ``coeffs``, which
-    saves assembling and factoring R(a) again. Returns None when the
-    point is infeasible.
+    barrier used only when M is singular. Returns None when the point is
+    infeasible.
 
     One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
     the L basis matrices and its GEMM against the flattened basis.
     """
+    point = _surrogate_value(struct, coeffs, Wt, M, mu)
     if point is None:
-        point = _surrogate_value(struct, coeffs, Wt, M, mu)
-        if point is None:
-            return None
+        return None
     value, W = point
     WMW = W @ M @ W
     return (
         value,
         _surrogate_gradient(struct, Wt, W, WMW, mu),
         _surrogate_hessian(struct, W, WMW, mu),
-    )
-
-
-def _newton_minimize(struct, coeffs, Wt, M, mu):
-    coeffs = np.asarray(coeffs, dtype=float).copy()
-    pieces = _surrogate_pieces(struct, coeffs, Wt, M, mu)
-    if pieces is None:
-        raise InvalidInputError("inner solve started from an infeasible point")
-    value, grad, H = pieces
-    for _ in range(_NEWTON_MAX_ITER):
-        if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
-            return coeffs, value, grad
-        damping = 0.0
-        scale = np.trace(H) / H.shape[0]
-        while True:
-            try:
-                step = np.linalg.solve(H + damping * np.eye(H.shape[0]), -grad)
-                break
-            except np.linalg.LinAlgError:
-                damping = max(2.0 * damping, 1e-12 * scale)
-        slope = float(grad @ step)
-        if slope >= 0.0:  # damped direction lost descent; fall back to gradient
-            step = -grad
-            slope = -float(grad @ grad)
-        # roundoff slack: near the optimum the Armijo decrease sits below
-        # the evaluation noise of the value itself
-        slack = 1e-12 * (1.0 + abs(value))
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = coeffs + t * step
-            point = _surrogate_value(struct, trial, Wt, M, mu)
-            if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
-                break
-            t *= 0.5
-        else:
-            raise NumericalFailureError(
-                "line search failed in the structured inner solve",
-                gradient_norm=float(np.linalg.norm(grad)),
-                value=value,
-            )
-        coeffs = trial
-        value, grad, H = _surrogate_pieces(struct, coeffs, Wt, M, mu, point)
-    raise NumericalFailureError(
-        "inner Newton solve did not reach its gradient tolerance",
-        gradient_norm=float(np.linalg.norm(grad)),
-        value=value,
     )
 
 
@@ -334,27 +285,58 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
 
 
 def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
-    """Minimize the MM surrogate over the structure's coefficients.
+    """One safeguarded Newton step on the MM surrogate, from ``coeffs``.
 
     ``Wt`` is the inverse R_t^{-1} of the outer iterate and ``M_t`` its
-    Hermitian weighted scatter. Starts from ``coeffs`` (warm start) and
-    returns coefficients with surrogate gradient norm at most
-    1e-8 * (1 + |f|) and R(a) > 0. A -mu*logdet safeguard with
-    mu = 1e-10 * Tr(M_t) is applied when M_t is singular, followed by an
-    unbarriered polish.
+    Hermitian weighted scatter. The step lowers the surrogate, so each map
+    lowers the Tyler cost, and a fixed point is a stationary point: this
+    is Lange's MM gradient map (JRSS-B 57(2), 1995), with the fixed points
+    and local rate of the exact minimization. The step is damped when the
+    Hessian is singular and falls back to the gradient when it loses
+    descent; an Armijo line search keeps R(a) > 0. ``coeffs`` comes back
+    unchanged when its gradient norm is at most 1e-8 * (1 + |f|). A
+    -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t is
+    singular.
     """
     eigs = np.linalg.eigvalsh(M_t)
     trace_m = float(np.trace(M_t).real)
     mu = 0.0
     if eigs[0] <= 1e-12 * max(trace_m / M_t.shape[0], np.finfo(float).tiny):
         mu = 1e-10 * trace_m
-    solution, _, _ = _newton_minimize(struct, coeffs, Wt, M_t, mu)
-    if mu > 0.0:
+    coeffs = np.asarray(coeffs, dtype=float)
+    pieces = _surrogate_pieces(struct, coeffs, Wt, M_t, mu)
+    if pieces is None:
+        raise InvalidInputError("inner step started from an infeasible point")
+    value, grad, H = pieces
+    if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
+        return coeffs
+    damping = 0.0
+    scale = np.trace(H) / H.shape[0]
+    while True:
         try:
-            solution, _, _ = _newton_minimize(struct, solution, Wt, M_t, 0.0)
-        except NumericalFailureError:
-            pass  # keep the barrier solution; the polish is best-effort
-    return solution
+            step = np.linalg.solve(H + damping * np.eye(H.shape[0]), -grad)
+            break
+        except np.linalg.LinAlgError:
+            damping = max(2.0 * damping, 1e-12 * scale)
+    slope = float(grad @ step)
+    if slope >= 0.0:  # damped direction lost descent; fall back to gradient
+        step = -grad
+        slope = -float(grad @ grad)
+    # roundoff slack: near the optimum the Armijo decrease sits below
+    # the evaluation noise of the value itself
+    slack = 1e-12 * (1.0 + abs(value))
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        trial = coeffs + t * step
+        point = _surrogate_value(struct, trial, Wt, M_t, mu)
+        if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
+            return trial
+        t *= 0.5
+    raise NumericalFailureError(
+        "line search failed in the structured inner step",
+        gradient_norm=float(np.linalg.norm(grad)),
+        value=value,
+    )
 
 
 def estimate_linear(

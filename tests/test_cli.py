@@ -181,6 +181,12 @@ class TestBenchCommand:
             {"structure": {"kind": "kronecker-mm", "p": 3, "q": 2}},
             {"structure": {"kind": "banded-toeplitz", "bandwidth": 7}},
             {"structure": {"kind": "spiked", "n_spikes": 4}},
+            {"structure": {"kind": "toeplitz", "embedding_size": 3}},
+            {"structure": {"kind": "banded-toeplitz", "bandwidth": 1, "embedding_size": 2}},
+            {"structure": {"kind": "toeplitz", "epsilon": -1.0}},
+            {"structure": {"kind": "banded-toeplitz", "bandwidth": 1, "epsilon": "nan"}},
+            {"structure": {"kind": "rank-one", "epsilon": -1.0}},
+            {"structure": {"kind": "rank-one", "epsilon": "inf"}},
         ],
     )
     def test_bad_spec_value_is_invalid_input(self, tmp_path, spec):
@@ -227,3 +233,38 @@ class TestDoaCommand:
              "--sources", "1"]
         )
         assert code == 2
+
+
+class TestMaxIterReport:
+    """A fit that stops at --max-iter reports it and warns, and still exits 0."""
+
+    @pytest.mark.parametrize("estimator", ["constrained", "tyler"])
+    def test_doa_reports_a_stopped_fit(self, complex_sample_file, tmp_path, capsys, estimator):
+        code = main(["doa", "--input", str(complex_sample_file), "--out", str(tmp_path / "s.csv"),
+                     "--sources", "2", "--estimator", estimator, "--max-iter", "2"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert f"{estimator} fit: termination=max_iter iterations=2" in out
+        assert "warning: the fit stopped after 2 iterations" in err
+
+    def test_doa_converged_fit_does_not_warn(self, complex_sample_file, tmp_path, capsys):
+        code = main(["doa", "--input", str(complex_sample_file), "--out", str(tmp_path / "s.csv"),
+                     "--sources", "2", "--estimator", "tyler"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "tyler fit: termination=converged" in out
+        assert "warning" not in err
+
+    def test_doa_scm_prints_no_fit(self, complex_sample_file, tmp_path, capsys):
+        main(["doa", "--input", str(complex_sample_file), "--out", str(tmp_path / "s.csv"),
+              "--sources", "2", "--estimator", "scm", "--max-iter", "1"])
+        out, err = capsys.readouterr()
+        assert "termination" not in out and "warning" not in err
+
+    def test_estimate_warns_on_a_stopped_fit(self, sample_file, tmp_path, capsys):
+        code = main(["estimate", "--input", str(sample_file), "--out", str(tmp_path / "s.csv"),
+                     "--structure", "toeplitz", "--max-iter", "1"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "termination=max_iter iterations=1" in out
+        assert "warning: the fit stopped after 1 iterations" in err

@@ -106,19 +106,39 @@ class TestPresets:
         assert struct.dim == 3
 
 
+def _iterate_map(struct, a, R_t, M, max_steps=100):
+    """Iterate the one-step map on a fixed surrogate until it returns its input.
+
+    Checks that no step raises the surrogate; returns the fixed point.
+    """
+    Wt = np.linalg.inv(R_t)
+    f = linear_surrogate_naive(struct, a, R_t, M)
+    for _ in range(max_steps):
+        nxt = inner_update(struct, a, Wt, M)
+        if nxt is a:
+            return a
+        f_next = linear_surrogate_naive(struct, nxt, R_t, M)
+        assert f_next <= f + 1e-12 * (1.0 + abs(f))
+        a, f = nxt, f_next
+    raise AssertionError(f"the map did not reach a fixed point in {max_steps} steps")
+
+
 class TestInnerUpdate:
+    """``inner_update`` is one safeguarded Newton step: iterated on a fixed
+    surrogate it must reach that surrogate's minimizer."""
+
     def test_identity_basis_closed_form(self):
         # f(a) = a Tr(R_t^{-1}) + Tr(M)/a minimized at sqrt(Tr(M)/Tr(R_t^{-1}))
         k, r, m = 4, 2.0, 3.0
         struct = LinearStructure(basis=np.eye(k)[None, :, :], init_coeffs=np.array([1.0]))
-        a = inner_update(struct, np.array([1.0]), np.linalg.inv(r * np.eye(k)), m * np.eye(k))
+        a = _iterate_map(struct, np.array([1.0]), r * np.eye(k), m * np.eye(k))
         expected = np.sqrt((m * k) / (k / r))
         # accuracy implied by the 1e-8 gradient stopping rule
         assert a[0] == pytest.approx(expected, rel=1e-6)
 
     def test_diagonal_closed_form(self):
         struct = diagonal_basis(2)
-        a = inner_update(struct, np.array([1.0, 1.0]), np.eye(2), np.diag([4.0, 9.0]))
+        a = _iterate_map(struct, np.array([1.0, 1.0]), np.eye(2), np.diag([4.0, 9.0]))
         assert np.allclose(a, [2.0, 3.0], rtol=1e-9)
 
     def test_matches_coordinate_descent_oracle(self):
@@ -127,7 +147,7 @@ class TestInnerUpdate:
         R_t = rand_pd(4, rng)
         M_t = rand_pd(4, rng, ridge=1.0)
         start = struct.init_coeffs
-        a_newton = inner_update(struct, start, np.linalg.inv(R_t), M_t)
+        a_newton = _iterate_map(struct, start, R_t, M_t)
         a_oracle = coordinate_descent_linear(struct, start, R_t, M_t)
         f_newton = linear_surrogate_naive(struct, a_newton, R_t, M_t)
         f_oracle = linear_surrogate_naive(struct, a_oracle, R_t, M_t)
@@ -135,27 +155,51 @@ class TestInnerUpdate:
         assert abs(f_newton - f_oracle) <= 1e-8
 
     def test_descent_and_gradient_tolerance(self):
+        # one step from any feasible start never raises the surrogate, and
+        # the map stops only where the gradient meets its tolerance
         rng = np.random.default_rng(11)
+        for name in ("toeplitz", "full", "hermitian"):
+            complex_ = name == "hermitian"
+            struct = hermitian_basis(3) if complex_ else structure_from_name(name, 5)
+            for _ in range(20):
+                R_t = rand_pd(struct.dim, rng, complex_)
+                M_t = rand_pd(struct.dim, rng, complex_, ridge=1.0)
+                start = _feasible_point(struct, rng)
+                a = inner_update(struct, start, np.linalg.inv(R_t), M_t)
+                R = struct.assemble(a)
+                assert np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0] > 0.0
+                f0 = linear_surrogate_naive(struct, start, R_t, M_t)
+                f1 = linear_surrogate_naive(struct, a, R_t, M_t)
+                assert f1 < f0
+            a = _iterate_map(struct, start, R_t, M_t)
+            f = linear_surrogate_naive(struct, a, R_t, M_t)
+            g = surrogate_gradient(struct, a, R_t, M_t)
+            assert np.linalg.norm(g) <= 1e-7 * (1.0 + abs(f))
+
+    def test_stationary_point_returned_unchanged(self):
+        rng = np.random.default_rng(12)
         struct = toeplitz_basis(5)
         R_t = rand_pd(5, rng)
         M_t = rand_pd(5, rng, ridge=1.0)
-        start = _feasible_point(struct, rng)
-        a = inner_update(struct, start, np.linalg.inv(R_t), M_t)
-        f0 = linear_surrogate_naive(struct, start, R_t, M_t)
-        f1 = linear_surrogate_naive(struct, a, R_t, M_t)
-        assert f1 <= f0 + 1e-12
-        g = surrogate_gradient(struct, a, R_t, M_t)
-        assert np.linalg.norm(g) <= 1e-7 * (1.0 + abs(f1))
+        a = _iterate_map(struct, _feasible_point(struct, rng), R_t, M_t)
+        again = inner_update(struct, a.copy(), np.linalg.inv(R_t), M_t)
+        assert np.array_equal(again, a)
 
     def test_singular_weight_matrix_uses_barrier(self):
-        # rank-deficient M_t keeps a usable minimizer thanks to the barrier
+        # rank-deficient M_t: the step on the barrier surrogate stays finite
+        # and never raises the surrogate
         struct = diagonal_basis(3)
         M = np.diag([1.0, 1.0, 0.0])
-        a = inner_update(struct, np.ones(3), np.eye(3), M)
-        assert np.all(np.isfinite(a))
-        f_start = linear_surrogate_naive(struct, np.ones(3), np.eye(3), M)
-        f_end = linear_surrogate_naive(struct, a, np.eye(3), M)
-        assert f_end <= f_start + 1e-9
+        a = np.ones(3)
+        f = linear_surrogate_naive(struct, a, np.eye(3), M)
+        for _ in range(5):
+            a = inner_update(struct, a, np.eye(3), M)
+            assert np.all(np.isfinite(a)) and np.all(a > 0.0)
+            f_next = linear_surrogate_naive(struct, a, np.eye(3), M)
+            assert f_next <= f + 1e-9
+            f = f_next
+        # the unpenalized coordinates reach their closed form sqrt(m_ii)
+        assert np.allclose(a[:2], 1.0, rtol=1e-6)
 
 
 class TestDerivatives:
@@ -265,6 +309,14 @@ class TestEstimateLinear:
         assert nonincreasing(res.objective_trace)
         assert res.termination == "converged"
         assert stationarity_residual(struct, res.scatter, X) <= 1e-5
+
+    def test_full_basis_with_n_close_to_k(self):
+        # N = K + 1 with strongly correlated data: an inner solve run to its
+        # gradient tolerance stalled on this draw; the one-step map converges
+        X = sample_elliptical(ar_cov(5, 0.9), 6, np.random.SeedSequence([77, 5, 6, 7]))
+        res = estimate_linear(full_symmetric_basis(5), X, MMSettings(tol=1e-7))
+        assert res.termination == "converged"
+        assert nonincreasing(res.objective_trace)
 
     def test_dimension_mismatch(self):
         X = sample_elliptical(ar_cov(4, 0.5), 40, seed=24)

@@ -17,10 +17,13 @@ Beside each hash are the fit's iterations, its termination and the cost
 that raised). Every BLAS runs on one thread.
 
 The second form lists the fits whose hashes differ (or that only one
-file has) with both sides' iterations, termination and cost, then the
-largest cost gap of each group, and exits 1 when any hash differs. A
-roundoff change keeps the iterations and the termination and moves the
-cost by a few ulps; a real change does not.
+file has) with both sides' iterations, termination and cost, then per
+group the largest cost gap, the largest signed cost rise of the second
+file over the first and both sides' mean iterations, and exits 1 when
+any hash differs. A roundoff change keeps the iterations and the
+termination and moves the cost by a few ulps; a real change does not. A
+change that moves iterations on purpose should show no positive rise
+beyond roundoff.
 """
 
 from __future__ import annotations
@@ -127,10 +130,14 @@ def compare(path_a: str, path_b: str) -> list[str]:
 
 
 def cost_gaps(path_a: str, path_b: str) -> dict:
-    """Per group of the fits both files have: the largest |cost_b - cost_a|, absolute and relative.
+    """Per group of the fits both files have: the largest cost gap and rise, and mean iterations.
 
-    A fit that raised on either side counts as an infinite gap unless it
-    raised on both.
+    ``abs`` and ``rel`` are the largest |cost_b - cost_a|, absolute and
+    relative; ``rise`` is the largest signed cost_b - cost_a, so it is
+    negative when every fit of B ends below A's. A fit that raised on
+    one side only counts as an infinite gap, and as a rise of +inf when
+    B raised and -inf when A did. ``iterations`` holds each side's mean
+    iterations over the fits that did not raise there.
     """
     a, b = _load(path_a), _load(path_b)
     gaps = {}
@@ -138,11 +145,20 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
         ca, cb = a[key]["cost"], b[key]["cost"]
         if ca is None or cb is None:
             gap = rel = 0.0 if ca is cb else float("inf")
+            rise = 0.0 if ca is cb else float("inf") if cb is None else -float("inf")
         else:
-            gap = abs(cb - ca)
+            gap, rise = abs(cb - ca), cb - ca
             rel = gap / abs(ca) if ca else gap
-        group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0})
+        group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0, "rise": -float("inf"),
+                                                  "counts": [[], []]})
         group["abs"], group["rel"] = max(group["abs"], gap), max(group["rel"], rel)
+        group["rise"] = max(group["rise"], rise)
+        for side, fits in zip(group["counts"], (a, b)):
+            if fits[key]["iterations"] is not None:
+                side.append(fits[key]["iterations"])
+    for group in gaps.values():
+        counts = group.pop("counts")
+        group["iterations"] = [sum(c) / len(c) if c else None for c in counts]
     return gaps
 
 
@@ -163,9 +179,11 @@ def main(argv=None) -> int:
             for field in ("iterations", "termination", "cost"):
                 print(f"    {field:<12} {sides[0][field]!r:<24} -> {sides[1][field]!r}")
         print(f"{len(differ)} fits differ")
-        print("largest cost gap per group (absolute, relative):")
+        print("per group: largest cost gap (absolute, relative), largest cost rise of B "
+              "over A, mean iterations A -> B:")
         for group, gap in cost_gaps(*args.paths).items():
-            print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}")
+            its = " -> ".join("-" if m is None else f"{m:.2f}" for m in gap["iterations"])
+            print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}  {gap['rise']:+.3g}  {its}")
         return 1 if differ else 0
     root, out_path = args.paths
     out = hash_fits(root)
