@@ -165,7 +165,7 @@ def _check_ridge(epsilon, k=1, embedding_size=None):
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if embedding_size is not None and embedding_size < 2 * k - 1:
-        raise InvalidInputError(f"embedding size must be at least 2K-1, got {embedding_size} for K={k}")
+        raise InvalidInputError(f"embedding size must be >= 2K-1, got {embedding_size} for K={k}")
 
 
 def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):

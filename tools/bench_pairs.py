@@ -9,7 +9,7 @@ The script runs, in order, and rewrites OUT.json after each phase:
    comparison of the two hash files and the largest cost gap per group;
 2. one traced run (``perfbench/run.py --trace 1``, seed 7) per workload
    and side, parent first;
-3. ``--pairs`` pairs of untraced runs per workload (default 6),
+3. ``--pairs`` pairs of untraced runs per workload (default 10),
    alternating which side runs first; pair i of workload w uses seed
    ``SEED_BASE + 10 w + i``.
 
@@ -22,7 +22,7 @@ relative change of the medians and whether it stays inside the bound of
 ``BENCHMARK.json``. With ``--claim``, the ``claim`` field states whether
 that metric of that workload improved: the change better in at least 9
 of 10 pairs and its median beyond the parent's by more than the
-parent's quartile spread.
+distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -137,10 +137,12 @@ def claim_text(workload: str, metric: str, summary: dict) -> str:
     m = summary[metric]
     parent, change = m["parent"]["median"], m["change"]["median"]
     gain = change - parent if m["better"] == "higher" else parent - change
-    met = m["change_better_pairs"] >= 0.9 * m["pairs"] and gain > m["parent"]["spread"]
+    distance = m["parent"]["q3"] - m["parent"]["q1"]
+    met = m["change_better_pairs"] >= 0.9 * m["pairs"] and gain > distance
     return (f"{workload} {metric} improves: median {parent:.4g} -> {change:.4g} {m['unit']} "
             f"({m['median_change_rel']:+.1%}), change better in {m['change_better_pairs']}/"
-            f"{m['pairs']} pairs, parent quartile spread {m['parent']['spread']:.3g}, "
+            f"{m['pairs']} pairs, parent quartiles {m['parent']['q1']:.4g}-"
+            f"{m['parent']['q3']:.4g} ({distance:.3g} apart), "
             f"so the claim is {'met' if met else 'not met'}")
 
 
@@ -149,7 +151,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("out")
-    parser.add_argument("--pairs", type=int, default=6, help="alternating pairs per workload")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
                         help="the end-to-end metric whose gain the change claims")
     args = parser.parse_args(argv)

@@ -150,15 +150,15 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
             gap, rise = abs(cb - ca), cb - ca
             rel = gap / abs(ca) if ca else gap
         group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0, "rise": -float("inf"),
-                                                  "counts": [[], []]})
+                                                  "iteration_lists": [[], []]})
         group["abs"], group["rel"] = max(group["abs"], gap), max(group["rel"], rel)
         group["rise"] = max(group["rise"], rise)
-        for side, fits in zip(group["counts"], (a, b)):
+        for side, fits in zip(group["iteration_lists"], (a, b)):
             if fits[key]["iterations"] is not None:
                 side.append(fits[key]["iterations"])
     for group in gaps.values():
-        counts = group.pop("counts")
-        group["iterations"] = [sum(c) / len(c) if c else None for c in counts]
+        lists = group.pop("iteration_lists")
+        group["iterations"] = [sum(c) / len(c) if c else None for c in lists]
     return gaps
 
 
