@@ -314,9 +314,18 @@ class TestEstimateLinear:
         # N = K + 1 with strongly correlated data: an inner solve run to its
         # gradient tolerance stalled on this draw; the one-step map converges
         X = sample_elliptical(ar_cov(5, 0.9), 6, np.random.SeedSequence([77, 5, 6, 7]))
-        res = estimate_linear(full_symmetric_basis(5), X, MMSettings(tol=1e-7))
+        struct = full_symmetric_basis(5)
+        res = estimate_linear(struct, X, MMSettings(tol=1e-7))
         assert res.termination == "converged"
         assert nonincreasing(res.objective_trace)
+        # "converged" means stationary: at N = K + 1 the MM contraction is
+        # slow, so the 1e-7 relative-change stop ends at a residual near 1e-4
+        # (so does the exact-minimization map on neighbouring draws); at the
+        # tolerance of test_descent_and_stationarity it meets the same bound
+        tight = estimate_linear(struct, X, MMSettings(tol=1e-9))
+        assert tight.termination == "converged"
+        assert nonincreasing(tight.objective_trace)
+        assert stationarity_residual(struct, tight.scatter, X) <= 1e-5
 
     def test_dimension_mismatch(self):
         X = sample_elliptical(ar_cov(4, 0.5), 40, seed=24)
