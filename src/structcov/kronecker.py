@@ -24,7 +24,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import _geometric_mean, check_hermitian, chol_pd, hermitize
-from .linear import _pd_inverse, inner_update
+from .linear import inner_update
 from .tyler import (
     EstimatorResult,
     MMSettings,
@@ -135,9 +135,9 @@ def kron_objective(factors, reshaped: ReshapedSamples, whitened=None) -> float:
     return float((p * q / n) * np.sum(np.log(weights)) + q * logdet_a + p * logdet_b)
 
 
-def _weighted_moment(stack, F, dim) -> np.ndarray:
-    """The factor's MM moment (dim/N) sum_i S_i / Tr(F^{-1} S_i), Hermitian."""
-    weights = _batch_weights(stack, _factor_inverse(F))
+def _weighted_moment(stack, F_inv, dim) -> np.ndarray:
+    """The factor's MM moment (dim/N) sum_i S_i / Tr(F^{-1} S_i), Hermitian, from F^{-1}."""
+    weights = _batch_weights(stack, F_inv)
     if np.any(weights <= 0.0):
         raise NumericalFailureError("factor update hit a non-positive weight")
     return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
@@ -147,7 +147,7 @@ def _tyler_factor_loop(stack, F_t):
     """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point from F_t."""
     F = F_t / np.trace(F_t).real
     for _ in range(_GS_MAX_INNER):
-        F_new = _weighted_moment(stack, F, F_t.shape[0])
+        F_new = _weighted_moment(stack, _factor_inverse(F), F_t.shape[0])
         F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
         F = F_new
@@ -160,7 +160,7 @@ def _tyler_factor_loop(stack, F_t):
 
 def _mm_factor_step(stack, F_t):
     """Geometric mean of F_t and its weighted moment, the MM update of one factor."""
-    M = _weighted_moment(stack, F_t, F_t.shape[0])
+    M = _weighted_moment(stack, _factor_inverse(F_t), F_t.shape[0])
     try:
         return _geometric_mean(F_t, M)
     except InvalidInputError as exc:
@@ -170,9 +170,10 @@ def _mm_factor_step(stack, F_t):
 
 
 def _structured_step(stack, F_t, structure):
-    """``structure``'s surrogate step for one factor, warm-started from F_t's coefficients."""
-    M = _weighted_moment(stack, F_t, F_t.shape[0])
-    coeffs = inner_update(structure, structure.coeffs_of(F_t), _pd_inverse(F_t), M)
+    """``structure``'s step for F_t, a member of it: one F_t^{-1} serves moment and step."""
+    F_inv = _factor_inverse(F_t)
+    M = _weighted_moment(stack, F_inv, F_t.shape[0])
+    coeffs = inner_update(structure, structure.coeffs_of(F_t), F_inv, M)
     return hermitize(structure.assemble(coeffs))
 
 
@@ -295,7 +296,8 @@ def estimate_kronecker(
         the same objective and agree at convergence.
     b_structure : LinearStructure, optional
         Linear structure imposed on the B factor (e.g. a Toeplitz
-        basis); only supported with its dimension equal to q.
+        basis) of dimension q. The fit starts from the member nearest the
+        initial B, ``assemble(coeffs_of(B))``, which must be PD.
     """
     if method not in ("mm", "gs"):
         raise InvalidInputError(f"unknown method {method!r}; expected 'mm' or 'gs'")
@@ -310,8 +312,12 @@ def estimate_kronecker(
     if init.p != p or init.q != q:
         raise InvalidInputError("initial factors have the wrong dimensions")
 
-    if b_structure is not None and b_structure.dim != q:
-        raise InvalidInputError(f"b_structure dimension {b_structure.dim} does not match q={q}")
+    if b_structure is not None:
+        if b_structure.dim != q:
+            raise InvalidInputError(f"b_structure dimension {b_structure.dim} does not match q={q}")
+        # a structured step starts at R(coeffs_of(B_t)) = B_t; mm_drive refuses a B that is not PD
+        B = b_structure.assemble(b_structure.coeffs_of(init.factor_b))
+        init = (init.factor_a, hermitize(B))
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
     result = mm_drive(

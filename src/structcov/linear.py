@@ -7,10 +7,13 @@ line search, on the convex surrogate
 
 over the coefficient vector: the MM gradient algorithm of K. Lange
 ("A gradient algorithm locally equivalent to the EM algorithm", JRSS-B
-57(2), 1995). The second term blows up at the boundary of the positive
-definite cone whenever M_t is positive definite, so the iterates stay
-strictly feasible without an explicit inequality handler; a tiny log-det
-barrier is added only in the degenerate case of singular M_t.
+57(2), 1995), with the fixed points and local rate of the exact
+minimization. The step starts at the iterate, R(a_t) = R_t, and is built
+from R_t^{-1}, which the caller has; a Kronecker fit therefore starts a
+structured B inside the structure. The second term blows up at the
+boundary of the positive definite cone whenever M_t is positive
+definite, so the iterates stay strictly feasible; a tiny log-det barrier
+is added only when M_t is singular.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
@@ -245,38 +248,36 @@ def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray
     return H
 
 
-def _surrogate_pieces(struct: LinearStructure, coeffs, Wt, M, mu: float):
-    """Value, gradient and Hessian of the surrogate at ``coeffs``.
+def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
+    """Value, gradient and Hessian of the surrogate at its warm start R(a) = R_t, from Wt alone.
 
-    Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
-    barrier used only when M is singular. Returns None when the point is
-    infeasible.
+    There W = Wt, the value is K + Re Tr(M Wt) and the barrier adds
+    -mu*logdet R_t = mu*logdet Wt, so no matrix is factored.
 
     One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
     the L basis matrices and its GEMM against the flattened basis.
     """
-    point = _surrogate_value(struct, coeffs, Wt, M, mu)
-    if point is None:
-        return None
-    value, W = point
-    WMW = W @ M @ W
+    value = Wt.shape[0] + float((M * Wt.conj()).sum().real)
+    if mu > 0.0:
+        value += mu * np.linalg.slogdet(Wt).logabsdet
+    WMW = Wt @ M @ Wt
     return (
         value,
-        _surrogate_gradient(struct, Wt, W, WMW, mu),
-        _surrogate_hessian(struct, W, WMW, mu),
+        _surrogate_gradient(struct, Wt, Wt, WMW, mu),
+        _surrogate_hessian(struct, Wt, WMW, mu),
     )
 
 
-def _pd_inverse(R) -> np.ndarray:
-    """Inverse of a positive definite matrix through its Cholesky factor."""
-    factor = cho_factor(R, lower=True, check_finite=False)
-    return cho_solve(factor, np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
-
-
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
-    """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``."""
-    Wt = _pd_inverse(check_hermitian(R_t, "R_t"))
-    M = np.asarray(M)
+    """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``.
+
+    InvalidInputError unless R_t and R(coeffs) are PD and M is Hermitian, all K x K.
+    """
+    R_t, M, k = check_hermitian(R_t, "R_t"), check_hermitian(M, "M"), struct.dim
+    L = chol_pd(R_t, "R_t") if R_t.shape == M.shape == (k, k) else None
+    if L is None:
+        raise InvalidInputError(f"R_t must be a positive definite {k} x {k} matrix and M {k} x {k}")
+    Wt = cho_solve((L, True), np.eye(k, dtype=R_t.dtype), check_finite=False)
     point = _surrogate_value(struct, coeffs, Wt, M, 0.0)
     if point is None:
         raise InvalidInputError("coefficients are infeasible")
@@ -285,29 +286,22 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
 
 
 def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
-    """One safeguarded Newton step on the MM surrogate, from ``coeffs``.
+    """One safeguarded Newton step on the MM surrogate from the outer iterate.
 
-    ``Wt`` is the inverse R_t^{-1} of the outer iterate and ``M_t`` its
-    Hermitian weighted scatter. The step lowers the surrogate, so each map
-    lowers the Tyler cost, and a fixed point is a stationary point: this
-    is Lange's MM gradient map (JRSS-B 57(2), 1995), with the fixed points
-    and local rate of the exact minimization. The step is damped when the
-    Hessian is singular and falls back to the gradient when it loses
-    descent; an Armijo line search keeps R(a) > 0. ``coeffs`` comes back
-    unchanged when its gradient norm is at most 1e-8 * (1 + |f|). A
-    -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t is
-    singular.
+    ``coeffs`` are the coefficients of the iterate, which must lie in the
+    structure (a Kronecker fit starts B at ``assemble(coeffs_of(B))``),
+    ``Wt`` = R(coeffs)^{-1} and ``M_t`` its Hermitian weighted scatter. The
+    step starts from Wt alone, so only the line search's trial points are
+    factored. It lowers the surrogate, so each map lowers the Tyler cost,
+    and a fixed point is stationary. It is damped when the Hessian is
+    singular and falls back to the gradient when it loses descent; an
+    Armijo line search keeps R(a) > 0. ``coeffs`` comes back unchanged when
+    its gradient norm is at most 1e-8 * (1 + |f|). A -mu*logdet barrier
+    with mu = 1e-10 * Tr(M_t) is added when M_t has no Cholesky factor.
     """
-    eigs = np.linalg.eigvalsh(M_t)
-    trace_m = float(np.trace(M_t).real)
-    mu = 0.0
-    if eigs[0] <= 1e-12 * max(trace_m / M_t.shape[0], np.finfo(float).tiny):
-        mu = 1e-10 * trace_m
+    mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
     coeffs = np.asarray(coeffs, dtype=float)
-    pieces = _surrogate_pieces(struct, coeffs, Wt, M_t, mu)
-    if pieces is None:
-        raise InvalidInputError("inner step started from an infeasible point")
-    value, grad, H = pieces
+    value, grad, H = _surrogate_pieces(struct, Wt, M_t, mu)
     if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
         return coeffs
     damping = 0.0

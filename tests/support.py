@@ -81,24 +81,35 @@ def linear_surrogate_naive(struct, coeffs, R_t, M):
     return float(np.real(np.trace(Rt_inv @ R) + np.trace(M @ np.linalg.inv(R))))
 
 
+def gaussian_cost_naive(struct, coeffs, M):
+    """g(a) = log det R(a) + Tr(M R(a)^{-1}), or inf outside the PD cone.
+
+    The objective of the linear map iterated as MM on a fixed scatter M.
+    """
+    R = struct.assemble(coeffs)
+    R = 0.5 * (R + R.conj().T)
+    eig = np.linalg.eigvalsh(R)
+    if eig[0] <= 0:
+        return np.inf
+    return float(np.sum(np.log(eig)) + np.real(np.trace(M @ np.linalg.inv(R))))
+
+
 # ---------------------------------------------------------------------------
 # independent optimizers
 # ---------------------------------------------------------------------------
 
-def coordinate_descent_linear(struct, coeffs, R_t, M, grad_tol=1e-10, max_sweeps=4000):
-    """Cyclic exact 1-D minimization of the linear-structure surrogate.
+def coordinate_descent(value, coeffs, grad_tol=1e-10, max_sweeps=4000):
+    """Cyclic exact 1-D minimization of ``value`` over coefficient vectors.
 
-    Uses only function evaluations (scipy's scalar minimizer on a
-    feasibility-probed bracket). It stops when a sweep no longer lowers
-    the value or a central-difference gradient is small.
+    ``value(a)`` is inf outside the feasible set. Uses only function
+    evaluations (scipy's scalar minimizer on a feasibility-probed
+    bracket). It stops when a sweep no longer lowers the value or a
+    central-difference gradient is small.
     """
     from scipy.optimize import minimize_scalar
 
     a = np.asarray(coeffs, dtype=float).copy()
     L = a.size
-
-    def value(v):
-        return linear_surrogate_naive(struct, v, R_t, M)
 
     def num_grad(v, h=1e-6):
         g = np.zeros(L)

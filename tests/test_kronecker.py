@@ -288,6 +288,31 @@ class TestEstimateKronecker:
         assert diagonal_spread(B) <= 1e-10
         assert nonincreasing(res.objective_trace)
 
+    @pytest.mark.parametrize("method", ["mm", "gs"])
+    def test_structured_b_from_an_off_span_start(self, method):
+        # a PD initial B that is not Toeplitz: the fit starts from its
+        # nearest Toeplitz member and reaches the default start's optimum
+        from structcov import diagonal_spread
+
+        X, _ = _kron_samples(3, 4, 10, seed=21, b_beta=0.7)
+        struct = toeplitz_basis(4)
+        B = rand_pd(4, np.random.default_rng(21))
+        assert diagonal_spread(B) > 0.1
+        init = KroneckerFactors(np.eye(3), B)
+        res = estimate_kronecker(X, 3, 4, method=method, b_structure=struct, init=init)
+        ref = estimate_kronecker(X, 3, 4, method=method, b_structure=struct)
+        assert res.termination == "converged"
+        assert nonincreasing(res.objective_trace)
+        assert abs(res.objective_trace[-1] - ref.objective_trace[-1]) <= 1e-8
+
+    def test_structured_b_start_outside_the_cone_rejected(self):
+        # B is PD, but its nearest Toeplitz matrix toeplitz([0.51, 0, 0, 1]) is not
+        X, _ = _kron_samples(3, 4, 10, seed=22)
+        v = np.array([1.0, 0.0, 0.0, 1.0])
+        init = KroneckerFactors(np.eye(3), np.outer(v, v) + 0.01 * np.eye(4))
+        with pytest.raises(InvalidInputError):
+            estimate_kronecker(X, 3, 4, b_structure=toeplitz_basis(4), init=init)
+
     def test_bad_method_and_dims(self):
         X, _ = _kron_samples(2, 3, 5, seed=20)
         with pytest.raises(InvalidInputError):

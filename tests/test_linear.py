@@ -5,6 +5,7 @@ from structcov import (
     InvalidInputError,
     LinearStructure,
     MMSettings,
+    SampleSet,
     banded_toeplitz_basis,
     diagonal_basis,
     estimate_linear,
@@ -16,10 +17,18 @@ from structcov import (
     toeplitz_basis,
     tyler_unconstrained,
 )
-from structcov.linear import _surrogate_pieces, inner_update, surrogate_gradient
+from structcov.linear import (
+    _surrogate_gradient,
+    _surrogate_hessian,
+    _surrogate_pieces,
+    _surrogate_value,
+    inner_update,
+    surrogate_gradient,
+)
 from structcov.simulate import ar_cov, nmse
 from support import (
-    coordinate_descent_linear,
+    coordinate_descent,
+    gaussian_cost_naive,
     linear_surrogate_naive,
     nonincreasing,
     rand_pd,
@@ -106,83 +115,98 @@ class TestPresets:
         assert struct.dim == 3
 
 
-def _iterate_map(struct, a, R_t, M, max_steps=100):
-    """Iterate the one-step map on a fixed surrogate until it returns its input.
+def _mm_fixed_point(struct, a, M, max_steps=500):
+    """Run the map as MM on a fixed scatter M until it returns its input.
 
-    Checks that no step raises the surrogate; returns the fixed point.
+    Each step starts at its own iterate, Wt = R(a)^{-1}, as in a fit, so
+    a fixed point minimizes g(a) = log det R(a) + Tr(M R(a)^{-1}) over
+    the structure. Checks that no step raises its surrogate or g;
+    returns the fixed point.
     """
-    Wt = np.linalg.inv(R_t)
-    f = linear_surrogate_naive(struct, a, R_t, M)
+    g = gaussian_cost_naive(struct, a, M)
     for _ in range(max_steps):
-        nxt = inner_update(struct, a, Wt, M)
+        R_t = struct.assemble(a)
+        nxt = inner_update(struct, a, np.linalg.inv(R_t), M)
         if nxt is a:
             return a
-        f_next = linear_surrogate_naive(struct, nxt, R_t, M)
-        assert f_next <= f + 1e-12 * (1.0 + abs(f))
-        a, f = nxt, f_next
+        f = linear_surrogate_naive(struct, a, R_t, M)
+        assert linear_surrogate_naive(struct, nxt, R_t, M) <= f + 1e-12 * (1.0 + abs(f))
+        g_next = gaussian_cost_naive(struct, nxt, M)
+        assert g_next <= g + 1e-12 * (1.0 + abs(g))
+        a, g = nxt, g_next
     raise AssertionError(f"the map did not reach a fixed point in {max_steps} steps")
 
 
+def _pieces_at(struct, a, Wt, M, mu):
+    """Value, gradient and Hessian of the surrogate at any feasible ``a``, through W = R(a)^{-1}."""
+    value, W = _surrogate_value(struct, a, Wt, M, mu)
+    WMW = W @ M @ W
+    grad = _surrogate_gradient(struct, Wt, W, WMW, mu)
+    return value, grad, _surrogate_hessian(struct, W, WMW, mu)
+
+
 class TestInnerUpdate:
-    """``inner_update`` is one safeguarded Newton step: iterated on a fixed
-    surrogate it must reach that surrogate's minimizer."""
+    """``inner_update`` is one safeguarded Newton step from the iterate:
+    run as MM on a fixed scatter M it must reach the minimizer of
+    log det R + Tr(M R^{-1}) over the structure."""
 
     def test_identity_basis_closed_form(self):
-        # f(a) = a Tr(R_t^{-1}) + Tr(M)/a minimized at sqrt(Tr(M)/Tr(R_t^{-1}))
-        k, r, m = 4, 2.0, 3.0
-        struct = LinearStructure(basis=np.eye(k)[None, :, :], init_coeffs=np.array([1.0]))
-        a = _iterate_map(struct, np.array([1.0]), r * np.eye(k), m * np.eye(k))
-        expected = np.sqrt((m * k) / (k / r))
+        # g(a) = K log a + Tr(M)/a is minimized at a = Tr(M)/K
+        rng = np.random.default_rng(9)
+        struct = LinearStructure(basis=np.eye(4)[None, :, :], init_coeffs=np.array([1.0]))
+        M = rand_pd(4, rng, ridge=1.0)
+        a = _mm_fixed_point(struct, np.array([1.0]), M)
         # accuracy implied by the 1e-8 gradient stopping rule
-        assert a[0] == pytest.approx(expected, rel=1e-6)
+        assert a[0] == pytest.approx(np.trace(M) / 4, rel=1e-6)
 
     def test_diagonal_closed_form(self):
-        struct = diagonal_basis(2)
-        a = _iterate_map(struct, np.array([1.0, 1.0]), np.eye(2), np.diag([4.0, 9.0]))
-        assert np.allclose(a, [2.0, 3.0], rtol=1e-9)
+        # g(a) = sum_i log a_i + M_ii / a_i is minimized at a = diag(M)
+        rng = np.random.default_rng(10)
+        M = rand_pd(3, rng, ridge=1.0)
+        a = _mm_fixed_point(diagonal_basis(3), np.ones(3), M)
+        assert np.allclose(a, np.diag(M), rtol=1e-6)
 
     def test_matches_coordinate_descent_oracle(self):
         rng = np.random.default_rng(10)
         struct = toeplitz_basis(4)
-        R_t = rand_pd(4, rng)
-        M_t = rand_pd(4, rng, ridge=1.0)
+        M = rand_pd(4, rng, ridge=1.0)
         start = struct.init_coeffs
-        a_newton = _iterate_map(struct, start, R_t, M_t)
-        a_oracle = coordinate_descent_linear(struct, start, R_t, M_t)
-        f_newton = linear_surrogate_naive(struct, a_newton, R_t, M_t)
-        f_oracle = linear_surrogate_naive(struct, a_oracle, R_t, M_t)
-        assert f_newton <= f_oracle + 1e-8
-        assert abs(f_newton - f_oracle) <= 1e-8
+        a_mm = _mm_fixed_point(struct, start, M)
+        a_oracle = coordinate_descent(lambda a: gaussian_cost_naive(struct, a, M), start)
+        g_mm = gaussian_cost_naive(struct, a_mm, M)
+        g_oracle = gaussian_cost_naive(struct, a_oracle, M)
+        assert g_mm <= g_oracle + 1e-8
+        assert abs(g_mm - g_oracle) <= 1e-8
 
     def test_descent_and_gradient_tolerance(self):
-        # one step from any feasible start never raises the surrogate, and
-        # the map stops only where the gradient meets its tolerance
+        # one step from any feasible iterate lowers its surrogate, and the
+        # map stops only where the cost gradient meets its tolerance
         rng = np.random.default_rng(11)
         for name in ("toeplitz", "full", "hermitian"):
             complex_ = name == "hermitian"
             struct = hermitian_basis(3) if complex_ else structure_from_name(name, 5)
             for _ in range(20):
-                R_t = rand_pd(struct.dim, rng, complex_)
                 M_t = rand_pd(struct.dim, rng, complex_, ridge=1.0)
                 start = _feasible_point(struct, rng)
+                R_t = struct.assemble(start)
                 a = inner_update(struct, start, np.linalg.inv(R_t), M_t)
                 R = struct.assemble(a)
                 assert np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0] > 0.0
                 f0 = linear_surrogate_naive(struct, start, R_t, M_t)
                 f1 = linear_surrogate_naive(struct, a, R_t, M_t)
                 assert f1 < f0
-            a = _iterate_map(struct, start, R_t, M_t)
-            f = linear_surrogate_naive(struct, a, R_t, M_t)
-            g = surrogate_gradient(struct, a, R_t, M_t)
+            a = _mm_fixed_point(struct, start, M_t)
+            R = struct.assemble(a)
+            f = linear_surrogate_naive(struct, a, R, M_t)
+            g = surrogate_gradient(struct, a, R, M_t)
             assert np.linalg.norm(g) <= 1e-7 * (1.0 + abs(f))
 
     def test_stationary_point_returned_unchanged(self):
         rng = np.random.default_rng(12)
         struct = toeplitz_basis(5)
-        R_t = rand_pd(5, rng)
-        M_t = rand_pd(5, rng, ridge=1.0)
-        a = _iterate_map(struct, _feasible_point(struct, rng), R_t, M_t)
-        again = inner_update(struct, a.copy(), np.linalg.inv(R_t), M_t)
+        M = rand_pd(5, rng, ridge=1.0)
+        a = _mm_fixed_point(struct, _feasible_point(struct, rng), M)
+        again = inner_update(struct, a.copy(), np.linalg.inv(struct.assemble(a)), M)
         assert np.array_equal(again, a)
 
     def test_singular_weight_matrix_uses_barrier(self):
@@ -192,14 +216,29 @@ class TestInnerUpdate:
         M = np.diag([1.0, 1.0, 0.0])
         a = np.ones(3)
         f = linear_surrogate_naive(struct, a, np.eye(3), M)
-        for _ in range(5):
-            a = inner_update(struct, a, np.eye(3), M)
-            assert np.all(np.isfinite(a)) and np.all(a > 0.0)
-            f_next = linear_surrogate_naive(struct, a, np.eye(3), M)
-            assert f_next <= f + 1e-9
-            f = f_next
-        # the unpenalized coordinates reach their closed form sqrt(m_ii)
+        a = inner_update(struct, a, np.eye(3), M)
+        assert np.all(np.isfinite(a)) and np.all(a > 0.0)
+        assert linear_surrogate_naive(struct, a, np.eye(3), M) <= f + 1e-9
+        # the unpenalized coordinates stay at their minimizer sqrt(m_ii)
         assert np.allclose(a[:2], 1.0, rtol=1e-6)
+
+    @pytest.mark.parametrize("singular", [True, False])
+    def test_barrier_weight(self, singular, monkeypatch):
+        # mu = 1e-10 Tr(M_t) exactly when M_t has no Cholesky factor
+        rng = np.random.default_rng(13)
+        struct = toeplitz_basis(4)
+        M = rand_pd(4, rng, ridge=1.0)
+        if singular:
+            M[:, 0] = M[0, :] = 0.0
+        weights = []
+
+        def recorded(structure, Wt, M_t, mu):
+            weights.append(mu)
+            return _surrogate_pieces(structure, Wt, M_t, mu)
+
+        monkeypatch.setattr("structcov.linear._surrogate_pieces", recorded)
+        inner_update(struct, struct.init_coeffs, np.eye(4), M)
+        assert weights == [1e-10 * np.trace(M) if singular else 0.0]
 
 
 class TestDerivatives:
@@ -227,18 +266,43 @@ class TestDerivatives:
         M_t = rand_pd(5, rng, ridge=1.0)
         for _ in range(50):
             a = _feasible_point(struct, rng)
-            H = _surrogate_pieces(struct, a, np.eye(5), M_t, 0.0)[2]
+            H = _pieces_at(struct, a, np.eye(5), M_t, 0.0)[2]
             assert np.linalg.eigvalsh(H)[0] >= -1e-8
+
+    @pytest.mark.parametrize("bad", ["indefinite R_t", "non-finite M", "misshapen M"])
+    def test_surrogate_gradient_checks_its_input(self, bad):
+        rng = np.random.default_rng(310)
+        struct = toeplitz_basis(4)
+        R_t, M = rand_pd(4, rng), rand_pd(4, rng, ridge=1.0)
+        if bad == "indefinite R_t":
+            R_t = -R_t
+        elif bad == "non-finite M":
+            M[1, 2] = M[2, 1] = np.nan
+        else:
+            M = M[:3, :3]
+        with pytest.raises(InvalidInputError):
+            surrogate_gradient(struct, struct.init_coeffs, R_t, M)
 
 
 class TestSurrogatePieces:
-    """The value, gradient and Hessian that the inner Newton solve uses."""
+    """The value, gradient and Hessian that the Newton step uses."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
+    def test_warm_start_matches_value_evaluation(self, name, mu):
+        # at R(a) = R_t the pieces built from Wt alone are those of the
+        # factored evaluation at a
+        struct, a, _, M = _pieces_inputs(name, 350)
+        Wt = np.linalg.inv(struct.assemble(a))
+        pieces = _surrogate_pieces(struct, Wt, M, mu)
+        for got, ref in zip(pieces, _pieces_at(struct, a, Wt, M, mu)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
     def test_hessian_matches_reference_loop(self, name, mu):
         struct, a, Wt, M = _pieces_inputs(name, 400)
-        _, _, H = _surrogate_pieces(struct, a, Wt, M, mu)
+        _, _, H = _pieces_at(struct, a, Wt, M, mu)
         W = np.linalg.inv(struct.assemble(a))
         B = struct.basis
         ref = np.zeros((struct.size, struct.size))
@@ -251,21 +315,22 @@ class TestSurrogatePieces:
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
     def test_derivatives_match_central_differences(self, name, mu):
-        struct, a, Wt, M = _pieces_inputs(name, 500)
-        _, grad, H = _surrogate_pieces(struct, a, Wt, M, mu)
+        struct, a, _, M = _pieces_inputs(name, 500)
+        Wt = np.linalg.inv(struct.assemble(a))
+        _, grad, H = _surrogate_pieces(struct, Wt, M, mu)
         h = 1e-5
         for j in range(struct.size):
             e = np.zeros(struct.size)
             e[j] = h
-            f_plus, g_plus, _ = _surrogate_pieces(struct, a + e, Wt, M, mu)
-            f_minus, g_minus, _ = _surrogate_pieces(struct, a - e, Wt, M, mu)
+            f_plus, g_plus, _ = _pieces_at(struct, a + e, Wt, M, mu)
+            f_minus, g_minus, _ = _pieces_at(struct, a - e, Wt, M, mu)
             assert grad[j] == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-6, abs=1e-8)
             fd = (g_plus - g_minus) / (2 * h)
             assert np.max(np.abs(H[:, j] - fd)) <= 1e-6 * np.max(np.abs(H))
 
     def test_infeasible_point(self):
         struct, a, Wt, M = _pieces_inputs("toeplitz", 600)
-        assert _surrogate_pieces(struct, -a, Wt, M, 0.0) is None
+        assert _surrogate_value(struct, -a, Wt, M, 0.0) is None
 
 
 class TestEstimateLinear:
@@ -326,6 +391,16 @@ class TestEstimateLinear:
         assert tight.termination == "converged"
         assert nonincreasing(tight.objective_trace)
         assert stationarity_residual(struct, tight.scatter, X) <= 1e-5
+
+    def test_zero_coordinate_converges_on_the_barrier(self):
+        # the third coordinate is zero in every sample, so every M_t is
+        # singular; without the log-det barrier the line search fails
+        X = np.random.default_rng(28).standard_normal((40, 3))
+        X[:, 2] = 0.0
+        res = estimate_linear(diagonal_basis(3), SampleSet.from_array(X))
+        assert res.termination == "converged"
+        assert nonincreasing(res.objective_trace)
+        assert np.diag(res.scatter)[2] <= 1e-12
 
     def test_dimension_mismatch(self):
         X = sample_elliptical(ar_cov(4, 0.5), 40, seed=24)
