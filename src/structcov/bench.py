@@ -88,7 +88,6 @@ _SPEC_VALUES = {
     "beta": float,
     "dictionary": _text,
     "embedding_size": _optional(int),
-    "epsilon": float,
     "grid_step_deg": float,
     "n_spikes": int,
     "noise_var": float,
@@ -160,26 +159,22 @@ TRUTH_KINDS = {
 # that replaces, say, ``structcov.bench.estimate_toeplitz`` sees every fit
 # go through the replacement.
 
-def _check_ridge(epsilon, k=1, embedding_size=None):
-    """Refuse a negative or non-finite ridge and a circulant embedding below 2K-1."""
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise InvalidInputError(f"epsilon must be finite and nonnegative, got {epsilon}")
+def _check_embedding(k, embedding_size):
+    """Refuse a circulant embedding below 2K-1."""
     if embedding_size is not None and embedding_size < 2 * k - 1:
         raise InvalidInputError(f"embedding size must be >= 2K-1, got {embedding_size} for K={k}")
 
 
-def _toeplitz(k, settings, embedding_size=None, epsilon=0.0):
-    _check_ridge(epsilon, k, embedding_size)
-    return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size, epsilon=epsilon)
+def _toeplitz(k, settings, embedding_size=None):
+    _check_embedding(k, embedding_size)
+    return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size)
 
 
-def _banded_toeplitz(k, settings, bandwidth, embedding_size=None, epsilon=0.0):
+def _banded_toeplitz(k, settings, bandwidth, embedding_size=None):
     if not 0 <= bandwidth <= k - 1:
         raise InvalidInputError(f"bandwidth must lie in [0, K-1], got {bandwidth} for K={k}")
-    _check_ridge(epsilon, k, embedding_size)
-    return lambda X: estimate_banded_toeplitz(
-        X, bandwidth, settings, embedding_size=embedding_size, epsilon=epsilon
-    )
+    _check_embedding(k, embedding_size)
+    return lambda X: estimate_banded_toeplitz(X, bandwidth, settings, embedding_size=embedding_size)
 
 
 def _linear(k, settings, basis="toeplitz"):
@@ -187,10 +182,9 @@ def _linear(k, settings, basis="toeplitz"):
     return lambda X: estimate_linear(struct, X, settings)
 
 
-def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
+def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None):
     """Atoms every ``grid_step_deg`` on a ULA, or from ``dictionary``: 'ula:K:step'
     or a CSV of atom rows; identity columns are appended for the noise."""
-    _check_ridge(epsilon)
     if dictionary is None:
         atoms = ula_dictionary(k, grid_step_deg)
     elif dictionary.startswith("ula:"):
@@ -207,7 +201,7 @@ def _rank_one(k, settings, grid_step_deg=5.0, dictionary=None, epsilon=0.0):
             f"dictionary dimension {atoms.shape[0]} does not match the data dimension {k}"
         )
     augmented = RankOneDictionary.augment(atoms)
-    return lambda X: estimate_rank_one(augmented, X, settings, epsilon=epsilon)
+    return lambda X: estimate_rank_one(augmented, X, settings)
 
 
 def _spiked(k, settings, n_spikes):

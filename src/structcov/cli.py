@@ -28,8 +28,7 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 # `estimate` flags whose dest is a structure spec key; --dims p,q sets p and q
-_SPEC_FLAGS = ("basis", "bandwidth", "embedding_size", "dictionary", "epsilon", "n_spikes",
-               "b_structure")
+_SPEC_FLAGS = ("basis", "bandwidth", "embedding_size", "dictionary", "n_spikes", "b_structure")
 
 
 def _settings(args) -> MMSettings:
@@ -143,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--embedding-size", type=int, dest="embedding_size")
     est.add_argument("--dictionary",
                      help="rank-one atoms: CSV with one atom per row, or 'ula:K:step_degrees'")
-    est.add_argument("--epsilon", type=float)
     est.add_argument("--spikes", type=int, dest="n_spikes")
     est.add_argument("--dims", help="Kronecker factor sizes p,q")
     est.add_argument("--b-structure", dest="b_structure", help="Kronecker B factor: toeplitz")

@@ -98,9 +98,9 @@ class LinearStructure:
         """A caller's coefficient vector as floats; InvalidInputError unless finite of length L."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
-            raise InvalidInputError("init_coeffs length must match the basis size")
+            raise InvalidInputError(f"coefficient vector must have shape ({self.size},)")
         if not np.all(np.isfinite(coeffs)):
-            raise InvalidInputError("init_coeffs contains non-finite entries")
+            raise InvalidInputError("coefficient vector contains non-finite entries")
         return coeffs
 
 
@@ -271,8 +271,10 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
     """Gradient of f(a) = Tr(R_t^{-1} R(a)) + Tr(M R(a)^{-1}) at ``coeffs``.
 
-    InvalidInputError unless R_t and R(coeffs) are PD and M is Hermitian, all K x K.
+    InvalidInputError unless R_t and R(coeffs) are PD and M is Hermitian, all K x K,
+    and ``coeffs`` is a finite vector of length L.
     """
+    coeffs = struct._checked_coeffs(coeffs)
     R_t, M, k = check_hermitian(R_t, "R_t"), check_hermitian(M, "M"), struct.dim
     L = chol_pd(R_t, "R_t") if R_t.shape == M.shape == (k, k) else None
     if L is None:

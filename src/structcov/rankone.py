@@ -6,9 +6,9 @@ iteration has the closed-form update p_j = sqrt(d_j / w_j) with
     w = diag(A^H R_t^{-1} A),
     d = diag(P_t A^H R_t^{-1} M_t R_t^{-1} A P_t).
 
-An optional small ridge ``epsilon`` replaces diag(p) by diag(p) + eps*I
-inside R, which keeps every iterate strictly positive definite; the
-estimate is practically unchanged for tiny eps.
+A fit that loses positive definiteness restarts once with the ridge
+diag(p) + eps*I, eps = 1e-10, inside R, which keeps every iterate
+strictly positive definite.
 """
 
 from __future__ import annotations
@@ -181,17 +181,12 @@ def estimate_rank_one(
     dictionary: RankOneDictionary,
     samples: SampleSet,
     settings: MMSettings | None = None,
-    epsilon: float = 0.0,
     init_powers=None,
 ) -> EstimatorResult:
     """Tyler-type scatter estimation over R = A diag(p) A^H, p >= 0.
 
     Parameters
     ----------
-    epsilon : float
-        Optional ridge added to every power inside the model (default 0).
-        If an iterate loses positive definiteness with epsilon = 0, the
-        run restarts once with epsilon = 1e-10.
     init_powers : ndarray, optional
         Strictly positive starting powers; defaults to all ones. The
         final scatter is empirically insensitive to this choice.
@@ -200,7 +195,8 @@ def estimate_rank_one(
     -------
     EstimatorResult
         ``params`` holds the power vector of the returned trace-one
-        scatter; ``details['epsilon']`` records the ridge actually used.
+        scatter, ``dictionary.assemble(params, details['epsilon'])``;
+        the ridge is 0, or 1e-10 after a restart (see :func:`_run`).
     """
     samples = _match_field(dictionary, samples)
     samples.require_oversampled()
@@ -213,20 +209,20 @@ def estimate_rank_one(
     else:
         init_powers = check_powers(init_powers, dictionary.l)
 
-    return _run(
-        dictionary.atoms, samples, settings, epsilon, init_powers, power_update, _clip_to_floor
-    )
+    return _run(dictionary.atoms, samples, settings, init_powers, power_update, _clip_to_floor)
 
 
-def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
-    """MM over R = A diag(p + eps) A^H with the inner step p <- max(solve(w, d) - eps, 0).
+def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
+    """MM over R = A diag(p) A^H with the inner step p <- solve(w, d).
 
     ``solve`` maps the surrogate weights (w, d) to the minimizing
-    effective powers. If the run fails to converge with epsilon = 0 (an
-    iterate loses positive definiteness or every power collapses), it
-    restarts once with epsilon = 1e-10; ``details['epsilon']`` records
-    the ridge used. ``ridge`` scales the ridge per atom, eps = epsilon *
-    ridge, for a dictionary whose identity spectrum is not all ones.
+    effective powers. If the run fails to converge (an iterate loses
+    positive definiteness or every power collapses), it restarts once
+    from ``init_powers`` over R = A diag(p + eps) A^H with
+    eps = 1e-10 * ridge and the step p <- max(solve(w, d) - eps, 0);
+    ``details['epsilon']`` records the ridge used, 0 or 1e-10.
+    ``ridge`` scales the ridge per atom, for a dictionary whose identity
+    spectrum is not all ones.
 
     Real samples on a complex dictionary fit the real scatter
     R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T).
@@ -240,8 +236,6 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) 
     the banded equality constraints, which an affine combination of
     feasible powers keeps, and saved Toeplitz fits no maps.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise InvalidInputError("epsilon must be finite and nonnegative")
     # a real fit on complex atoms weighs each power on the two real columns
     # [Re a_j, Im a_j] of their float view
     split = np.iscomplexobj(atoms) and not samples.is_complex
@@ -276,8 +270,6 @@ def _run(atoms, samples, settings, epsilon, init_powers, solve, vet, ridge=1.0) 
         return result
 
     try:
-        return run(epsilon)
+        return run(0.0)
     except FailedToConvergeError:
-        if epsilon > 0.0:
-            raise
         return run(_EPS_RESTART)

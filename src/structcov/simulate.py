@@ -44,15 +44,18 @@ def banded_ar_cov(k: int, beta: float, bandwidth: int) -> np.ndarray:
     return R
 
 
-def steering_vector(k: int, angle_deg: float) -> np.ndarray:
-    """Response of a K-element half-wavelength uniform linear array."""
+def steering_vector(k: int, angle_deg) -> np.ndarray:
+    """Response of a K-element half-wavelength uniform linear array.
+
+    For a 1-D array of angles, one response column per angle.
+    """
     theta = np.deg2rad(angle_deg)
-    return np.exp(-1j * np.pi * np.arange(k) * np.sin(theta))
+    return np.exp(np.multiply.outer(-1j * np.pi * np.arange(k), np.sin(theta)))
 
 
 def ula_dictionary(k: int, step_deg: float) -> np.ndarray:
     """Steering atoms on the angle grid :func:`default_music_grid` of ``step_deg``."""
-    return np.stack([steering_vector(k, a) for a in default_music_grid(step_deg)], axis=1)
+    return steering_vector(k, default_music_grid(step_deg))
 
 
 def doa_cov(k: int, angles_deg, powers, noise_var: float) -> np.ndarray:
@@ -225,10 +228,7 @@ def music_spectrum(R_hat, n_sources: int, grid_deg=None) -> MusicResult:
         raise InvalidInputError("angle grid needs at least three points")
     eig = hermitian_eig(R_hat.astype(complex))
     E = eig.vectors[:, n_sources:]  # noise subspace
-    A = np.exp(
-        -1j * np.pi * np.outer(np.arange(k), np.sin(np.deg2rad(grid)))
-    )
-    proj = E.conj().T @ A
+    proj = E.conj().T @ steering_vector(k, grid)
     denom = np.einsum("ij,ij->j", proj.conj(), proj).real
     denom = np.maximum(denom, np.finfo(float).tiny)
     spectrum = 1.0 / denom

@@ -207,19 +207,19 @@ def banded_inner_update(spec: BandedSpec, w_t, d_t, return_dual: bool = False):
     )
 
 
-def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, epsilon, solve):
+def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve):
     """Circulant MM: the half dictionary for real samples, the full A for complex ones.
 
     A real fit's powers are the half-dictionary powers p~, so R is real
     and p_j = p_{L-j} holds by construction; ``params`` is unfolded to
-    the length-L spectrum. The ridge eps*I is eps times the identity
-    spectrum in either dictionary.
+    the length-L spectrum. The restart's ridge eps*I is eps times the
+    identity spectrum in either dictionary.
     """
     if samples.is_complex:
         atoms, identity = emb.a_matrix, np.ones(emb.l)
     else:
         atoms, identity = emb.half_matrix, emb.identity_spectrum
-    result = _run(atoms, samples, settings, epsilon, identity, solve, _refuse_below_floor, identity)
+    result = _run(atoms, samples, settings, identity, solve, _refuse_below_floor, identity)
     if not samples.is_complex:
         result.params = emb.unfold(result.params)
     result.details["embedding_size"] = emb.l
@@ -230,7 +230,6 @@ def estimate_toeplitz(
     samples: SampleSet,
     settings: MMSettings | None = None,
     embedding_size: int | None = None,
-    epsilon: float = 0.0,
 ) -> EstimatorResult:
     """Tyler-type scatter estimation over circulant-embeddable Toeplitz matrices.
 
@@ -241,7 +240,7 @@ def estimate_toeplitz(
     """
     samples.require_oversampled()
     emb = CirculantEmbedding.build(samples.k, embedding_size)
-    return _fit(emb, samples, settings, epsilon, power_update)
+    return _fit(emb, samples, settings, power_update)
 
 
 def estimate_banded_toeplitz(
@@ -249,13 +248,12 @@ def estimate_banded_toeplitz(
     bandwidth: int,
     settings: MMSettings | None = None,
     embedding_size: int | None = None,
-    epsilon: float = 0.0,
 ) -> EstimatorResult:
     """Toeplitz scatter estimation with correlations zero beyond ``bandwidth``."""
     samples.require_oversampled()
     emb = CirculantEmbedding.build(samples.k, embedding_size)
     spec = BandedSpec.from_embedding(emb, bandwidth, samples.is_complex)
-    result = _fit(emb, samples, settings, epsilon, lambda w, d: banded_inner_update(spec, w, d))
+    result = _fit(emb, samples, settings, lambda w, d: banded_inner_update(spec, w, d))
     result.details["bandwidth"] = bandwidth
     return result
 

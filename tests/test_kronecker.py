@@ -319,6 +319,10 @@ class TestEstimateKronecker:
             estimate_kronecker(X, 2, 3, method="nope")
         with pytest.raises(InvalidInputError):
             estimate_kronecker(X, 3, 3)
+        with pytest.raises(InvalidInputError):
+            estimate_kronecker(X, 2, 3, init=KroneckerFactors(np.eye(3), np.eye(2)))
+        with pytest.raises(InvalidInputError):
+            estimate_kronecker(X, 2, 3, b_structure=toeplitz_basis(2))
 
     def test_unbounded_descent_floor(self, monkeypatch):
         from structcov import DegenerateDataError

@@ -85,6 +85,8 @@ class TestPresets:
             structure_from_name("wat", 4)
         with pytest.raises(InvalidInputError):
             structure_from_name("banded:x", 4)
+        with pytest.raises(InvalidInputError):
+            structure_from_name("banded:-1", 4)
 
     def test_dependent_basis_rejected(self):
         B = np.stack([np.eye(3), 2.0 * np.eye(3)])
@@ -269,19 +271,26 @@ class TestDerivatives:
             H = _pieces_at(struct, a, np.eye(5), M_t, 0.0)[2]
             assert np.linalg.eigvalsh(H)[0] >= -1e-8
 
-    @pytest.mark.parametrize("bad", ["indefinite R_t", "non-finite M", "misshapen M"])
+    @pytest.mark.parametrize(
+        "bad", ["indefinite R_t", "non-finite M", "misshapen M", "short coeffs", "column coeffs"]
+    )
     def test_surrogate_gradient_checks_its_input(self, bad):
         rng = np.random.default_rng(310)
         struct = toeplitz_basis(4)
         R_t, M = rand_pd(4, rng), rand_pd(4, rng, ridge=1.0)
+        coeffs = struct.init_coeffs
         if bad == "indefinite R_t":
             R_t = -R_t
         elif bad == "non-finite M":
             M[1, 2] = M[2, 1] = np.nan
-        else:
+        elif bad == "misshapen M":
             M = M[:3, :3]
+        elif bad == "short coeffs":
+            coeffs = coeffs[:3]
+        else:
+            coeffs = coeffs[:, None]
         with pytest.raises(InvalidInputError):
-            surrogate_gradient(struct, struct.init_coeffs, R_t, M)
+            surrogate_gradient(struct, coeffs, R_t, M)
 
 
 class TestSurrogatePieces:

@@ -197,14 +197,17 @@ class TestEstimateRankOne:
         res_lin = estimate_linear(diagonal_basis(4), X)
         assert np.linalg.norm(res_rank.scatter - res_lin.scatter) <= 1e-6
 
-    def test_epsilon_barely_changes_result(self):
+    def test_epsilon_barely_changes_result(self, monkeypatch):
+        # the ridge of a restarted fit moves the estimate little
         rng = np.random.default_rng(7)
         atoms = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
         d = RankOneDictionary(atoms=atoms)
         R0 = ar_cov(4, 0.5).astype(complex)
         X = sample_elliptical(R0, 40, seed=31)
-        res0 = estimate_rank_one(d, X, epsilon=0.0)
-        res1 = estimate_rank_one(d, X, epsilon=1e-8)
+        res0 = estimate_rank_one(d, X)
+        _force_failures(monkeypatch, structcov.rankone, "power_update")({3})
+        res1 = estimate_rank_one(d, X)
+        assert (res0.details["epsilon"], res1.details["epsilon"]) == (0.0, 1e-10)
         assert np.linalg.norm(res0.scatter - res1.scatter) <= 1e-5
 
     def test_descent_nonnegativity_trace(self):
@@ -238,6 +241,11 @@ class TestEstimateRankOne:
         )
         with pytest.raises(InvalidInputError):
             estimate_rank_one(d, Xc)
+        # a dictionary of another K, and starting powers of the wrong length
+        with pytest.raises(InvalidInputError, match="dictionary dimension 3"):
+            estimate_rank_one(d, SampleSet.from_array(rng.standard_normal((12, 4))))
+        with pytest.raises(InvalidInputError):
+            estimate_rank_one(d, SampleSet.from_array(Xc.data.real), init_powers=np.ones(8))
 
     def test_real_data_promoted_for_complex_dictionary(self):
         rng = np.random.default_rng(11)
@@ -338,12 +346,13 @@ RESTART_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(RESTART_CASES))
-def test_epsilon_ridge_restart(name, monkeypatch):
-    fit, module, attr = RESTART_CASES[name]
+def _force_failures(monkeypatch, module, attr):
+    """Wrap ``module.attr`` for the test; the returned arm(calls) makes those calls raise.
+
+    Calls are counted from the last arm(), across a fit and its restart.
+    """
     solve = getattr(module, attr)
-    calls = []
-    fail_at = set()
+    calls, fail_at = [], set()
 
     def flaky(*args, **kwargs):
         calls.append(1)
@@ -351,29 +360,37 @@ def test_epsilon_ridge_restart(name, monkeypatch):
             raise FailedToConvergeError("forced")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(module, attr, flaky)
-    X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
-
-    def run(fail, **kwargs):
+    def arm(fail):
         calls.clear()
         fail_at.clear()
         fail_at.update(fail)
-        return fit(X, **kwargs)
 
-    # the third inner step of the first run fails; the restart starts afresh
+    monkeypatch.setattr(module, attr, flaky)
+    return arm
+
+
+@pytest.mark.parametrize("name", list(RESTART_CASES))
+def test_epsilon_ridge_restart(name, monkeypatch):
+    fit, module, attr = RESTART_CASES[name]
+    arm = _force_failures(monkeypatch, module, attr)
+    X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
+
+    def run(fail):
+        arm(fail)
+        return fit(X)
+
+    # an inner step of the first run fails and the fit restarts with the ridge
     res = run({3})
     assert res.details["epsilon"] == 1e-10
     assert abs(np.trace(res.scatter).real - 1.0) <= 1e-12
     assert nonincreasing(res.objective_trace)
-    direct = run(set(), epsilon=1e-10)
-    assert res.iterations == direct.iterations
-    assert np.array_equal(res.scatter, direct.scatter)
+    # the restart starts afresh: where the first run failed does not matter
+    later = run({5})
+    assert res.iterations == later.iterations
+    assert np.array_equal(res.scatter, later.scatter)
+    assert np.array_equal(res.objective_trace, later.objective_trace)
 
-    # no restart when the caller chose the ridge, and only one restart
-    with pytest.raises(FailedToConvergeError):
-        run({3}, epsilon=1e-6)
+    # no ridge without a failure, and only one restart
+    assert run(set()).details["epsilon"] == 0.0
     with pytest.raises(FailedToConvergeError):
         run({3, 5})
-    for epsilon in (-1e-6, np.inf, np.nan):
-        with pytest.raises(InvalidInputError):
-            run(set(), epsilon=epsilon)

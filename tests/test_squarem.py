@@ -125,7 +125,7 @@ def _random_start(name, seed):
     emb = CirculantEmbedding.build(K)
     init = rng.uniform(0.01, 2.0, emb.n_folded)
     return structcov.rankone._run(
-        emb.half_matrix, _ar_samples(seed), None, 0.0, init, power_update,
+        emb.half_matrix, _ar_samples(seed), None, init, power_update,
         structcov.rankone._refuse_below_floor, emb.identity_spectrum,
     )
 

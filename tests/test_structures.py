@@ -161,8 +161,8 @@ def test_malformed_specs_rejected_with_the_config(overrides, tmp_path, monkeypat
         ["--structure", "kronecker-mm", "--dims", "2,2", "--b-structure", "banded"],
         ["--structure", "rank-one", "--dictionary", "ula:5:10"],  # K is 4
         ["--structure", "rank-one", "--dictionary", "ula:4"],
-        ["--structure", "unconstrained", "--epsilon", "0.1"],
-        ["--structure", "linear", "--epsilon", "0.1"],
+        ["--structure", "unconstrained", "--bandwidth", "1"],
+        ["--structure", "linear", "--embedding-size", "9"],
     ],
 )
 def test_estimate_rejects_flags_its_structure_does_not_read(flags, tmp_path):
@@ -170,6 +170,18 @@ def test_estimate_rejects_flags_its_structure_does_not_read(flags, tmp_path):
     write_array(samples, sample_elliptical(bench.ar_cov(K, 0.5), N, seed=1).data)
     out = tmp_path / "r.csv"
     assert main(["estimate", "--input", str(samples), "--out", str(out)] + flags) == 2
+    assert not out.exists()
+
+
+def test_estimate_takes_no_ridge(tmp_path):
+    # only the restart of a rank-one, Toeplitz or banded fit sets a ridge
+    samples = tmp_path / "x.csv"
+    write_array(samples, sample_elliptical(bench.ar_cov(K, 0.5), N, seed=1).data)
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", str(samples), "--out", str(out),
+              "--structure", "toeplitz", "--epsilon", "0.1"])
+    assert exc.value.code == 2
     assert not out.exists()
 
 

@@ -8,10 +8,15 @@ cases from ``ROOT/perfbench/cases.py`` (read, never changed), fits
 every case of the ``fit-closedform`` and ``fit-newton`` workloads for
 seeds 3, 7 and 11, plus ``mc-study``-like K=15 AR(0.8) Toeplitz and
 Tyler fits (real and complex, N in {20, 40, 60, 100}, 10 draws each,
-tol 1e-6, max_iter 400, no cost trace), and writes one sha256 per fit
-to OUT.json. The hash covers the scatter, params, objective trace,
-iterations, termination, the SQUAREM counters and, for Kronecker fits,
-factor_a, factor_b and b_coeffs; a fit that raises hashes its error.
+tol 1e-6, max_iter 400, no cost trace), plus a restart group of
+rank-one (augmented 10-degree ULA dictionary), Toeplitz and banded
+(bandwidth 2) fits of K=8 AR(0.8) samples (real and complex, N=20, 3
+draws each) whose inner solve raises FailedToConvergeError once, at its
+third call, so that each fit restarts with the 1e-10 ridge, and writes
+one sha256 per fit to OUT.json. The hash covers the scatter, params,
+objective trace, iterations, termination, the SQUAREM counters, the
+ridge ``epsilon`` and, for Kronecker fits, factor_a, factor_b and
+b_coeffs; a fit that raises hashes its error.
 Beside each hash are the fit's iterations, its termination and the cost
 ``tyler_cost(result.scatter, samples)`` of its scatter (None for a fit
 that raised). Every BLAS runs on one thread.
@@ -41,7 +46,9 @@ import sys  # noqa: E402
 SEEDS = (3, 7, 11)
 MC_N = (20, 40, 60, 100)
 MC_DRAWS = 10
-DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "factor_a", "factor_b", "b_coeffs")
+RESTART_DRAWS = 3
+DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "factor_a", "factor_b",
+               "b_coeffs")
 
 
 def _digest(result) -> str:
@@ -94,6 +101,57 @@ def _mc_fits():
                     yield f"{label}/{field}", f"{label}/{field}/N{n}/d{draw}", fit, X
 
 
+def _failing_once(module, attr, fit):
+    """``fit`` with ``module.attr`` raising FailedToConvergeError at its third call.
+
+    The attribute is replaced for the length of one fit and then restored.
+    """
+    from structcov import FailedToConvergeError
+
+    def run(samples):
+        solve = getattr(module, attr)
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FailedToConvergeError("forced")
+            return solve(*args, **kwargs)
+
+        setattr(module, attr, fails_once)
+        try:
+            return fit(samples)
+        finally:
+            setattr(module, attr, solve)
+
+    return run
+
+
+def _restart_fits():
+    """(group, key, fit, samples) of the fits forced to restart once."""
+    import numpy as np
+
+    import structcov as sc
+    import structcov.rankone
+    import structcov.toeplitz
+
+    dictionary = sc.RankOneDictionary.augment(sc.ula_dictionary(8, 10.0))
+    fits = {
+        "restart_rankone": _failing_once(structcov.rankone, "power_update",
+                                         lambda X: sc.estimate_rank_one(dictionary, X)),
+        "restart_toeplitz": _failing_once(structcov.toeplitz, "power_update",
+                                          sc.estimate_toeplitz),
+        "restart_banded": _failing_once(structcov.toeplitz, "banded_inner_update",
+                                        lambda X: sc.estimate_banded_toeplitz(X, 2)),
+    }
+    truth = sc.ar_cov(8, 0.8)
+    for field, R0 in (("real", truth), ("complex", truth.astype(complex))):
+        for draw in range(RESTART_DRAWS):
+            X = sc.sample_elliptical(R0, 20, np.random.SeedSequence([8, draw]), tau_dof=1.0)
+            for label, fit in fits.items():
+                yield f"{label}/{field}", f"{label}/{field}/d{draw}", fit, X
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -112,7 +170,7 @@ def hash_fits(root: str) -> dict:
             for case in build(seed, cases.DATASETS[workload]):
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
-    for group, key, fit, samples in _mc_fits():
+    for group, key, fit, samples in (*_mc_fits(), *_restart_fits()):
         record(group, key, fit, samples)
     return out
 
