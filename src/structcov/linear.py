@@ -25,7 +25,8 @@ from scipy.linalg import cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
-from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
+from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, _Whitening,
+                    mm_drive)
 
 _NEWTON_GRAD_TOL = 1e-8
 _MAX_HALVINGS = 60
@@ -346,6 +347,7 @@ def estimate_linear(
     Runs the MM loop with :func:`inner_update` as the surrogate
     minimizer. Every iterate lies in the span of the basis, is positive
     definite, and has unit trace; the objective trace is non-increasing.
+    Real samples on a complex basis fit as complex samples.
     """
     samples.require_oversampled()
     if struct.dim != samples.k:
@@ -355,7 +357,7 @@ def estimate_linear(
     coeffs = struct.init_coeffs if init_coeffs is None else struct._checked_coeffs(init_coeffs)
     return mm_drive(
         inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M),
-        space=_Whitening(samples, struct.assemble),
+        space=_Whitening(_in_field(samples, struct.basis), struct.assemble),
         init_params=coeffs,
         settings=settings,
     )

@@ -6,9 +6,9 @@ iteration has the closed-form update p_j = sqrt(d_j / w_j) with
     w = diag(A^H R_t^{-1} A),
     d = diag(P_t A^H R_t^{-1} M_t R_t^{-1} A P_t).
 
-A fit that loses positive definiteness restarts once with the ridge
-diag(p) + eps*I, eps = 1e-10, inside R, which keeps every iterate
-strictly positive definite.
+A fit that loses positive definiteness restarts once with every power
+held at or above eps = 1e-10, which keeps every iterate strictly
+positive definite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import as_field_array, hermitize
-from .tyler import EstimatorResult, Iterate, MMSettings, SampleSet, _Whitening, mm_drive
+from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, _Whitening,
+                    mm_drive)
 
 _EPS_RESTART = 1e-10
 _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
@@ -132,14 +133,19 @@ def _weights(A, p_eff, it):
         w_j = ||g_j||^2 = a_j^H R_t^{-1} a_j,
         d_j = p_j^2 g_j^H S g_j = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
 
-    so neither R_t^{-1} nor M_t is formed.
+    so neither R_t^{-1} nor M_t is formed. On a real iterate, a complex
+    atom is weighed in real arithmetic as its two real columns
+    [Re a_j, Im a_j], whose weights sum to a_j's.
     """
-    G = it.solve(A)
+    split = np.iscomplexobj(A) and not np.iscomplexobj(it.chol)
+    G = it.solve(np.ascontiguousarray(A).view(np.float64) if split else A)
     Z = it.whitened
     S = (Z * (it.ratio / it.quad)) @ Z.conj().T
     w = np.einsum("ij,ij->j", G.conj(), G).real
-    d = (p_eff ** 2) * np.einsum("ij,ij->j", G.conj(), S @ G).real
-    return w, np.maximum(d, 0.0)  # S is PSD; clip roundoff below zero
+    d = np.einsum("ij,ij->j", G.conj(), S @ G).real
+    if split:
+        w, d = w.reshape(-1, 2).sum(axis=1), d.reshape(-1, 2).sum(axis=1)
+    return w, np.maximum((p_eff ** 2) * d, 0.0)  # S is PSD; clip roundoff below zero
 
 
 def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
@@ -169,14 +175,6 @@ def power_update(w_t, d_t) -> np.ndarray:
     return np.sqrt(np.divide(d_t, w_t))
 
 
-def _match_field(dictionary: RankOneDictionary, samples: SampleSet) -> SampleSet:
-    if dictionary.is_complex and not samples.is_complex:
-        return samples.to_complex()
-    if samples.is_complex and not dictionary.is_complex:
-        raise InvalidInputError("complex samples require a complex dictionary")
-    return samples
-
-
 def estimate_rank_one(
     dictionary: RankOneDictionary,
     samples: SampleSet,
@@ -197,8 +195,11 @@ def estimate_rank_one(
         ``params`` holds the power vector of the returned trace-one
         scatter, ``dictionary.assemble(params, details['epsilon'])``;
         the ridge is 0, or 1e-10 after a restart (see :func:`_run`).
+        Real samples on a complex dictionary fit as complex samples.
     """
-    samples = _match_field(dictionary, samples)
+    if samples.is_complex and not dictionary.is_complex:
+        raise InvalidInputError("complex samples require a complex dictionary")
+    samples = _in_field(samples, dictionary.atoms)
     samples.require_oversampled()
     if dictionary.k != samples.k:
         raise InvalidInputError(
@@ -206,8 +207,9 @@ def estimate_rank_one(
         )
     if init_powers is None:
         init_powers = np.ones(dictionary.l)
-    else:
-        init_powers = check_powers(init_powers, dictionary.l)
+    init_powers = check_powers(init_powers, dictionary.l)
+    if not np.all(init_powers > 0.0):  # the step would keep a zero power at zero
+        raise InvalidInputError("starting powers must be strictly positive")
 
     return _run(dictionary.atoms, samples, settings, init_powers, power_update, _clip_to_floor)
 
@@ -215,19 +217,20 @@ def estimate_rank_one(
 def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
     """MM over R = A diag(p) A^H with the inner step p <- solve(w, d).
 
-    ``solve`` maps the surrogate weights (w, d) to the minimizing
-    effective powers. If the run fails to converge (an iterate loses
-    positive definiteness or every power collapses), it restarts once
-    from ``init_powers`` over R = A diag(p + eps) A^H with
-    eps = 1e-10 * ridge and the step p <- max(solve(w, d) - eps, 0);
+    ``solve`` maps the surrogate weights (w, d) to the minimizing powers.
+    If the run fails to converge (an iterate loses positive definiteness
+    or every power collapses), it restarts once from ``init_powers`` in
+    the effective powers q = p + eps, eps = 1e-10 * ridge, with the step
+    q <- max(solve(w, d), eps): R = A diag(q) A^H stays linear in q and
+    positive definite. The fit reports p = max(q - eps, 0), and
     ``details['epsilon']`` records the ridge used, 0 or 1e-10.
     ``ridge`` scales the ridge per atom, for a dictionary whose identity
     spectrum is not all ones.
 
     Real samples on a complex dictionary fit the real scatter
-    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T).
-    Its surrogate weights are the same w_j = ||L^{-1} a_j||^2 and
-    d_j = p_j^2 Re(g_j^H S g_j), and S is real.
+    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T),
+    assembled from the float view of A; :func:`_weights` weighs it in
+    real arithmetic.
 
     ``mm_drive`` extrapolates the powers; ``vet`` is its ``extrapolate``.
     Rank-one fits clip a trial to 0.1 x2 per power (:func:`_clip_to_floor`):
@@ -236,36 +239,28 @@ def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> Estima
     the banded equality constraints, which an affine combination of
     feasible powers keeps, and saved Toeplitz fits no maps.
     """
-    # a real fit on complex atoms weighs each power on the two real columns
+    # a real fit on complex atoms puts each power on the two real columns
     # [Re a_j, Im a_j] of their float view
     split = np.iscomplexobj(atoms) and not samples.is_complex
     columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
 
     def run(eps):
-        ridged = eps * ridge
+        floor = eps * ridge
 
-        def inner(p, it):
-            w, d = _weights(atoms, np.asarray(p, dtype=float) + ridged, it)
-            p_new = np.maximum(solve(w, d) - ridged, 0.0)
-            if not np.any(p_new > 0.0):
+        def inner(q, it):
+            q_new = np.maximum(solve(*_weights(atoms, q, it)), floor)
+            if not np.any(q_new > 0.0):
                 raise FailedToConvergeError("all powers collapsed to zero")
-            return p_new
+            return q_new
 
-        # with a ridge, scaling R by c maps p to (p + eps) c - eps, clipped at 0
-        rescale = (
-            None if eps == 0.0 else lambda p, c: np.maximum((p + ridged) * c - ridged, 0.0)
-        )
         result = mm_drive(
             inner=inner,
-            space=_Whitening(
-                samples,
-                assemble=lambda p: _assemble(columns, np.repeat(p + ridged, 1 + split)),
-                rescale=rescale,
-            ),
-            init_params=init_powers,
+            space=_Whitening(samples, lambda q: _assemble(columns, np.repeat(q, 1 + split))),
+            init_params=init_powers + floor,
             settings=settings,
             extrapolate=vet,
         )
+        result.params = np.maximum(result.params - floor, 0.0)
         result.details["epsilon"] = eps
         return result
 

@@ -117,10 +117,11 @@ def estimate_spiked(
 
     if init is None:
         init = np.eye(samples.k) / samples.k
+    init, samples = _prepare(init, samples)
     result = mm_drive(
         inner=inner,
         space=_Whitening(samples),
-        init_params=_prepare(init, samples),
+        init_params=init,
         settings=settings,
         # an affine combination of spiked matrices leaves the (non-convex) set
         extrapolate=None,

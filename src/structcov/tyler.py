@@ -106,16 +106,20 @@ class EstimatorResult:
     details: dict = field(default_factory=dict)
 
 
+def _in_field(samples: SampleSet, operand) -> SampleSet:
+    """The samples in the field of a scatter, dictionary or basis: complex when it is."""
+    return samples.to_complex() if np.iscomplexobj(operand) else samples
+
+
 def _prepare(R, samples: SampleSet):
-    """A user's scatter for these samples: finite, square, Hermitian, in their field."""
+    """A user's scatter and the samples, finite, square, Hermitian and in one field."""
     R = check_hermitian(R, "scatter")
     if R.shape[0] != samples.k:
         raise InvalidInputError(
             f"dimension mismatch: scatter is {R.shape[0]}x{R.shape[0]}, samples have K={samples.k}"
         )
-    if samples.is_complex and not np.iscomplexobj(R):
-        R = R.astype(np.complex128)
-    return R
+    samples = _in_field(samples, R)
+    return R.astype(samples.data.dtype, copy=False), samples
 
 
 class _Whitening:
@@ -123,30 +127,24 @@ class _Whitening:
 
     :meth:`normalize` scales parameters to a unit-trace scatter, and
     calling the space at a scatter factors it into an :class:`Iterate`.
-
     The LAPACK ``trtrs`` routine is looked up once, for the field of the
-    samples; it is swapped for the complex one if a complex factor turns
-    up. A real factor solves a complex right-hand side as its real float
-    view, real and imaginary parts side by side.
+    samples, which the fit has fixed at its boundary (:func:`_in_field`).
     """
 
-    def __init__(self, samples: SampleSet, assemble=None, rescale=None):
+    def __init__(self, samples: SampleSet, assemble=None):
         X = samples.data
         self.samples = samples
         self.xt = X.T
         self.xc = X.conj()
         self.ratio = samples.k / samples.n
         self.assemble = assemble if assemble is not None else lambda p: p
-        self.rescale = rescale
         (self.trtrs,) = get_lapack_funcs(("trtrs",), (X,))
 
     def normalize(self, params):
         """(params, R) of the scatter assemble(params) scaled to unit trace.
 
-        None when that trace is not finite and positive. Without a
-        ``rescale`` the scatter is linear in the parameters, so scaling both
-        by c = 1 / trace is exact; a ``rescale`` callable is followed by
-        assembling its result.
+        None when that trace is not finite and positive. The scatter is
+        linear in the parameters, so scaling both by c = 1 / trace is exact.
         """
         params = np.asarray(params)
         R = self.assemble(params)
@@ -154,22 +152,14 @@ class _Whitening:
         if not np.isfinite(tr) or tr <= 0.0:
             return None
         c = 1.0 / tr
-        if self.rescale is None:
-            return params * c, c * R
-        params = self.rescale(params, c)
-        return params, self.assemble(params)
+        return params * c, c * R
 
     def solve(self, L, B):
         """L^{-1} B for a lower triangular L."""
-        if self.trtrs.typecode in "sd" and L.dtype.kind == "c":
-            (self.trtrs,) = get_lapack_funcs(("trtrs",), (L, B))
-        split = self.trtrs.typecode in "sd" and B.dtype.kind == "c"
-        if split:
-            B = np.ascontiguousarray(B).view(np.float64)
         x, info = self.trtrs(L, B, lower=1)
         if info != 0:
             raise NumericalFailureError("triangular solve failed", info=int(info))
-        return np.ascontiguousarray(x).view(np.complex128) if split else x
+        return x
 
     def __call__(self, R) -> "Iterate | None":
         """The iterate at R, or None when R is not positive definite."""
@@ -208,7 +198,7 @@ class Iterate:
     @classmethod
     def at(cls, R, samples: SampleSet) -> "Iterate":
         """The iterate at a given scatter; InvalidInputError unless R is PD."""
-        R = _prepare(R, samples)
+        R, samples = _prepare(R, samples)
         it = _Whitening(samples)(R)
         if it is None:
             raise InvalidInputError("scatter matrix is not positive definite")
@@ -342,11 +332,10 @@ def mm_drive(
         x (None when x is not positive definite), with its ``.cost`` and
         scatter ``.R``.
         A trial for which either returns None is rejected.
-        Full-K fits pass ``_Whitening(samples, assemble, rescale)``:
-        ``assemble(params) -> scatter`` defaults to the identity;
-        ``rescale(params, c) -> params`` matches a scaling of the scatter
-        by ``c`` for a structure that is not linear in its parameters,
-        which by default are multiplied by ``c``.
+        Full-K fits pass ``_Whitening(samples, assemble)``:
+        ``assemble(params) -> scatter`` is linear and defaults to the
+        identity, so a scaling of the scatter by c scales the parameters
+        by c.
     init_params : object
         Feasible starting parameters (the assembled scatter must be PD),
         in a form the space's ``normalize`` takes.
@@ -502,12 +491,12 @@ def tyler_unconstrained(
     init : ndarray, optional
         Positive definite starting matrix; defaults to I/K. The fixed
         point is unique up to scale, so the result does not depend on
-        this choice.
+        this choice, but a complex start makes real samples complex.
     """
     samples.require_oversampled()
     if init is None:
         init = np.eye(samples.k) / samples.k
-    init = _prepare(init, samples)
+    init, samples = _prepare(init, samples)
     result = mm_drive(
         inner=lambda params, it: it.M,
         space=_Whitening(samples),

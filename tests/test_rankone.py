@@ -29,6 +29,7 @@ from structcov.rankone import (
     surrogate_params,
 )
 from structcov.simulate import ar_cov
+from structcov.toeplitz import build_embedding
 from structcov.tyler import Iterate
 from support import nonincreasing, rank_one_gradient, weighted_scatter_naive
 
@@ -247,6 +248,17 @@ class TestEstimateRankOne:
         with pytest.raises(InvalidInputError):
             estimate_rank_one(d, SampleSet.from_array(Xc.data.real), init_powers=np.ones(8))
 
+    def test_zero_starting_power_rejected(self):
+        # the step keeps a zero power at zero: from zeros on the 19 steering
+        # atoms the fit would "converge" at cost 4.65, against -5.09 from ones
+        d = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+        X = sample_elliptical(doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1), 30, seed=1)
+        init = np.ones(d.l)
+        init[:19] = 0.0
+        with pytest.raises(InvalidInputError, match="strictly positive"):
+            estimate_rank_one(d, X, init_powers=init)
+        assert estimate_rank_one(d, X).objective_trace[-1] < -5.0
+
     def test_real_data_promoted_for_complex_dictionary(self):
         rng = np.random.default_rng(11)
         atoms = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
@@ -329,19 +341,25 @@ def test_rank_one_estimate_meets_kkt(seed):
     assert np.max(-gamma) <= KKT_DUAL_FEASIBILITY
 
 
+DICTIONARY_6 = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+
+
 def _fit_rank_one(X, **kwargs):
-    dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
-    return estimate_rank_one(dictionary, X, MMSettings(max_iter=60), **kwargs)
+    return estimate_rank_one(DICTIONARY_6, X, MMSettings(max_iter=60), **kwargs)
 
 
-# estimator, and the module attribute holding the inner solve it calls
+# estimator, the module attribute holding the inner solve it calls, and
+# assemble(params, epsilon) of its structure
 RESTART_CASES = {
-    "rankone": (_fit_rank_one, structcov.rankone, "power_update"),
-    "toeplitz": (estimate_toeplitz, structcov.toeplitz, "power_update"),
+    "rankone": (_fit_rank_one, structcov.rankone, "power_update", DICTIONARY_6.assemble),
+    "toeplitz": (
+        estimate_toeplitz, structcov.toeplitz, "power_update", build_embedding(6).assemble
+    ),
     "banded": (
         lambda X, **kwargs: estimate_banded_toeplitz(X, 2, **kwargs),
         structcov.toeplitz,
         "banded_inner_update",
+        build_embedding(6).assemble,
     ),
 }
 
@@ -371,7 +389,7 @@ def _force_failures(monkeypatch, module, attr):
 
 @pytest.mark.parametrize("name", list(RESTART_CASES))
 def test_epsilon_ridge_restart(name, monkeypatch):
-    fit, module, attr = RESTART_CASES[name]
+    fit, module, attr, assemble = RESTART_CASES[name]
     arm = _force_failures(monkeypatch, module, attr)
     X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
 
@@ -384,6 +402,10 @@ def test_epsilon_ridge_restart(name, monkeypatch):
     assert res.details["epsilon"] == 1e-10
     assert abs(np.trace(res.scatter).real - 1.0) <= 1e-12
     assert nonincreasing(res.objective_trace)
+    # the reported powers and ridge reassemble the scatter
+    assert np.all(res.params >= 0.0)
+    R = assemble(res.params, res.details["epsilon"])
+    assert np.linalg.norm(R / np.trace(R).real - res.scatter) <= 1e-12 * np.linalg.norm(res.scatter)
     # the restart starts afresh: where the first run failed does not matter
     later = run({5})
     assert res.iterations == later.iterations

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structcov import (
     FailedToConvergeError,
@@ -304,15 +305,67 @@ class TestMMDrive:
         with pytest.raises(InvalidInputError, match="different sample set"):
             tyler_cost(it, other)
 
-    def test_iterate_solves_complex_operands_of_a_real_factor(self):
-        from structcov.tyler import Iterate
 
-        rng = np.random.default_rng(20)
-        X = _samples(rng, 20, 3)
-        it = Iterate.at(rand_pd(3, rng), X)
-        B = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        assert np.allclose(it.chol @ it.solve(B), B, atol=1e-13)
-        assert np.allclose(it.inverse() @ it.R, np.eye(3), atol=1e-12)
+def _mixed_field_calls():
+    """name -> call(samples) of each public entry a complex operand can meet real samples at."""
+    from structcov import (
+        RankOneDictionary,
+        estimate_linear,
+        estimate_rank_one,
+        hermitian_basis,
+        ula_dictionary,
+    )
+
+    R = rand_pd(4, np.random.default_rng(24), complex_=True)
+    dictionary = RankOneDictionary.augment(ula_dictionary(4, 10.0))
+    return {
+        "linear": lambda X: estimate_linear(hermitian_basis(4), X),
+        "rankone": lambda X: estimate_rank_one(dictionary, X),
+        "tyler": lambda X: tyler_unconstrained(X, init=R),
+        "spiked": lambda X: estimate_spiked(X, 1, init=R),
+        "cost": lambda X: tyler_cost(R, X),
+        "scatter": lambda X: weighted_scatter(R, X),
+    }
+
+
+MIXED_FIELD_CALLS = _mixed_field_calls()
+
+
+@pytest.mark.parametrize("name", list(MIXED_FIELD_CALLS))
+def test_real_samples_meet_a_complex_operand_as_complex_samples(name):
+    # the field is fixed once, at the boundary: real samples become complex
+    call = MIXED_FIELD_CALLS[name]
+    X = sample_elliptical(ar_cov(4, 0.6), 30, seed=25)
+    got, want = call(X), call(X.to_complex())
+    if isinstance(want, float):
+        assert got == want
+        return
+    if isinstance(want, np.ndarray):
+        got, want = [got], [want]
+    else:
+        assert (got.iterations, got.termination) == (want.iterations, want.termination)
+        got = [got.scatter, got.params, got.objective_trace]
+        want = [want.scatter, want.params, want.objective_trace]
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b))
+    assert np.iscomplexobj(got[0])
+
+
+@pytest.mark.parametrize("fields", ["real", "complex", "mixed"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       log_c=st.floats(min_value=-3.0, max_value=3.0))
+def test_scale_of_the_scatter(fields, seed, log_c):
+    # the cost is scale invariant in R and the weighted scatter scales with
+    # it; "mixed" is a complex R on real samples
+    rng = np.random.default_rng(seed)
+    X = _samples(rng, 20, 4, complex_=fields == "complex")
+    R = rand_pd(4, rng, complex_=fields != "real")
+    c = 10.0 ** log_c
+    cost = tyler_cost(R, X)
+    assert abs(tyler_cost(c * R, X) - cost) <= 1e-9 * (1.0 + abs(cost))
+    M = weighted_scatter(R, X)
+    assert np.linalg.norm(weighted_scatter(c * R, X) - c * M) <= 1e-12 * c * np.linalg.norm(M)
 
 
 def _count_factorizations(monkeypatch):

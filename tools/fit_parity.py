@@ -12,8 +12,12 @@ tol 1e-6, max_iter 400, no cost trace), plus a restart group of
 rank-one (augmented 10-degree ULA dictionary), Toeplitz and banded
 (bandwidth 2) fits of K=8 AR(0.8) samples (real and complex, N=20, 3
 draws each) whose inner solve raises FailedToConvergeError once, at its
-third call, so that each fit restarts with the 1e-10 ridge, and writes
-one sha256 per fit to OUT.json. The hash covers the scatter, params,
+third call, so that each fit restarts with the 1e-10 ridge, plus a
+mixed-field group of real K=5 AR(0.6) samples (N=20, 3 draws) meeting a
+complex operand: a linear fit on ``hermitian_basis(5)``, a rank-one fit
+on the augmented complex 10-degree ULA dictionary, and Tyler and spiked
+(2 spikes) fits from a complex positive definite start, and writes one
+sha256 per fit to OUT.json. The hash covers the scatter, params,
 objective trace, iterations, termination, the SQUAREM counters, the
 ridge ``epsilon`` and, for Kronecker fits, factor_a, factor_b and
 b_coeffs; a fit that raises hashes its error.
@@ -47,6 +51,7 @@ SEEDS = (3, 7, 11)
 MC_N = (20, 40, 60, 100)
 MC_DRAWS = 10
 RESTART_DRAWS = 3
+MIXED_DRAWS = 3
 DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "factor_a", "factor_b",
                "b_coeffs")
 
@@ -152,6 +157,28 @@ def _restart_fits():
                 yield f"{label}/{field}", f"{label}/{field}/d{draw}", fit, X
 
 
+def _mixed_fits():
+    """(group, key, fit, samples) of the fits whose real samples meet a complex operand."""
+    import numpy as np
+
+    import structcov as sc
+
+    basis = sc.hermitian_basis(5)
+    dictionary = sc.RankOneDictionary.augment(sc.ula_dictionary(5, 10.0))
+    start = sc.doa_cov(5, [-20.0, 30.0], [1.0, 1.0], 0.1)
+    fits = {
+        "mixed_linear": lambda X: sc.estimate_linear(basis, X),
+        "mixed_rankone": lambda X: sc.estimate_rank_one(dictionary, X),
+        "mixed_tyler": lambda X: sc.tyler_unconstrained(X, init=start),
+        "mixed_spiked": lambda X: sc.estimate_spiked(X, 2, init=start),
+    }
+    truth = sc.ar_cov(5, 0.6)
+    for draw in range(MIXED_DRAWS):
+        X = sc.sample_elliptical(truth, 20, np.random.SeedSequence([5, draw]), tau_dof=1.0)
+        for label, fit in fits.items():
+            yield label, f"{label}/d{draw}", fit, X
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -170,7 +197,7 @@ def hash_fits(root: str) -> dict:
             for case in build(seed, cases.DATASETS[workload]):
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
-    for group, key, fit, samples in (*_mc_fits(), *_restart_fits()):
+    for group, key, fit, samples in (*_mc_fits(), *_restart_fits(), *_mixed_fits()):
         record(group, key, fit, samples)
     return out
 
