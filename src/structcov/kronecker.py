@@ -18,20 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateDataError,
-    InvalidInputError,
-    NumericalFailureError,
-)
-from .linalg import _geometric_mean, check_hermitian, chol_pd, hermitize
+from .exceptions import DegenerateDataError, InvalidInputError, NumericalFailureError
+from .linalg import (_chol_inverse, _chol_logdet, _geometric_mean, check_hermitian, chol_pd,
+                     hermitize)
 from .linear import inner_update
-from .tyler import (
-    EstimatorResult,
-    MMSettings,
-    SampleSet,
-    _rel_change,
-    mm_drive,
-)
+from .tyler import EstimatorResult, MMSettings, SampleSet, _rel_change, mm_drive
 
 _OBJECTIVE_FLOOR = -1e12
 _GS_INNER_TOL = 1e-10
@@ -88,25 +79,24 @@ class ReshapedSamples:
         return self.mats.shape[0]
 
 
-def _whiten_b(reshaped: ReshapedSamples, B) -> np.ndarray:
-    """T_i = (M_i^H B^{-1} M_i)^T for every sample; p x p Hermitian PSD."""
-    Z = np.linalg.solve(B, reshaped.mats)
-    T = np.einsum("nji,njk->nik", reshaped.mats.conj(), Z)
-    return T.conj()  # transpose of a Hermitian batch equals its conjugate
+def _whiten_b(reshaped: ReshapedSamples, B_inv) -> np.ndarray:
+    """T_i = M_i^T conj(B^{-1}) conj(M_i) = (M_i^H B^{-1} M_i)^T for every sample; p x p PSD."""
+    mats = reshaped.mats
+    return (mats.transpose(0, 2, 1) @ B_inv.conj()) @ mats.conj()
+
+
+def _whiten_a(reshaped: ReshapedSamples, A_inv) -> np.ndarray:
+    """U_i = M_i conj(A^{-1}) M_i^H for every sample; q x q Hermitian PSD."""
+    mats = reshaped.mats
+    return (mats @ A_inv.conj()) @ mats.conj().transpose(0, 2, 1)
 
 
 def _factor_inverse(F) -> np.ndarray:
-    """F^{-1} of a factor a solver computed; NumericalFailureError when singular."""
+    """F^{-1} of a factor nothing has factored; NumericalFailureError when singular."""
     try:
         return np.linalg.inv(F)
     except np.linalg.LinAlgError:
         raise NumericalFailureError("factor became singular; data may be degenerate") from None
-
-
-def _whiten_a(reshaped: ReshapedSamples, A) -> np.ndarray:
-    """U_i = M_i conj(A^{-1}) M_i^H for every sample; q x q Hermitian PSD."""
-    mats = reshaped.mats
-    return (mats @ _factor_inverse(A).conj()) @ mats.conj().transpose(0, 2, 1)
 
 
 def _batch_weights(stack, F_inv) -> np.ndarray:
@@ -114,129 +104,127 @@ def _batch_weights(stack, F_inv) -> np.ndarray:
     return np.einsum("ij,nji->n", F_inv, stack).real
 
 
-def kron_objective(factors, reshaped: ReshapedSamples, whitened=None) -> float:
+class _FactorIterate:
+    """A Kronecker iterate: everything the cost and the next sweep read at a PD pair (A, B).
+
+    It keeps the pair, the Cholesky factors (L_A, L_B) of its PD check,
+    B^{-1}, the B-whitened stack T, the weights Tr(A^{-1} T_i) and the
+    cost. InvalidInputError unless both factors are PD.
+    """
+
+    def __init__(self, factors, reshaped: ReshapedSamples):
+        A, B = self.factors = tuple(factors)
+        L_A = chol_pd(A, "factor_a")
+        L_B = None if L_A is None else chol_pd(B, "factor_b")
+        if L_B is None:
+            raise InvalidInputError("factors are not positive definite")
+        self.chols, self.reshaped = (L_A, L_B), reshaped
+        self.b_inverse = _chol_inverse(L_B)
+        self.T = _whiten_b(reshaped, self.b_inverse)
+        self.weights = _batch_weights(self.T, _chol_inverse(L_A))
+        if np.any(self.weights <= 0.0):
+            raise InvalidInputError("encountered a non-positive quadratic form")
+        self.cost = kron_objective(self, reshaped)
+
+    @property
+    def R(self) -> np.ndarray:
+        scatter = np.kron(*self.factors)
+        return scatter / np.trace(scatter).real
+
+
+def kron_objective(factors, reshaped: ReshapedSamples) -> float:
     """Scatter cost of A kron B expressed in the PD pair ``factors``, (A, B).
 
-    ``factors`` is a :class:`KroneckerFactors` or a tuple (A, B). Equals
-    ``tyler_cost(kron(A, B), samples)`` for the samples the reshape was
-    built from. ``whitened`` is the stack ``_whiten_b(reshaped, B)`` when
-    the caller has formed it already.
+    ``factors`` is a :class:`KroneckerFactors` or a tuple (A, B), refused
+    unless both are PD, or the iterate of these samples at a pair, whose
+    weights and factors are reused. Equals ``tyler_cost(kron(A, B), samples)``
+    for the samples the reshape was built from.
     """
-    A, B = factors
-    p, q = A.shape[0], B.shape[0]
-    n = reshaped.n
-    T = _whiten_b(reshaped, B) if whitened is None else whitened
-    weights = _batch_weights(T, np.linalg.inv(A))
-    if np.any(weights <= 0.0):
-        raise InvalidInputError("encountered a non-positive quadratic form")
-    # the pair is PD, checked by KroneckerFactors or by the fit's space:
-    # both determinants are positive
-    logdet_a, logdet_b = np.linalg.slogdet(A).logabsdet, np.linalg.slogdet(B).logabsdet
-    return float((p * q / n) * np.sum(np.log(weights)) + q * logdet_a + p * logdet_b)
+    if not isinstance(factors, _FactorIterate):
+        return _FactorIterate(factors, reshaped).cost
+    if factors.reshaped is not reshaped:
+        raise InvalidInputError("iterate belongs to a different sample set")
+    (L_A, L_B), n = factors.chols, reshaped.n
+    p, q = L_A.shape[0], L_B.shape[0]
+    return float((p * q / n) * np.sum(np.log(factors.weights))
+                 + q * _chol_logdet(L_A) + p * _chol_logdet(L_B))
 
 
-def _weighted_moment(stack, F_inv, dim) -> np.ndarray:
-    """The factor's MM moment (dim/N) sum_i S_i / Tr(F^{-1} S_i), Hermitian, from F^{-1}."""
-    weights = _batch_weights(stack, F_inv)
+def _weighted_moment(stack, weights) -> np.ndarray:
+    """The factor's MM moment (dim/N) sum_i S_i / w_i, Hermitian, from w_i = Tr(F^{-1} S_i)."""
     if np.any(weights <= 0.0):
         raise NumericalFailureError("factor update hit a non-positive weight")
-    return hermitize((dim / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
+    return hermitize((stack.shape[1] / len(stack)) * np.einsum("n,nij->ij", 1.0 / weights, stack))
 
 
-def _tyler_factor_loop(stack, F_t):
-    """Run F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point from F_t."""
+def _tyler_factor_loop(stack, weights, F_t):
+    """F <- normalize((dim/N) sum_i S_i / Tr(F^{-1} S_i)) to a fixed point from F_t, its weights."""
     F = F_t / np.trace(F_t).real
     for _ in range(_GS_MAX_INNER):
-        F_new = _weighted_moment(stack, _factor_inverse(F), F_t.shape[0])
+        F_new = _weighted_moment(stack, weights)
         F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
         F = F_new
         if delta <= _GS_INNER_TOL:
             return F
+        weights = _batch_weights(stack, _factor_inverse(F))
     raise NumericalFailureError(
         "factor fixed-point loop exceeded its iteration budget", max_inner=_GS_MAX_INNER
     )
 
 
-def _mm_factor_step(stack, F_t):
-    """Geometric mean of F_t and its weighted moment, the MM update of one factor."""
-    M = _weighted_moment(stack, _factor_inverse(F_t), F_t.shape[0])
+def _mm_factor_step(stack, weights, L_t):
+    """Geometric mean of F_t = L_t L_t^H and its weighted moment, the MM update of one factor."""
     try:
-        return _geometric_mean(F_t, M)
+        return _geometric_mean(L_t, _weighted_moment(stack, weights))
     except InvalidInputError as exc:
         raise NumericalFailureError(
             "weighted factor moment is numerically singular; data may be degenerate"
         ) from exc
 
 
-def _structured_step(stack, F_t, structure):
-    """``structure``'s step for F_t, a member of it: one F_t^{-1} serves moment and step."""
-    F_inv = _factor_inverse(F_t)
-    M = _weighted_moment(stack, F_inv, F_t.shape[0])
-    coeffs = inner_update(structure, structure.coeffs_of(F_t), F_inv, M)
-    return hermitize(structure.assemble(coeffs))
+def _sweep(update, starts, it, b_structure):
+    """One sweep of either scheme from the iterate ``it``; returns (A, B) unscaled and unchecked.
 
-
-def _sweep(update, factors, reshaped, b_structure, whitened):
-    """One sweep of either scheme; ``update(stack, F_t)`` is its factor update.
-
-    Whitens by B, updates A, whitens by A, then updates B, or with
-    ``b_structure`` takes B's structured step. Returns the pair (A, B)
-    unscaled and unchecked: the fit's space scales it and checks it PD.
+    ``update(stack, weights, start)`` is the scheme's factor update, and
+    ``starts`` holds what it starts from: the factors or their Cholesky
+    factors. A updates from the iterate's T and weights; the new A whitens
+    the samples for B's update, or for one structured step from B^{-1}.
     """
-    A_t, B_t = factors
-    T = _whiten_b(reshaped, B_t) if whitened is None else whitened
-    A = update(T, A_t)
-    U = _whiten_a(reshaped, A)
+    A = update(it.T, it.weights, starts[0])
+    U = _whiten_a(it.reshaped, _factor_inverse(A))
+    weights = _batch_weights(U, it.b_inverse)
     if b_structure is None:
-        return A, update(U, B_t)
-    return A, _structured_step(U, B_t, b_structure)
+        return A, update(U, weights, starts[1])
+    B_t = it.factors[1]
+    M = _weighted_moment(U, weights)
+    coeffs = inner_update(b_structure, b_structure.coeffs_of(B_t), it.b_inverse, M)
+    return A, hermitize(b_structure.assemble(coeffs))
 
 
-def gauss_seidel_step(factors, reshaped: ReshapedSamples, b_structure=None, whitened=None):
+def gauss_seidel_step(factors, reshaped: ReshapedSamples, b_structure=None, it=None):
     """One sweep of the alternating scheme: solve for A with B fixed, then for B.
 
     With ``b_structure`` B takes one structured surrogate step instead,
     as in :func:`block_mm_step`; returns the pair (A, B) as it does.
-    ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
+    ``it`` is the fit's iterate at ``factors`` when the caller has it.
     """
-    return _sweep(_tyler_factor_loop, factors, reshaped, b_structure, whitened)
+    it = it or _FactorIterate(factors, reshaped)
+    return _sweep(_tyler_factor_loop, it.factors, it, b_structure)
 
 
-def block_mm_step(factors, reshaped: ReshapedSamples, b_structure=None, whitened=None):
+def block_mm_step(factors, reshaped: ReshapedSamples, b_structure=None, it=None):
     """One block-MM sweep: geometric-mean update of A, then of B.
 
     With ``b_structure`` (a LinearStructure on the B factor) the B
     update minimizes the same surrogate over the structure instead of
     using the closed form, warm-started from the coefficients of B.
-    ``whitened`` is ``_whiten_b(reshaped, B)`` when the caller has it.
+    ``it`` is the fit's iterate at ``factors`` when the caller has it.
 
     Returns the pair (A, B), neither scaled nor checked.
     """
-    return _sweep(_mm_factor_step, factors, reshaped, b_structure, whitened)
-
-
-class _FactorIterate:
-    """A Kronecker iterate: the factor pair, its B-whitened stack T and its cost.
-
-    The cost is checked against the floor; the next sweep reuses T.
-    """
-
-    def __init__(self, factors, reshaped: ReshapedSamples):
-        self.factors = factors
-        self.T = _whiten_b(reshaped, factors[1])
-        self.cost = kron_objective(factors, reshaped, self.T)
-        # detects unbounded descent at every map, with or without a trace
-        if self.cost < _OBJECTIVE_FLOOR:
-            raise DegenerateDataError(
-                "objective is unbounded below; samples are too degenerate "
-                "for the Kronecker structure"
-            )
-
-    @property
-    def R(self) -> np.ndarray:
-        scatter = np.kron(*self.factors)
-        return scatter / np.trace(scatter).real
+    it = it or _FactorIterate(factors, reshaped)
+    return _sweep(_mm_factor_step, it.chols, it, b_structure)
 
 
 class _FactorSpace:
@@ -262,14 +250,19 @@ class _FactorSpace:
     def __call__(self, factors) -> _FactorIterate | None:
         """The iterate of a pair; None when a factor is not PD or its quadratic forms degenerate.
 
-        One Cholesky factor of each factor is the PD check.
+        One Cholesky factor of each factor is the PD check; the iterate keeps both.
         """
         try:
-            if any(chol_pd(F, "factor") is None for F in factors):
-                return None
-            return _FactorIterate(factors, self.reshaped)
+            it = _FactorIterate(factors, self.reshaped)
         except InvalidInputError:
             return None
+        # detects unbounded descent at every map, with or without a trace
+        if it.cost < _OBJECTIVE_FLOOR:
+            raise DegenerateDataError(
+                "objective is unbounded below; samples are too degenerate "
+                "for the Kronecker structure"
+            )
+        return it
 
 
 def estimate_kronecker(
@@ -305,10 +298,7 @@ def estimate_kronecker(
 
     if init is None:
         dtype = complex if samples.is_complex else float
-        init = KroneckerFactors(
-            factor_a=np.eye(p, dtype=dtype) / p,
-            factor_b=np.eye(q, dtype=dtype) / q,
-        )
+        init = KroneckerFactors(np.eye(p, dtype=dtype) / p, np.eye(q, dtype=dtype) / q)
     if init.p != p or init.q != q:
         raise InvalidInputError("initial factors have the wrong dimensions")
 
@@ -321,7 +311,7 @@ def estimate_kronecker(
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
     result = mm_drive(
-        inner=lambda params, it: step(params, reshaped, b_structure, whitened=it.T),
+        inner=lambda params, it: step(params, reshaped, b_structure, it=it),
         space=_FactorSpace(reshaped),
         init_params=init,
         settings=settings,

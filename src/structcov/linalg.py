@@ -3,6 +3,9 @@
 Everything here works for both real symmetric and complex Hermitian
 matrices; ``conj().T`` is a no-op on real input. Matrices are plain
 ndarrays, real float64 or complex128.
+
+A positive definite A is factored once, A = L L^H (:func:`chol_pd`), and its
+inverse, log-determinant and geometric mean come from L alone.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import InvalidInputError
 
@@ -82,31 +86,45 @@ def chol_pd(M, name: str = "matrix") -> np.ndarray | None:
         return None
 
 
-def _eigen_root(M) -> tuple[np.ndarray, np.ndarray]:
-    """(U, sqrt(lambda)) of a positive definite M = U diag(lambda) U^H."""
+def pd_sqrt(M) -> np.ndarray:
+    """Unique positive definite square root of a positive definite matrix."""
     eig = hermitian_eig(M)
     if eig.values[-1] <= 0.0:
         raise InvalidInputError("matrix is not positive definite")
-    return eig.vectors, np.sqrt(eig.values)
-
-
-def pd_sqrt(M) -> np.ndarray:
-    """Unique positive definite square root of a positive definite matrix."""
-    U, r = _eigen_root(M)
+    U, r = eig.vectors, np.sqrt(eig.values)
     return hermitize((U * r) @ U.conj().T)
+
+
+def _tri_inverse(L) -> np.ndarray:
+    """L^{-1} of a lower Cholesky factor L, whose diagonal is positive."""
+    return (lapack.ztrtri if np.iscomplexobj(L) else lapack.dtrtri)(L, lower=1)[0]
+
+
+def _chol_inverse(L) -> np.ndarray:
+    """A^{-1} = L^{-H} L^{-1} of A = L L^H, from its lower Cholesky factor L."""
+    L_inv = _tri_inverse(L)
+    return L_inv.conj().T @ L_inv
+
+
+def _chol_logdet(L) -> float:
+    """log det A = 2 sum_i log L_ii of A = L L^H, from its lower Cholesky factor L."""
+    return float(2.0 * np.sum(np.log(np.diag(L).real)))
 
 
 def pd_geometric_mean(A, M) -> np.ndarray:
     """Matrix geometric mean of PD matrices: the PD solution X of X A^{-1} X = M."""
-    return _geometric_mean(check_hermitian(A, "A"), check_hermitian(M, "M"))
+    A, M = check_hermitian(A, "A"), check_hermitian(M, "M")
+    L = chol_pd(A, "A")
+    if L is None:
+        raise InvalidInputError("A is not positive definite")
+    return _geometric_mean(L, M)
 
 
-def _geometric_mean(A, M) -> np.ndarray:
-    """:func:`pd_geometric_mean` of Hermitian A and M, trusted as given."""
-    U, r = _eigen_root(A)
-    A_half, A_half_inv = hermitize((U * r) @ U.conj().T), hermitize((U / r) @ U.conj().T)
-    inner = pd_sqrt(hermitize(A_half_inv @ M @ A_half_inv))
-    return hermitize(A_half @ inner @ A_half)
+def _geometric_mean(L, M) -> np.ndarray:
+    """:func:`pd_geometric_mean` of A = L L^H and M by congruence: L (L^{-1} M L^{-H})^{1/2} L^H."""
+    L_inv = _tri_inverse(L)
+    inner = pd_sqrt(hermitize(L_inv @ M @ L_inv.conj().T))
+    return hermitize(L @ inner @ L.conj().T)
 
 
 def dft_matrix(L: int) -> np.ndarray:

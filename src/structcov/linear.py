@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import InvalidInputError, NumericalFailureError
-from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
+from .linalg import (_chol_inverse, _chol_logdet, as_field_array, check_hermitian, chol_pd,
+                     hermitize)
 from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, _Whitening,
                     mm_drive)
 
@@ -222,10 +222,10 @@ def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
     L = chol_pd(R)
     if L is None:
         return None
-    W = cho_solve((L, True), np.eye(R.shape[0], dtype=R.dtype), check_finite=False)
+    W = _chol_inverse(L)
     value = float((Wt * R.conj()).sum().real + (M * W.conj()).sum().real)
     if mu > 0.0:
-        value -= mu * 2.0 * np.sum(np.log(np.diag(L).real))
+        value -= mu * _chol_logdet(L)
     return value, W
 
 
@@ -260,6 +260,7 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
     """
     value = Wt.shape[0] + float((M * Wt.conj()).sum().real)
     if mu > 0.0:
+        # the one log-determinant not taken from a Cholesky factor: none is at hand
         value += mu * np.linalg.slogdet(Wt).logabsdet
     WMW = Wt @ M @ Wt
     return (
@@ -280,7 +281,7 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
     L = chol_pd(R_t, "R_t") if R_t.shape == M.shape == (k, k) else None
     if L is None:
         raise InvalidInputError(f"R_t must be a positive definite {k} x {k} matrix and M {k} x {k}")
-    Wt = cho_solve((L, True), np.eye(k, dtype=R_t.dtype), check_finite=False)
+    Wt = _chol_inverse(L)
     point = _surrogate_value(struct, coeffs, Wt, M, 0.0)
     if point is None:
         raise InvalidInputError("coefficients are infeasible")

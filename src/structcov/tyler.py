@@ -11,16 +11,14 @@ reports a trace-normalized scatter matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .exceptions import (
-    FailedToConvergeError,
-    InvalidInputError,
-    NumericalFailureError,
-)
-from .linalg import as_field_array, check_hermitian, chol_pd, hermitize
+from .exceptions import FailedToConvergeError, InvalidInputError, NumericalFailureError
+from .linalg import (_chol_inverse, _chol_logdet, as_field_array, check_hermitian, chol_pd,
+                     hermitize)
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -69,8 +67,11 @@ class SampleSet:
             )
 
     def to_complex(self) -> "SampleSet":
-        if self.is_complex:
-            return self
+        """The samples as complex; real ones are cast once and the cast is kept."""
+        return self if self.is_complex else self._as_complex
+
+    @cached_property
+    def _as_complex(self) -> "SampleSet":
         return SampleSet(data=self.data.astype(np.complex128))
 
 
@@ -227,9 +228,8 @@ class Iterate:
         return self._whitening.solve(self.chol, B)
 
     def inverse(self) -> np.ndarray:
-        """R^{-1} = L^{-H} L^{-1}."""
-        L_inv = self.solve(np.eye(self.chol.shape[0], dtype=self.chol.dtype))
-        return L_inv.conj().T @ L_inv
+        """R^{-1}, from the factor L."""
+        return _chol_inverse(self.chol)
 
 
 def tyler_cost(R, samples: SampleSet) -> float:
@@ -237,15 +237,14 @@ def tyler_cost(R, samples: SampleSet) -> float:
 
     Scale invariant: ``tyler_cost(c * R, samples)`` equals
     ``tyler_cost(R, samples)`` for any c > 0. ``R`` may also be the
-    :class:`Iterate` of these samples at a scatter; its factor is then
+    :class:`Iterate` of these samples, in R's field; its factor is then
     reused, which is how :func:`mm_drive` records the objective trace.
     """
     if not isinstance(R, Iterate):
         R = Iterate.at(R, samples)
-    elif R._whitening.samples is not samples:
+    elif R._whitening.samples is not _in_field(samples, R.R):
         raise InvalidInputError("iterate belongs to a different sample set")
-    logdet = 2.0 * np.sum(np.log(np.diag(R.chol).real))
-    return float(logdet + R.ratio * np.sum(np.log(R.quad)))
+    return float(_chol_logdet(R.chol) + R.ratio * np.sum(np.log(R.quad)))
 
 
 def weighted_scatter(R, samples: SampleSet) -> np.ndarray:

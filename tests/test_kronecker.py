@@ -77,7 +77,7 @@ def test_whiten_a_matches_einsum(p, q, n, complex_):
     A = rand_pd(p, rng, complex_=complex_)
     mats = resh.mats
     U_ref = np.einsum("nij,jk,nlk->nil", mats, np.linalg.inv(A).conj(), mats.conj())
-    U = _whiten_a(resh, A)
+    U = _whiten_a(resh, np.linalg.inv(A))
     assert np.linalg.norm(U - U_ref) <= 1e-13 * np.linalg.norm(U_ref)
 
 
@@ -144,6 +144,26 @@ class TestKronObjective:
             assert abs(diff_factors - diff_full) <= 1e-9
 
 
+    def test_indefinite_pair_rejected(self):
+        X, _ = _kron_samples(3, 4, 10, seed=26)
+        resh = ReshapedSamples.from_samples(X, 3, 4)
+        indefinite = np.diag([1.0, 1.0, -0.5])
+        for pair in ((indefinite, np.eye(4)), (np.eye(3), np.diag([1.0, -1.0, 1.0, 1.0]))):
+            with pytest.raises(InvalidInputError, match="positive definite"):
+                kron_objective(pair, resh)
+
+    def test_cost_of_an_iterate_reuses_its_factors(self):
+        X, _ = _kron_samples(3, 4, 10, seed=27, complex_=True)
+        resh = ReshapedSamples.from_samples(X, 3, 4)
+        rng = np.random.default_rng(27)
+        pair = (rand_pd(3, rng, True), rand_pd(4, rng, True))
+        it = _FactorSpace(resh)(pair)
+        assert kron_objective(it, resh) == it.cost == kron_objective(pair, resh)
+        other = ReshapedSamples(mats=resh.mats.copy())
+        with pytest.raises(InvalidInputError, match="different sample set"):
+            kron_objective(it, other)
+
+
 class TestGaussSeidel:
     def test_scalar_factors_are_fixed(self):
         X = SampleSet.from_array(np.random.default_rng(5).standard_normal((6, 1)))
@@ -181,7 +201,7 @@ class TestGaussSeidel:
         after = kron_objective((A, B), resh)
         assert after <= before + 1e-10
         # fixed-point residual of the A-subproblem at the returned factors
-        T = _whiten_b(resh, f.factor_b)
+        T = _whiten_b(resh, np.linalg.inv(f.factor_b))
         weights = _batch_weights(T, np.linalg.inv(A))
         A_fp = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
         A_fp = A_fp / np.trace(A_fp).real
@@ -200,7 +220,7 @@ class TestBlockMM:
         X, _ = _kron_samples(p, q, n, seed=13)
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p), factor_b=np.eye(q))
-        T = _whiten_b(resh, f.factor_b)
+        T = _whiten_b(resh, np.linalg.inv(f.factor_b))
         weights = _batch_weights(T, np.eye(p))
         M = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
         A, _B = _scaled_step(block_mm_step, f, resh)
@@ -216,7 +236,7 @@ class TestBlockMM:
         resh = ReshapedSamples.from_samples(X, p, q)
         A_0 = rand_pd(p, np.random.default_rng(7))
         f = KroneckerFactors(factor_a=A_0 / np.trace(A_0), factor_b=np.eye(q) / q)
-        T = _whiten_b(resh, f.factor_b)
+        T = _whiten_b(resh, np.linalg.inv(f.factor_b))
         weights = _batch_weights(T, np.linalg.inv(f.factor_a))
         M = (p / n) * np.einsum("n,nij->ij", 1.0 / weights, T)
         M = 0.5 * (M + M.T)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from structcov import InvalidInputError, pd_geometric_mean
-from structcov.linalg import chol_pd, dft_matrix, hermitian_eig, pd_sqrt
+from structcov.linalg import (
+    _chol_inverse,
+    _chol_logdet,
+    _geometric_mean,
+    chol_pd,
+    dft_matrix,
+    hermitian_eig,
+    pd_sqrt,
+)
 from support import rand_hermitian, rand_pd
 
 
@@ -74,6 +82,31 @@ class TestCholPd:
         assert np.array_equal(chol_pd(np.array([[4.0, 99.0], [2.0, 3.0]])), chol_pd(M))
 
 
+class TestFromTheCholeskyFactor:
+    """The inverse, log-determinant and geometric mean taken from A = L L^H."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_inverse_and_logdet_match_lapack(self, k, complex_):
+        rng = np.random.default_rng(10 * k + complex_)
+        A = rand_pd(k, rng, complex_)
+        L = chol_pd(A)
+        inv = np.linalg.inv(A)
+        assert np.linalg.norm(_chol_inverse(L) - inv) <= 1e-12 * np.linalg.norm(inv)
+        logdet = np.linalg.slogdet(A).logabsdet
+        assert abs(_chol_logdet(L) - logdet) <= 1e-12 * abs(logdet)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_geometric_mean_solves_its_equation(self, seed, complex_):
+        rng = np.random.default_rng(seed)
+        A, M = rand_pd(5, rng, complex_), rand_pd(5, rng, complex_)
+        X = _geometric_mean(chol_pd(A), M)
+        resid = np.linalg.norm(X @ np.linalg.solve(A, X) - M) / np.linalg.norm(M)
+        assert resid <= 1e-10
+        assert np.array_equal(X, X.conj().T) and np.linalg.eigvalsh(X)[0] > 0
+
+
 class TestPdSqrt:
     def test_identity(self):
         assert np.allclose(pd_sqrt(np.eye(4)), np.eye(4))
@@ -138,3 +171,9 @@ class TestGeometricMean:
             pd_geometric_mean(np.eye(2), not_hermitian)
         with pytest.raises(InvalidInputError):
             pd_geometric_mean(not_hermitian, np.eye(2))
+
+    def test_non_pd_rejected(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for A, M in ((indefinite, np.eye(2)), (np.eye(2), indefinite)):
+            with pytest.raises(InvalidInputError):
+                pd_geometric_mean(A, M)

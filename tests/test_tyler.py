@@ -304,6 +304,13 @@ class TestMMDrive:
         other = SampleSet.from_array(X.data.copy())
         with pytest.raises(InvalidInputError, match="different sample set"):
             tyler_cost(it, other)
+        # real samples meet a complex scatter as complex samples: the
+        # iterate belongs to them, and still not to a copy of them
+        Y = _samples(rng, 20, 3, complex_=False)
+        it = Iterate.at(R, Y)
+        assert tyler_cost(it, Y) == tyler_cost(R, Y)
+        with pytest.raises(InvalidInputError, match="different sample set"):
+            tyler_cost(it, SampleSet.from_array(Y.data.copy()))
 
 
 def _mixed_field_calls():
@@ -407,9 +414,15 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         }[estimator]
     calls = _count_factorizations(monkeypatch)
     if estimator.startswith("kronecker"):
+        import scipy.linalg
+
         import structcov.kronecker as kron_mod
         import structcov.linalg
 
+        # the dense inverses, solves, log-determinants and eigendecompositions
+        work = count_calls(monkeypatch, [
+            *((np.linalg, name) for name in ("inv", "solve", "slogdet", "eigh")),
+            *((scipy.linalg, name) for name in ("inv", "solve", "eigh"))])
         space = kron_mod._FactorSpace
         normalize, normalized = space.normalize, []
         monkeypatch.setattr(space, "normalize", staticmethod(
@@ -438,6 +451,15 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         # checks a factor Hermitian once the space builds the start
         assert order.count("check_hermitian") == 2
         assert "check_hermitian" not in order[order.index("__call__"):]
+        # a map whitens by the new A, its one unfactored matrix, and the
+        # iterate's factors serve everything else: a block-MM map makes one
+        # inverse and one eigendecomposition per geometric mean; a
+        # Gauss-Seidel map inverts each factor along its inner loop
+        assert work.count("slogdet") == work.count("solve") == 0
+        if method == "mm":
+            assert (work.count("inv"), work.count("eigh")) == (res.iterations, 2 * res.iterations)
+        else:
+            assert work.count("eigh") == 0 and work.count("inv") > res.iterations
         return
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once

@@ -29,10 +29,12 @@ The second form lists the fits whose hashes differ (or that only one
 file has) with both sides' iterations, termination and cost, then per
 group the largest cost gap, the largest signed cost rise of the second
 file over the first and both sides' mean iterations, and exits 1 when
-any hash differs. A roundoff change keeps the iterations and the
-termination and moves the cost by a few ulps; a real change does not. A
-change that moves iterations on purpose should show no positive rise
-beyond roundoff.
+any hash differs. Its last line counts the fits whose iterations or
+termination changed (a fit only one file has counts as changed). A
+roundoff change keeps the iterations and the termination, so that count
+is 0, and moves the cost by a few ulps; a real change does not. A change
+that moves iterations on purpose should show no positive rise beyond
+roundoff.
 """
 
 from __future__ import annotations
@@ -269,6 +271,9 @@ def main(argv=None) -> int:
         for group, gap in cost_gaps(*args.paths).items():
             its = " -> ".join("-" if m is None else f"{m:.2f}" for m in gap["iterations"])
             print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}  {gap['rise']:+.3g}  {its}")
+        moved = [key for key in differ if key not in a or key not in b
+                 or any(a[key][field] != b[key][field] for field in ("iterations", "termination"))]
+        print(f"{len(moved)} fits changed iterations or termination")
         return 1 if differ else 0
     root, out_path = args.paths
     out = hash_fits(root)
