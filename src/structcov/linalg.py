@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NumericalFailureError
 
 
 def as_field_array(arr, name: str = "array") -> np.ndarray:
@@ -74,16 +74,19 @@ def hermitian_eig(M) -> EigenDecomposition:
 def chol_pd(M, name: str = "matrix") -> np.ndarray | None:
     """Lower Cholesky factor of ``M``, or None when ``M`` is not positive definite.
 
-    ``M`` is trusted to be Hermitian: only its lower triangle is read.
+    One LAPACK ``potrf`` call for the field of ``M``; the factor's upper
+    triangle is zero. ``M`` is trusted to be Hermitian: only its lower
+    triangle is read.
     Non-finite entries raise InvalidInputError; the None return is a value
     used for feasibility checks, not an error.
     """
     if not np.isfinite(M).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return None
+    potrf = lapack.zpotrf if np.iscomplexobj(M) else lapack.dpotrf
+    L, info = potrf(M, lower=1, clean=1)
+    if info < 0:
+        raise NumericalFailureError("Cholesky factorization failed", info=int(info))
+    return L if info == 0 else None
 
 
 def pd_sqrt(M) -> np.ndarray:
@@ -108,7 +111,7 @@ def _chol_inverse(L) -> np.ndarray:
 
 def _chol_logdet(L) -> float:
     """log det A = 2 sum_i log L_ii of A = L L^H, from its lower Cholesky factor L."""
-    return float(2.0 * np.sum(np.log(np.diag(L).real)))
+    return float(2.0 * np.log(L.diagonal().real).sum())
 
 
 def pd_geometric_mean(A, M) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import (_chol_inverse, _chol_logdet, as_field_array, check_hermitian, chol_pd,
@@ -51,8 +52,9 @@ class LinearStructure:
     # Bt[l] = B_l^T.ravel(): Tr(A B_l) = Bt[l] . vec(A), so every contraction
     # against the basis is one GEMV or GEMM
     Bt: np.ndarray = field(init=False, repr=False, compare=False)
-    # gram[l, m] = Re Tr(B_l B_m^H), the normal matrix of the projection onto the span
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    # lower Cholesky factor of gram[l, m] = Re Tr(B_l B_m^H), the normal matrix of
+    # the projection onto the span
+    gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_field_array(self.basis, "basis")
@@ -67,7 +69,7 @@ class LinearStructure:
             raise InvalidInputError("basis matrices are not linearly independent")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "Bt", basis.transpose(0, 2, 1).reshape(basis.shape[0], -1).copy())
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_chol", chol_pd(gram))
 
         if self.init_coeffs is None:
             coeffs = self.coeffs_of(np.eye(basis.shape[1], dtype=basis.dtype))
@@ -93,7 +95,7 @@ class LinearStructure:
     def coeffs_of(self, R) -> np.ndarray:
         """Coefficients of the member nearest R in Frobenius norm; R's own when R is one."""
         vecs = self.basis.reshape(self.size, -1)
-        return np.linalg.solve(self.gram, (vecs.conj() @ R.reshape(-1)).real)
+        return lapack.dpotrs(self.gram_chol, (vecs.conj() @ R.reshape(-1)).real, lower=1)[0]
 
     def _checked_coeffs(self, coeffs) -> np.ndarray:
         """A caller's coefficient vector as floats; InvalidInputError unless finite of length L."""

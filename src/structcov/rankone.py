@@ -127,11 +127,11 @@ def _weights(A, p_eff, it):
     """(w, d) of the separable surrogate for atoms A at effective powers p_eff.
 
     ``it`` is the :class:`~structcov.tyler.Iterate` at R_t = L L^H. With
-    G = L^{-1} A, one triangular solve, and the whitened weighted scatter
-    S = L^{-1} M_t L^{-H} = (K/N) sum_i z_i z_i^H / q_i,
+    G = L^{-1} A, one triangular solve, and Y = Z^H G, one GEMM against the
+    whitened samples Z = L^{-1} X^T, so that Y_ij = z_i^H g_j,
 
         w_j = ||g_j||^2 = a_j^H R_t^{-1} a_j,
-        d_j = p_j^2 g_j^H S g_j = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
+        d_j = p_j^2 (K/N) sum_i |Y_ij|^2 / q_i = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
 
     so neither R_t^{-1} nor M_t is formed. On a real iterate, a complex
     atom is weighed in real arithmetic as its two real columns
@@ -139,13 +139,12 @@ def _weights(A, p_eff, it):
     """
     split = np.iscomplexobj(A) and not np.iscomplexobj(it.chol)
     G = it.solve(np.ascontiguousarray(A).view(np.float64) if split else A)
-    Z = it.whitened
-    S = (Z * (it.ratio / it.quad)) @ Z.conj().T
+    Y = it.whitened.conj().T @ G
     w = np.einsum("ij,ij->j", G.conj(), G).real
-    d = np.einsum("ij,ij->j", G.conj(), S @ G).real
+    d = (it.ratio / it.quad) @ (Y.real ** 2 + Y.imag ** 2 if np.iscomplexobj(Y) else Y ** 2)
     if split:
         w, d = w.reshape(-1, 2).sum(axis=1), d.reshape(-1, 2).sum(axis=1)
-    return w, np.maximum((p_eff ** 2) * d, 0.0)  # S is PSD; clip roundoff below zero
+    return w, (p_eff ** 2) * d
 
 
 def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
@@ -243,19 +242,23 @@ def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> Estima
     # [Re a_j, Im a_j] of their float view
     split = np.iscomplexobj(atoms) and not samples.is_complex
     columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
+    columns_h = columns.conj().T
+
+    def assemble(q):
+        return hermitize((columns * (np.repeat(q, 2) if split else q)) @ columns_h)
 
     def run(eps):
         floor = eps * ridge
 
         def inner(q, it):
             q_new = np.maximum(solve(*_weights(atoms, q, it)), floor)
-            if not np.any(q_new > 0.0):
+            if not (q_new > 0.0).any():
                 raise FailedToConvergeError("all powers collapsed to zero")
             return q_new
 
         result = mm_drive(
             inner=inner,
-            space=_Whitening(samples, lambda q: _assemble(columns, np.repeat(q, 1 + split))),
+            space=_Whitening(samples, assemble),
             init_params=init_powers + floor,
             settings=settings,
             extrapolate=vet,

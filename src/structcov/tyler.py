@@ -10,6 +10,7 @@ reports a trace-normalized scatter matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,8 +150,8 @@ class _Whitening:
         """
         params = np.asarray(params)
         R = self.assemble(params)
-        tr = float(np.trace(R).real)
-        if not np.isfinite(tr) or tr <= 0.0:
+        tr = float(R.trace().real)
+        if not math.isfinite(tr) or tr <= 0.0:
             return None
         c = 1.0 / tr
         return params * c, c * R
@@ -174,7 +175,7 @@ class _Whitening:
             return None
         Z = self.solve(L, self.xt)
         q = np.einsum("ij,ij->j", Z.conj(), Z).real
-        if np.any(q <= 0.0):
+        if q.min() <= 0.0:
             raise InvalidInputError("encountered a non-positive quadratic form")
         return Iterate(R, L, Z, q, self)
 
@@ -244,7 +245,7 @@ def tyler_cost(R, samples: SampleSet) -> float:
         R = Iterate.at(R, samples)
     elif R._whitening.samples is not _in_field(samples, R.R):
         raise InvalidInputError("iterate belongs to a different sample set")
-    return float(_chol_logdet(R.chol) + R.ratio * np.sum(np.log(R.quad)))
+    return float(_chol_logdet(R.chol) + R.ratio * np.log(R.quad).sum())
 
 
 def weighted_scatter(R, samples: SampleSet) -> np.ndarray:
@@ -252,14 +253,23 @@ def weighted_scatter(R, samples: SampleSet) -> np.ndarray:
     return Iterate.at(R, samples).M
 
 
+def _l2(x) -> float:
+    """The 2-norm of the entries of x, summed as ``np.linalg.norm`` sums them."""
+    x = x.ravel()
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _rel_change(new, old) -> float:
     """||new - old|| / ||old||; for a tuple of blocks, the largest block's."""
     if isinstance(new, tuple):
         return max(_rel_change(n, o) for n, o in zip(new, old))
-    denom = np.linalg.norm(old.ravel())
+    denom = _l2(old)
     if denom == 0.0:
-        return float(np.linalg.norm(new.ravel()))
-    return float(np.linalg.norm((new - old).ravel()) / denom)
+        return _l2(new)
+    return _l2(new - old) / denom
 
 
 def _blockwise(f, *xs):
@@ -273,7 +283,7 @@ def _norm(x) -> float:
     """The 2-norm of the parameters; of a tuple, of all its blocks' entries."""
     if isinstance(x, tuple):
         x = np.concatenate([block.ravel() for block in x])
-    return np.linalg.norm(x.ravel())
+    return _l2(x)
 
 
 def _any_point(trial, x2):

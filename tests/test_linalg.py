@@ -76,10 +76,38 @@ class TestCholPd:
         with pytest.raises(InvalidInputError):
             chol_pd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_complex_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            chol_pd(np.array([[1.0, 0.0], [bad, 1.0]], dtype=complex))
+
     def test_reads_the_lower_triangle_only(self):
         # callers pass matrices they built Hermitian; the upper triangle is not read
         M = np.array([[4.0, 2.0], [2.0, 3.0]])
         assert np.array_equal(chol_pd(np.array([[4.0, 99.0], [2.0, 3.0]])), chol_pd(M))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 3, 15, 40])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_numpy_with_a_zero_upper_triangle(self, complex_, k, order):
+        M = np.asarray(rand_pd(k, np.random.default_rng(k + 100 * complex_), complex_),
+                       order=order)
+        L = chol_pd(M)
+        ref = np.linalg.cholesky(M)
+        assert L.dtype == ref.dtype
+        assert np.linalg.norm(L - ref) <= 1e-13 * np.linalg.norm(ref)
+        # L @ inner @ L^H in the geometric mean relies on exact zeros above the diagonal
+        assert np.all(L[np.triu_indices(k, 1)] == 0.0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_indefinite_and_rank_deficient_return_none(self, complex_):
+        rng = np.random.default_rng(7)
+        M = rand_pd(6, rng, complex_)
+        M[2, 2] = -1.0  # e_2^H M e_2 < 0
+        assert chol_pd(M) is None
+        # rank one with integer entries: the second pivot is exactly zero
+        v = np.array([1.0, 2.0j, 3.0 - 1.0j]) if complex_ else np.array([1.0, 2.0, 3.0])
+        assert chol_pd(np.outer(v, v.conj())) is None
 
 
 class TestFromTheCholeskyFactor:

@@ -164,6 +164,32 @@ class TestWeights:
         np.testing.assert_allclose(d_t, d_dense, rtol=1e-12, atol=0.0)
 
 
+    @pytest.mark.parametrize("case", ["complex", "real", "split"])
+    def test_one_gemm_matches_the_explicit_weights(self, case):
+        # w = diag(A^H R^-1 A) and d = p^2 diag(A^H R^-1 M R^-1 A) at K=15
+        rng = np.random.default_rng(15)
+        if case == "split":  # complex half dictionary on real samples, weighed in real pairs
+            A = build_embedding(15).half_matrix
+            X = sample_elliptical(ar_cov(15, 0.8), 40, seed=4)
+        else:
+            A = _random_dictionary(rng, k=15, l=40, complex_=case == "complex").atoms
+            truth = doa_cov(15, [-20.0, 30.0], [1.0, 1.0], 0.1)
+            X = sample_elliptical(truth if case == "complex" else truth.real, 40, seed=4)
+        p = rng.uniform(0.5, 2.0, size=A.shape[1])
+        R = (A * p) @ A.conj().T
+        R = 0.5 * (R + R.conj().T)
+        if case == "split":
+            R = R.real
+        w, d_t = _weights(A, p, Iterate.at(R, X))
+
+        Ri = np.linalg.inv(R)
+        M = weighted_scatter_naive(R, X.data)
+        w_dense = np.real(np.diag(A.conj().T @ Ri @ A))
+        d_dense = p ** 2 * np.real(np.diag(A.conj().T @ Ri @ M @ Ri @ A))
+        np.testing.assert_allclose(w, w_dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(d_t, d_dense, rtol=1e-12, atol=0.0)
+
+
 class TestPowerUpdate:
     def test_scalar_case(self):
         assert power_update([1.0], [4.0])[0] == pytest.approx(2.0)

@@ -378,8 +378,10 @@ def test_scale_of_the_scatter(fields, seed, log_c):
 def _count_factorizations(monkeypatch):
     """Count every dense Cholesky factorization, wherever structcov bound the name."""
     import scipy.linalg
+    import scipy.linalg.lapack
 
-    targets = [(np.linalg, "cholesky"), (scipy.linalg, "cholesky"), (scipy.linalg, "cho_factor")]
+    targets = [(np.linalg, "cholesky"), (scipy.linalg, "cholesky"), (scipy.linalg, "cho_factor"),
+               (scipy.linalg.lapack, "dpotrf"), (scipy.linalg.lapack, "zpotrf")]
     return count_calls(monkeypatch, targets)
 
 
