@@ -14,7 +14,7 @@ kept at unit trace to resolve the scale ambiguity of the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .exceptions import DegenerateDataError, InvalidInputError, NumericalFailure
 from .linalg import (_chol_inverse, _chol_logdet, _geometric_mean, check_hermitian, chol_pd,
                      hermitize)
 from .linear import inner_update
-from .tyler import EstimatorResult, MMSettings, SampleSet, _rel_change, mm_drive
+from .tyler import EstimatorResult, MMSettings, SampleSet, _rel_change, _unit_rows, mm_drive
 
 _OBJECTIVE_FLOOR = -1e12
 _GS_INNER_TOL = 1e-10
@@ -60,9 +60,13 @@ class KroneckerFactors:
 
 @dataclass(frozen=True)
 class ReshapedSamples:
-    """Samples reshaped to q x p matrices with vec(M_i) = x_i column-major."""
+    """Samples reshaped to q x p matrices with vec(M_i) = x_i column-major.
+
+    :meth:`from_samples` scales them as ``tyler._unit_rows`` does; ``log_scale`` is the shortfall.
+    """
 
     mats: np.ndarray  # (N, q, p)
+    log_scale: float = field(default=0.0, init=False)
 
     @classmethod
     def from_samples(cls, samples: SampleSet, p: int, q: int) -> "ReshapedSamples":
@@ -70,9 +74,12 @@ class ReshapedSamples:
             raise InvalidInputError(
                 f"factor dimensions ({p}, {q}) must be positive and match samples K={samples.k}"
             )
-        mats = samples.data.reshape(samples.n, p, q).transpose(0, 2, 1).copy()
+        X, log_scale = _unit_rows(samples.data)
+        mats = X.reshape(samples.n, p, q).transpose(0, 2, 1).copy()
         # reshape((q, p), order="F") per row, vectorized over the batch
-        return cls(mats=mats)
+        reshaped = cls(mats=mats)
+        object.__setattr__(reshaped, "log_scale", log_scale)
+        return reshaped
 
     @property
     def n(self) -> int:
@@ -122,8 +129,8 @@ class _FactorIterate:
         self.b_inverse = _chol_inverse(L_B)
         self.T = _whiten_b(reshaped, self.b_inverse)
         self.weights = _batch_weights(self.T, _chol_inverse(L_A))
-        if np.any(self.weights <= 0.0):
-            raise InvalidInputError("encountered a non-positive quadratic form")
+        if not 0.0 < self.weights.min() <= self.weights.max() < np.inf:
+            raise InvalidInputError("encountered a non-positive or non-finite quadratic form")
         self.cost = kron_objective(self, reshaped)
 
     @property
@@ -147,7 +154,7 @@ def kron_objective(factors, reshaped: ReshapedSamples) -> float:
     (L_A, L_B), n = factors.chols, reshaped.n
     p, q = L_A.shape[0], L_B.shape[0]
     return float((p * q / n) * np.sum(np.log(factors.weights))
-                 + q * _chol_logdet(L_A) + p * _chol_logdet(L_B))
+                 + q * _chol_logdet(L_A) + p * _chol_logdet(L_B) + reshaped.log_scale)
 
 
 def _weighted_moment(stack, weights) -> np.ndarray:
@@ -177,7 +184,7 @@ def _mm_factor_step(stack, weights, L_t):
     """Geometric mean of F_t = L_t L_t^H and its weighted moment, the MM update of one factor."""
     try:
         return _geometric_mean(L_t, _weighted_moment(stack, weights))
-    except InvalidInputError as exc:
+    except (InvalidInputError, np.linalg.LinAlgError) as exc:
         raise NumericalFailureError(
             "weighted factor moment is numerically singular; data may be degenerate"
         ) from exc

@@ -1,7 +1,7 @@
 """Scatter estimation under a general linear structure R = sum_j a_j B_j >= 0.
 
-Each MM map takes one damped Newton step, with a Cholesky feasibility
-line search, on the convex surrogate
+Each MM map takes one Newton step, with a Cholesky feasibility line
+search, on the convex surrogate
 
     f(a) = Tr(R_t^{-1} R(a)) + Tr(M_t R(a)^{-1})
 
@@ -13,7 +13,8 @@ from R_t^{-1}, which the caller has; a Kronecker fit therefore starts a
 structured B inside the structure. The second term blows up at the
 boundary of the positive definite cone whenever M_t is positive
 definite, so the iterates stay strictly feasible; a tiny log-det barrier
-is added only when M_t is singular.
+is added only when M_t is singular. Either way the surrogate is strictly
+convex, so one Cholesky factor of its Hessian gives the Newton direction.
 """
 
 from __future__ import annotations
@@ -111,6 +112,19 @@ class LinearStructure:
 # structure presets
 # ---------------------------------------------------------------------------
 
+def _indicator_basis(labels) -> np.ndarray:
+    """One indicator per label l = 0, 1, ... of the K x K index pairs; -1 labels zero entries."""
+    return (labels == np.arange(labels.max() + 1)[:, None, None]).astype(float)
+
+
+def _pair_basis(k: int) -> np.ndarray:
+    """Indicators of each diagonal entry, then of each pair (i, j), (j, i), i < j, row by row."""
+    labels = np.diag(np.arange(k) + 1) - 1
+    i, j = np.triu_indices(k, 1)
+    labels[i, j] = labels[j, i] = k + np.arange(i.size)
+    return _indicator_basis(labels)
+
+
 def toeplitz_basis(k: int) -> LinearStructure:
     """Symmetric Toeplitz family: one indicator basis matrix per diagonal offset."""
     return banded_toeplitz_basis(k, k - 1)
@@ -120,75 +134,42 @@ def banded_toeplitz_basis(k: int, bandwidth: int) -> LinearStructure:
     """Symmetric Toeplitz matrices with correlations zero beyond ``bandwidth``."""
     if not 0 <= bandwidth <= k - 1:
         raise InvalidInputError("bandwidth must lie in [0, K-1]")
-    basis = [np.eye(k)]
-    for m in range(1, bandwidth + 1):
-        basis.append(np.eye(k, k=m) + np.eye(k, k=-m))
-    return LinearStructure(basis=np.stack(basis))
+    offsets = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+    return LinearStructure(basis=_indicator_basis(np.where(offsets <= bandwidth, offsets, -1)))
 
 
 def circulant_basis(k: int) -> LinearStructure:
     """Symmetric circulant family (offsets identified modulo K)."""
-    basis = [np.eye(k)]
-    for m in range(1, k // 2 + 1):
-        B = np.eye(k, k=m) + np.eye(k, k=-m) + np.eye(k, k=m - k) + np.eye(k, k=k - m)
-        if 2 * m == k:
-            B = B / 2.0
-        basis.append(B)
-    return LinearStructure(basis=np.stack(basis))
+    offsets = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+    return LinearStructure(basis=_indicator_basis(np.minimum(offsets, k - offsets)))
 
 
 def diagonal_basis(k: int) -> LinearStructure:
     """Diagonal matrices."""
-    basis = np.zeros((k, k, k))
-    for i in range(k):
-        basis[i, i, i] = 1.0
-    return LinearStructure(basis=basis)
+    return LinearStructure(basis=_indicator_basis(np.diag(np.arange(k) + 1) - 1))
 
 
 def full_symmetric_basis(k: int) -> LinearStructure:
     """All real symmetric matrices (a vacuous structural constraint)."""
-    mats = []
-    for i in range(k):
-        B = np.zeros((k, k))
-        B[i, i] = 1.0
-        mats.append(B)
-    for i in range(k):
-        for j in range(i + 1, k):
-            B = np.zeros((k, k))
-            B[i, j] = B[j, i] = 1.0
-            mats.append(B)
-    return LinearStructure(basis=np.stack(mats))
+    return LinearStructure(basis=_pair_basis(k))
 
 
 def hermitian_basis(k: int) -> LinearStructure:
-    """All complex Hermitian matrices with real coefficients."""
-    mats = []
-    for i in range(k):
-        B = np.zeros((k, k), dtype=complex)
-        B[i, i] = 1.0
-        mats.append(B)
-    for i in range(k):
-        for j in range(i + 1, k):
-            B = np.zeros((k, k), dtype=complex)
-            B[i, j] = B[j, i] = 1.0
-            mats.append(B)
-            C = np.zeros((k, k), dtype=complex)
-            C[i, j] = 1.0j
-            C[j, i] = -1.0j
-            mats.append(C)
-    return LinearStructure(basis=np.stack(mats))
+    """All complex Hermitian matrices: the full symmetric basis, each pair then its i-partner."""
+    real = _pair_basis(k)
+    upper = np.triu(real[k:], 1)
+    pairs = np.stack([real[k:], 1j * (upper - upper.transpose(0, 2, 1))], axis=1)
+    return LinearStructure(basis=np.concatenate([real[:k], pairs.reshape(-1, k, k)]))
+
+
+_PRESETS = {"toeplitz": toeplitz_basis, "diagonal": diagonal_basis,
+            "full": full_symmetric_basis, "circulant": circulant_basis}
 
 
 def structure_from_name(name: str, k: int) -> LinearStructure:
     """Resolve a preset by CLI name: toeplitz, banded:<k>, diagonal, full, circulant."""
-    if name == "toeplitz":
-        return toeplitz_basis(k)
-    if name == "diagonal":
-        return diagonal_basis(k)
-    if name == "full":
-        return full_symmetric_basis(k)
-    if name == "circulant":
-        return circulant_basis(k)
+    if name in _PRESETS:
+        return _PRESETS[name](k)
     if name.startswith("banded:"):
         try:
             bandwidth = int(name.split(":", 1)[1])
@@ -292,36 +273,31 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
 
 
 def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
-    """One safeguarded Newton step on the MM surrogate from the outer iterate.
+    """One Newton step on the MM surrogate from the outer iterate, with a feasibility line search.
 
     ``coeffs`` are the coefficients of the iterate, which must lie in the
     structure (a Kronecker fit starts B at ``assemble(coeffs_of(B))``),
     ``Wt`` = R(coeffs)^{-1} and ``M_t`` its Hermitian weighted scatter. The
-    step starts from Wt alone, so only the line search's trial points are
-    factored. It lowers the surrogate, so each map lowers the Tyler cost,
-    and a fixed point is stationary. It is damped when the Hessian is
-    singular and falls back to the gradient when it loses descent; an
-    Armijo line search keeps R(a) > 0. ``coeffs`` comes back unchanged when
-    its gradient norm is at most 1e-8 * (1 + |f|). A -mu*logdet barrier
-    with mu = 1e-10 * Tr(M_t) is added when M_t has no Cholesky factor.
+    value f, gradient g and Hessian H come from Wt alone and the direction
+    -H^{-1} g from one Cholesky factor of H (-g should roundoff leave H
+    without one); an Armijo line search keeps R(a) > 0, so only its trial
+    points are factored. Each step lowers the surrogate, and so the cost;
+    ``coeffs`` comes back unchanged when |g| <= 1e-8 * (1 + |f|). A
+    -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t has no
+    Cholesky factor. A non-finite M_t, f, g or H raises NumericalFailureError.
     """
+    if not np.isfinite(M_t).all():
+        raise NumericalFailureError("the structured inner step met a non-finite weighted scatter")
     mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
     coeffs = np.asarray(coeffs, dtype=float)
     value, grad, H = _surrogate_pieces(struct, Wt, M_t, mu)
+    if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(H).all()):
+        raise NumericalFailureError("the structured inner step met a non-finite surrogate")
     if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
         return coeffs
-    damping = 0.0
-    scale = np.trace(H) / H.shape[0]
-    while True:
-        try:
-            step = np.linalg.solve(H + damping * np.eye(H.shape[0]), -grad)
-            break
-        except np.linalg.LinAlgError:
-            damping = max(2.0 * damping, 1e-12 * scale)
+    L = chol_pd(H)
+    step = -grad if L is None else lapack.dpotrs(L, -grad, lower=1)[0]
     slope = float(grad @ step)
-    if slope >= 0.0:  # damped direction lost descent; fall back to gradient
-        step = -grad
-        slope = -float(grad @ grad)
     # roundoff slack: near the optimum the Armijo decrease sits below
     # the evaluation noise of the value itself
     slack = 1e-12 * (1.0 + abs(value))

@@ -125,10 +125,6 @@ class BandedSpec:
         D = emb.a_matrix if complex_ else emb.half_matrix
         C = np.sqrt(emb.l) * D[bandwidth + 1 :] * D[0].conj()
         A_t = np.concatenate([C.real, C.imag]) if complex_ else C.real
-        if A_t.shape[0]:
-            sv = np.linalg.svd(A_t, compute_uv=False)
-            if sv[-1] <= 1e-10 * sv[0]:
-                raise InvalidInputError("banding constraint matrix is rank deficient")
         return cls(bandwidth=bandwidth, constraint_matrix=A_t)
 
 

@@ -44,8 +44,7 @@ class SampleSet:
             raise InvalidInputError(f"samples must be a 2-D array, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidInputError("samples must be non-empty")
-        norms = np.linalg.norm(data, axis=1)
-        if np.any(norms == 0.0):
+        if not data.any(axis=1).all():
             raise InvalidInputError("sample set contains a zero vector")
         return cls(data=data)
 
@@ -113,6 +112,24 @@ def _in_field(samples: SampleSet, operand) -> SampleSet:
     return samples.to_complex() if np.iscomplexobj(operand) else samples
 
 
+def _unit_rows(X):
+    """(X', shortfall): each row of X scaled by 2^-e, e the exponent of its largest entry.
+
+    e = 0 for a row whose largest entry lies in [2^-64, 2^64], so in-range
+    samples pass unchanged. Powers of two scale exactly: the weighted
+    scatter stays, and the cost of the N x K samples X' falls short of X's
+    by (K/N) sum_i 2 e_i log 2.
+    """
+    parts = np.ascontiguousarray(X).view(np.float64)
+    top = np.abs(parts).max(axis=1)
+    if 2.0 ** -64 <= top.min() and top.max() <= 2.0 ** 64:
+        return X, 0.0
+    e = np.frexp(top)[1]
+    e[(top >= 2.0 ** -64) & (top <= 2.0 ** 64)] = 0
+    shortfall = X.shape[1] / X.shape[0] * 2.0 * math.log(2.0) * float(e.sum())
+    return np.ldexp(parts, -e[:, None]).view(X.dtype), shortfall
+
+
 def _prepare(R, samples: SampleSet):
     """A user's scatter and the samples, finite, square, Hermitian and in one field."""
     R = check_hermitian(R, "scatter")
@@ -131,10 +148,11 @@ class _Whitening:
     calling the space at a scatter factors it into an :class:`Iterate`.
     The LAPACK ``trtrs`` routine is looked up once, for the field of the
     samples, which the fit has fixed at its boundary (:func:`_in_field`).
+    It holds the samples as :func:`_unit_rows` scales them, and their cost's shortfall.
     """
 
     def __init__(self, samples: SampleSet, assemble=None):
-        X = samples.data
+        X, self.log_scale = _unit_rows(samples.data)
         self.samples = samples
         self.xt = X.T
         self.xc = X.conj()
@@ -175,8 +193,8 @@ class _Whitening:
             return None
         Z = self.solve(L, self.xt)
         q = np.einsum("ij,ij->j", Z.conj(), Z).real
-        if q.min() <= 0.0:
-            raise InvalidInputError("encountered a non-positive quadratic form")
+        if not 0.0 < q.min() <= q.max() < np.inf:
+            raise InvalidInputError("encountered a non-positive or non-finite quadratic form")
         return Iterate(R, L, Z, q, self)
 
 
@@ -185,8 +203,9 @@ class Iterate:
 
     ``chol`` is the lower factor L of R = L L^H, ``whitened`` is
     Z = L^{-1} X^T (one column z_i per sample) and ``quad`` holds
-    q_i = ||z_i||^2 = x_i^H R^{-1} x_i. The cost and the weighted scatter
-    ``M`` are computed from these, ``M`` only when first read.
+    q_i = ||z_i||^2 = x_i^H R^{-1} x_i, of the samples as :func:`_unit_rows`
+    scales them. The cost and the weighted scatter ``M`` are computed from
+    these, ``M`` only when first read.
     """
 
     def __init__(self, R, chol, whitened, quad, whitening: _Whitening):
@@ -245,7 +264,7 @@ def tyler_cost(R, samples: SampleSet) -> float:
         R = Iterate.at(R, samples)
     elif R._whitening.samples is not _in_field(samples, R.R):
         raise InvalidInputError("iterate belongs to a different sample set")
-    return float(_chol_logdet(R.chol) + R.ratio * np.log(R.quad).sum())
+    return float(_chol_logdet(R.chol) + R.ratio * np.log(R.quad).sum() + R._whitening.log_scale)
 
 
 def weighted_scatter(R, samples: SampleSet) -> np.ndarray:

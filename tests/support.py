@@ -198,6 +198,47 @@ def barrier_equality_solve(A, w, d, x0, mu_final=1e-10):
         mu = max(mu * 0.1, mu_final)
 
 
+def preset_basis_loop(name, k, bandwidth=None):
+    """The basis stack of a linear-structure preset, built matrix by matrix with np.eye and loops.
+
+    ``name`` is banded (with ``bandwidth``), toeplitz, circulant, diagonal,
+    full or hermitian; the order of the matrices is the presets' order.
+    """
+    if name == "toeplitz":
+        name, bandwidth = "banded", k - 1
+    if name == "banded":
+        mats = [np.eye(k)] + [np.eye(k, k=m) + np.eye(k, k=-m) for m in range(1, bandwidth + 1)]
+    elif name == "circulant":
+        mats = [np.eye(k)]
+        for m in range(1, k // 2 + 1):
+            B = np.eye(k, k=m) + np.eye(k, k=-m) + np.eye(k, k=m - k) + np.eye(k, k=k - m)
+            mats.append(B / 2.0 if 2 * m == k else B)
+    elif name == "diagonal":
+        mats = []
+        for i in range(k):
+            B = np.zeros((k, k))
+            B[i, i] = 1.0
+            mats.append(B)
+    else:
+        dtype = complex if name == "hermitian" else float
+        mats = []
+        for i in range(k):
+            B = np.zeros((k, k), dtype=dtype)
+            B[i, i] = 1.0
+            mats.append(B)
+        for i in range(k):
+            for j in range(i + 1, k):
+                B = np.zeros((k, k), dtype=dtype)
+                B[i, j] = B[j, i] = 1.0
+                mats.append(B)
+                if name == "hermitian":
+                    C = np.zeros((k, k), dtype=complex)
+                    C[i, j] = 1.0j
+                    C[j, i] = -1.0j
+                    mats.append(C)
+    return np.stack(mats)
+
+
 def spiked_objective(R, M):
     """log det R + Tr(R^{-1} M) from the definitions."""
     eig = np.linalg.eigvalsh(R)

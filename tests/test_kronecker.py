@@ -389,6 +389,19 @@ def test_degenerate_fits_fail_as_numerical_failures(method):
     assert failed >= 36
 
 
+@pytest.mark.parametrize("method", ["mm", "gs"])
+def test_a_non_finite_moment_fails_as_a_numerical_failure(method, monkeypatch):
+    # a NaN moment reaches the mm step's eigh, which raises LinAlgError, and
+    # never lets the gs loop meet its tolerance; an infinite one needs an overflow first
+    from structcov import NumericalFailureError
+
+    monkeypatch.setattr("structcov.kronecker._weighted_moment",
+                        lambda stack, weights: np.full(stack.shape[1:], np.nan))
+    X, _ = _kron_samples(2, 3, 20, seed=1)
+    with pytest.raises(NumericalFailureError):
+        estimate_kronecker(X, 2, 3, method=method)
+
+
 class TestKroneckerOnTheDriver:
     """Kronecker fits run on ``mm_drive``, extrapolating the pair (A, B) block by block."""
 

@@ -5,8 +5,10 @@ from structcov import (
     InvalidInputError,
     LinearStructure,
     MMSettings,
+    NumericalFailureError,
     SampleSet,
     banded_toeplitz_basis,
+    circulant_basis,
     diagonal_basis,
     estimate_linear,
     full_symmetric_basis,
@@ -31,6 +33,7 @@ from support import (
     gaussian_cost_naive,
     linear_surrogate_naive,
     nonincreasing,
+    preset_basis_loop,
     rand_pd,
 )
 
@@ -79,6 +82,22 @@ class TestPresets:
         assert diagonal_basis(k).size == k
         assert full_symmetric_basis(k).size == k * (k + 1) // 2
         assert hermitian_basis(k).size == k * k
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_presets_match_the_loop_reference(self, k):
+        # byte for byte: dtype, shape, order of the matrices and sign of every zero
+        builders = {"toeplitz": toeplitz_basis, "circulant": circulant_basis,
+                    "diagonal": diagonal_basis, "full": full_symmetric_basis,
+                    "hermitian": hermitian_basis}
+        cases = [(name, None) for name in builders] + [("banded", bw) for bw in range(k)]
+        for name, bandwidth in cases:
+            if name == "banded":
+                got = banded_toeplitz_basis(k, bandwidth).basis
+            else:
+                got = builders[name](k).basis
+            ref = preset_basis_loop(name, k, bandwidth)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes(), (name, bandwidth)
 
     def test_unknown_name(self):
         with pytest.raises(InvalidInputError):
@@ -223,6 +242,24 @@ class TestInnerUpdate:
         assert linear_surrogate_naive(struct, a, np.eye(3), M) <= f + 1e-9
         # the unpenalized coordinates stay at their minimizer sqrt(m_ii)
         assert np.allclose(a[:2], 1.0, rtol=1e-6)
+
+    def test_zero_weighted_scatter_takes_the_gradient_step(self):
+        # M_t = 0 gives H = 0, which has no Cholesky factor, and a zero
+        # barrier weight: the step follows -g on the linear Tr(Wt R(a))
+        struct = toeplitz_basis(4)
+        a = inner_update(struct, struct.init_coeffs, np.eye(4), np.zeros((4, 4)))
+        R = struct.assemble(a)
+        assert np.linalg.eigvalsh(R)[0] > 0.0
+        assert np.trace(R) < 4.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weighted_scatter_raises(self, bad):
+        rng = np.random.default_rng(14)
+        struct = toeplitz_basis(4)
+        M = rand_pd(4, rng, ridge=1.0)
+        M[1, 2] = M[2, 1] = bad
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            inner_update(struct, struct.init_coeffs, np.eye(4), M)
 
     @pytest.mark.parametrize("singular", [True, False])
     def test_barrier_weight(self, singular, monkeypatch):

@@ -217,6 +217,20 @@ class TestBandedInner:
         p = banded_inner_update(spec, w, d)
         assert np.allclose(p, np.sqrt(d / w))
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_banding_rows_are_orthogonal(self, complex_):
+        # the rows are cosines (and, for a complex fit, sines) at distinct
+        # frequencies below L/2, all of one norm: they always have full rank
+        for k in range(1, 13):
+            for l in sorted({2 * k - 1, 2 * k, 2 * k + 1, 3 * k, 4 * k}):
+                emb = build_embedding(k, l)
+                for bandwidth in range(k):
+                    C = BandedSpec.from_embedding(emb, bandwidth, complex_).constraint_matrix
+                    assert C.shape[0] == (1 + complex_) * (k - 1 - bandwidth)
+                    G = C @ C.T
+                    if G.size:
+                        assert np.abs(G - G[0, 0] * np.eye(len(G))).max() <= 1e-12 * G[0, 0]
+
     def test_infeasible_constraints_detected(self):
         spec = BandedSpec(bandwidth=0, constraint_matrix=np.ones((1, 4)))
         with pytest.raises(InfeasibleConstraintError):
