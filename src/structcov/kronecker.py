@@ -60,9 +60,11 @@ class KroneckerFactors:
 
 @dataclass(frozen=True)
 class ReshapedSamples:
-    """Samples reshaped to q x p matrices with vec(M_i) = x_i column-major.
+    """Samples reshaped to q x p matrices with vec(M_i) = x_i column-major; the Kronecker space.
 
     :meth:`from_samples` scales them as ``tyler._unit_rows`` does; ``log_scale`` is the shortfall.
+    A fit's :func:`mm_drive` space, as ``tyler._Whitening`` is a full-K one: its parameters are
+    [vec A; vec B] (:meth:`flatten`), :meth:`normalize` scales and a call at a pair checks it.
     """
 
     mats: np.ndarray  # (N, q, p)
@@ -84,6 +86,37 @@ class ReshapedSamples:
     @property
     def n(self) -> int:
         return self.mats.shape[0]
+
+    @staticmethod
+    def flatten(pair) -> np.ndarray:
+        """[vec A; vec B], in one number field."""
+        return np.concatenate([F.ravel() for F in pair])
+
+    def split(self, params):
+        """The pair (A, B) of flat parameters, as views."""
+        _n, q, p = self.mats.shape
+        return params[:p * p].reshape(p, p), params[p * p:].reshape(q, q)
+
+    def normalize(self, params):
+        """(flat, pair), each factor at unit trace; None unless both traces are finite and > 0."""
+        pair = self.split(params)
+        traces = [np.trace(F).real for F in pair]
+        if not all(np.isfinite(tr) and tr > 0.0 for tr in traces):
+            return None
+        flat = params / np.repeat(traces, [F.size for F in pair])
+        return flat, self.split(flat)
+
+    def __call__(self, factors) -> "_FactorIterate | None":
+        """The iterate of a pair; None when a factor is not PD or its quadratic forms degenerate."""
+        try:
+            it = _FactorIterate(factors, self)
+        except InvalidInputError:
+            return None
+        # detects unbounded descent at every map, with or without a trace
+        if it.cost < _OBJECTIVE_FLOOR:
+            raise DegenerateDataError("objective is unbounded below; samples are too "
+                                      "degenerate for the Kronecker structure")
+        return it
 
 
 def _whiten_b(reshaped: ReshapedSamples, B_inv) -> np.ndarray:
@@ -171,6 +204,8 @@ def _tyler_factor_loop(stack, weights, F_t):
         F_new = _weighted_moment(stack, weights)
         F_new = F_new / np.trace(F_new).real
         delta = _rel_change(F_new, F)
+        if not np.isfinite(delta):
+            raise NumericalFailureError("factor update is not finite; data may be degenerate")
         F = F_new
         if delta <= _GS_INNER_TOL:
             return F
@@ -234,44 +269,6 @@ def block_mm_step(factors, reshaped: ReshapedSamples, b_structure=None, it=None)
     return _sweep(_mm_factor_step, it.chols, it, b_structure)
 
 
-class _FactorSpace:
-    """The :func:`mm_drive` space of one fit; its params are the pair (A, B).
-
-    The contract of the full-K space: :meth:`normalize` scales, and
-    calling the space checks. A step and an extrapolated trial are both
-    plain pairs, so each is scaled and checked in the same two places.
-    """
-
-    def __init__(self, reshaped: ReshapedSamples):
-        self.reshaped = reshaped
-
-    @staticmethod
-    def normalize(params):
-        """(pair, pair), each factor at unit trace; None unless both traces are finite and > 0."""
-        traces = [np.trace(F).real for F in params]
-        if not all(np.isfinite(tr) and tr > 0.0 for tr in traces):
-            return None
-        pair = tuple(F / tr for F, tr in zip(params, traces))
-        return pair, pair
-
-    def __call__(self, factors) -> _FactorIterate | None:
-        """The iterate of a pair; None when a factor is not PD or its quadratic forms degenerate.
-
-        One Cholesky factor of each factor is the PD check; the iterate keeps both.
-        """
-        try:
-            it = _FactorIterate(factors, self.reshaped)
-        except InvalidInputError:
-            return None
-        # detects unbounded descent at every map, with or without a trace
-        if it.cost < _OBJECTIVE_FLOOR:
-            raise DegenerateDataError(
-                "objective is unbounded below; samples are too degenerate "
-                "for the Kronecker structure"
-            )
-        return it
-
-
 def estimate_kronecker(
     samples: SampleSet,
     p: int,
@@ -286,7 +283,7 @@ def estimate_kronecker(
     Unlike the other estimators this supports N <= K: the factor
     updates pool information across the reshaped sample matrices.
     :func:`mm_drive` runs the sweeps with SQUAREM extrapolation of the
-    pair (A, B), block by block.
+    flat pair [vec A; vec B], and stops on its relative change.
 
     Parameters
     ----------
@@ -318,12 +315,12 @@ def estimate_kronecker(
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
     result = mm_drive(
-        inner=lambda params, it: step(params, reshaped, b_structure, it=it),
-        space=_FactorSpace(reshaped),
-        init_params=init,
+        inner=lambda params, it: reshaped.flatten(step(it.factors, reshaped, b_structure, it=it)),
+        space=reshaped,
+        init_params=reshaped.flatten(init),
         settings=settings,
     )
-    factor_a, factor_b = result.params
+    factor_a, factor_b = reshaped.split(result.params)
     result.params = None
     b_coeffs = None if b_structure is None else b_structure.coeffs_of(factor_b)
     result.details.update(factor_a=factor_a, factor_b=factor_b, method=method, b_coeffs=b_coeffs)

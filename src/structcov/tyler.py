@@ -282,27 +282,11 @@ def _l2(x) -> float:
 
 
 def _rel_change(new, old) -> float:
-    """||new - old|| / ||old||; for a tuple of blocks, the largest block's."""
-    if isinstance(new, tuple):
-        return max(_rel_change(n, o) for n, o in zip(new, old))
+    """||new - old|| / ||old||, over all entries."""
     denom = _l2(old)
     if denom == 0.0:
         return _l2(new)
     return _l2(new - old) / denom
-
-
-def _blockwise(f, *xs):
-    """``f`` applied block by block to parameters that may be a tuple of blocks."""
-    if isinstance(xs[0], tuple):
-        return tuple(f(*blocks) for blocks in zip(*xs))
-    return f(*xs)
-
-
-def _norm(x) -> float:
-    """The 2-norm of the parameters; of a tuple, of all its blocks' entries."""
-    if isinstance(x, tuple):
-        x = np.concatenate([block.ravel() for block in x])
-    return _l2(x)
 
 
 def _any_point(trial, x2):
@@ -328,7 +312,7 @@ def mm_drive(
     factored. In the full-K space each iterate R_t is factored once,
     R_t = L L^H; that factor is the positive-definiteness check, and one
     triangular solve Z = L^{-1} X^T gives the quadratic forms, the cost
-    and the weighted scatter. A Kronecker space keeps the factor pair.
+    and the weighted scatter. The Kronecker space keeps a Cholesky factor of each factor.
 
     The loop runs safeguarded SQUAREM-3 cycles (Varadhan & Roland, 2008)
     unless ``extrapolate`` is None. From x0, a cycle maps x1 = F(x0) and
@@ -338,9 +322,10 @@ def mm_drive(
     and its cost is at most x1's; otherwise alpha <- (alpha - 1) / 2, and
     past -1.2 the cycle takes x2. One map from the point taken ends the
     cycle. Every point taken is a monotone step of the recorded cost.
-    Parameters that are a tuple of blocks, such as a Kronecker factor
-    pair, are extrapolated block by block with one alpha; |r| and |v| are
-    then the norms over the entries of all blocks.
+    The parameters are one ndarray, so r, v and the trial are array
+    arithmetic and |r|, |v| are 2-norms over all entries. A space whose
+    point is more than one array flattens it: the Kronecker space's
+    parameters are [vec A; vec B], which its ``normalize`` splits.
 
     Parameters
     ----------
@@ -364,9 +349,8 @@ def mm_drive(
         ``assemble(params) -> scatter`` is linear and defaults to the
         identity, so a scaling of the scatter by c scales the parameters
         by c.
-    init_params : object
-        Feasible starting parameters (the assembled scatter must be PD),
-        in a form the space's ``normalize`` takes.
+    init_params : ndarray
+        Feasible starting parameters (the assembled scatter must be PD).
     extrapolate : callable or None, optional
         ``extrapolate(trial, x2) -> params | None`` vets extrapolated
         parameters before the space normalizes them and checks them PD:
@@ -377,8 +361,9 @@ def mm_drive(
     Returns
     -------
     EstimatorResult
-        Converged when the relative parameter change of one map drops to
-        ``settings.tol``; otherwise terminates after ``max_iter`` maps.
+        Converged when the relative change of the parameters over one map,
+        over all their entries, drops to ``settings.tol``; otherwise
+        terminates after ``max_iter`` maps.
         ``iterations`` counts MM maps; the objective trace holds one cost
         per point taken, starting with the initial one. Without
         ``record_trace`` only the costs the safeguard compares are read:
@@ -436,16 +421,14 @@ def mm_drive(
     def extrapolated(x0, x1, x2, bound):
         """(params, iterate, cost) of the first admissible trial, or None."""
         nonlocal cycles, rejected
-        r = _blockwise(lambda b0, b1: b1 - b0, x0, x1)
-        v = _blockwise(lambda b0, b1, b2: b2 - 2.0 * b1 + b0, x0, x1, x2)
-        norm_v = _norm(v)
-        alpha = min(-_norm(r) / norm_v, -1.0) if norm_v > 0.0 else -1.0
+        r = x1 - x0
+        v = x2 - 2.0 * x1 + x0
+        norm_v = _l2(v)
+        alpha = min(-_l2(r) / norm_v, -1.0) if norm_v > 0.0 else -1.0
         if alpha <= _ALPHA_FALLBACK:
             cycles += 1  # a cycle counts once it forms a trial
         while alpha <= _ALPHA_FALLBACK:
-            point = _blockwise(lambda b0, br, bv: b0 - 2.0 * alpha * br + alpha * alpha * bv,
-                               x0, r, v)
-            trial = extrapolate(point, x2)
+            trial = extrapolate(x0 - 2.0 * alpha * r + alpha * alpha * v, x2)
             step = None if trial is None else space.normalize(trial)
             it_trial = None if step is None else space(step[1])
             if it_trial is not None:

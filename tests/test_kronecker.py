@@ -15,7 +15,6 @@ from structcov import (
 )
 from structcov.kronecker import (
     ReshapedSamples,
-    _FactorSpace,
     _batch_weights,
     _whiten_a,
     _whiten_b,
@@ -157,7 +156,7 @@ class TestKronObjective:
         resh = ReshapedSamples.from_samples(X, 3, 4)
         rng = np.random.default_rng(27)
         pair = (rand_pd(3, rng, True), rand_pd(4, rng, True))
-        it = _FactorSpace(resh)(pair)
+        it = resh(pair)
         assert kron_objective(it, resh) == it.cost == kron_objective(pair, resh)
         other = ReshapedSamples(mats=resh.mats.copy())
         with pytest.raises(InvalidInputError, match="different sample set"):
@@ -210,7 +209,7 @@ class TestGaussSeidel:
 
 def _scaled_step(step, factors, reshaped):
     """The pair a fit takes from ``step``: the space scales each factor to unit trace."""
-    pair, _point = _FactorSpace.normalize(step(factors, reshaped))
+    _flat, pair = reshaped.normalize(reshaped.flatten(step(factors, reshaped)))
     return pair
 
 
@@ -392,18 +391,21 @@ def test_degenerate_fits_fail_as_numerical_failures(method):
 @pytest.mark.parametrize("method", ["mm", "gs"])
 def test_a_non_finite_moment_fails_as_a_numerical_failure(method, monkeypatch):
     # a NaN moment reaches the mm step's eigh, which raises LinAlgError, and
-    # never lets the gs loop meet its tolerance; an infinite one needs an overflow first
+    # ends the gs loop at its first relative change; an infinite one needs an overflow first
     from structcov import NumericalFailureError
 
-    monkeypatch.setattr("structcov.kronecker._weighted_moment",
-                        lambda stack, weights: np.full(stack.shape[1:], np.nan))
+    moments = []
+    monkeypatch.setattr("structcov.kronecker._weighted_moment", lambda stack, weights: (
+        moments.append(1) or np.full(stack.shape[1:], np.nan)))
     X, _ = _kron_samples(2, 3, 20, seed=1)
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(NumericalFailureError, match="not finite" if method == "gs" else None):
         estimate_kronecker(X, 2, 3, method=method)
+    if method == "gs":  # not its 5,000 inner sweeps
+        assert len(moments) == 1
 
 
 class TestKroneckerOnTheDriver:
-    """Kronecker fits run on ``mm_drive``, extrapolating the pair (A, B) block by block."""
+    """Kronecker fits run on ``mm_drive``, extrapolating the flat pair [vec A; vec B]."""
 
     @pytest.mark.parametrize("structured", [False, True])
     @pytest.mark.parametrize("method", ["mm", "gs"])
@@ -485,15 +487,63 @@ class TestKroneckerOnTheDriver:
             estimate_kronecker(X, 3, 4, MMSettings(tol=1e-14), method=method)
         assert err.value.diagnostics["iteration"] == 3
 
-    def test_the_change_of_a_pair_is_its_largest_blocks(self):
-        from structcov.tyler import _rel_change
+    @pytest.mark.parametrize("method", ["mm", "gs"])
+    def test_a_complex_fit_reports_both_factors_complex(self, method):
+        """The flat pair has one number field: a real Toeplitz B of complex samples is complex."""
+        X, _ = _kron_samples(3, 4, 10, seed=25, complex_=True)
+        struct = toeplitz_basis(4)
+        res = estimate_kronecker(X, 3, 4, method=method, b_structure=struct)
+        A, B, coeffs = (res.details[key] for key in ("factor_a", "factor_b", "b_coeffs"))
+        assert res.termination == "converged"
+        assert A.dtype == B.dtype == np.complex128 and not B.imag.any()
+        assert coeffs.dtype == np.float64
+        assert np.linalg.norm(struct.assemble(coeffs) - B) <= 1e-12
 
-        rng = np.random.default_rng(24)
-        A, B = rand_pd(3, rng), rand_pd(4, rng)
-        dA, dB = rand_pd(3, rng), rand_pd(4, rng)
-        for scale_a, scale_b, largest in ((1e-3, 1e-1, 1), (1e-1, 1e-3, 0)):
-            new = (A + scale_a * dA, B + scale_b * dB)
-            assert _rel_change(new, (A, B)) == _rel_change(new[largest], (A, B)[largest])
-            assert _rel_change(new[largest], (A, B)[largest]) > _rel_change(
-                new[1 - largest], (A, B)[1 - largest]
-            )
+    @pytest.mark.parametrize("method,name", [("mm", "block_mm_step"), ("gs", "gauss_seidel_step")])
+    def test_a_step_without_a_positive_trace_stops_the_fit(self, method, name, monkeypatch):
+        """A factor of negative trace has no unit-trace point: the fit stops at that map."""
+        from structcov import FailedToConvergeError
+        import structcov.kronecker as kron_mod
+
+        step = getattr(kron_mod, name)
+        calls = []
+
+        def flipped(*args, **kwargs):
+            calls.append(1)
+            A, B = step(*args, **kwargs)
+            return (A, -B) if len(calls) == 3 else (A, B)
+
+        monkeypatch.setattr(kron_mod, name, flipped)
+        X, _ = _kron_samples(3, 4, 10, seed=23)
+        with pytest.raises(FailedToConvergeError, match="usable scale") as err:
+            estimate_kronecker(X, 3, 4, MMSettings(tol=1e-14), method=method)
+        assert err.value.diagnostics["iteration"] == 3 == len(calls)
+
+    @pytest.mark.parametrize("method,seed,tol", [("mm", 20, 1e-6), ("gs", 21, 1e-8)])
+    def test_a_fit_stops_on_the_change_of_the_whole_pair(self, method, seed, tol, monkeypatch):
+        """The stop rule of every fit: the relative change of [vec A; vec B] over one map.
+
+        On these draws the larger of the two factors' own relative changes
+        is still above tol at the map that ends the fit.
+        """
+        from structcov.tyler import _rel_change
+        import structcov.kronecker as kron_mod
+
+        name = "block_mm_step" if method == "mm" else "gauss_seidel_step"
+        step = getattr(kron_mod, name)
+        maps = []  # each map's start, its normalized flat pair and both as pairs
+
+        def recorded(factors, reshaped, *args, **kwargs):
+            out = step(factors, reshaped, *args, **kwargs)
+            to, pair = reshaped.normalize(reshaped.flatten(out))
+            maps.append((reshaped.flatten(factors), to, factors, pair))
+            return out
+
+        monkeypatch.setattr(kron_mod, name, recorded)
+        X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, seed)
+        res = estimate_kronecker(X, 3, 4, MMSettings(tol=tol), method=method)
+        assert res.termination == "converged" and len(maps) == res.iterations
+        changes = [_rel_change(to, start) for start, to, _factors, _pair in maps]
+        assert changes[-1] <= tol < min(changes[:-1])
+        _start, _to, factors, pair = maps[-1]
+        assert max(_rel_change(new, old) for new, old in zip(pair, factors)) > tol

@@ -414,6 +414,29 @@ def _force_failures(monkeypatch, module, attr):
 
 
 @pytest.mark.parametrize("name", list(RESTART_CASES))
+def test_collapsed_powers_restart_with_the_ridge(name, monkeypatch):
+    """An inner step whose powers are all zero fails the run, which restarts with the ridge."""
+    fit, module, attr, _assemble = RESTART_CASES[name]
+    X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
+    arm = _force_failures(monkeypatch, module, attr)
+    arm({3})
+    raised = fit(X)
+    solve, calls = getattr(module, attr), []
+
+    def collapsing(*args, **kwargs):
+        calls.append(1)
+        powers = solve(*args, **kwargs)
+        return np.zeros_like(powers) if len(calls) == 3 else powers
+
+    arm(set())
+    monkeypatch.setattr(module, attr, collapsing)
+    res = fit(X)
+    assert res.details["epsilon"] == 1e-10
+    assert res.iterations == raised.iterations
+    assert np.array_equal(res.scatter, raised.scatter)
+
+
+@pytest.mark.parametrize("name", list(RESTART_CASES))
 def test_epsilon_ridge_restart(name, monkeypatch):
     fit, module, attr, assemble = RESTART_CASES[name]
     arm = _force_failures(monkeypatch, module, attr)

@@ -228,11 +228,11 @@ def test_one_dimensional_banded_fits_take_bandwidth_zero_only(bandwidth):
 def test_squarem_cycles_count_the_cycles_that_form_a_trial(monkeypatch):
     """A cycle whose first alpha is already past -1.2 tries no trial and is not counted."""
     X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, seed=24)
-    space = structcov.kronecker._FactorSpace
+    space = structcov.kronecker.ReshapedSamples
     normalize = space.normalize
     calls = []
     monkeypatch.setattr(
-        space, "normalize", staticmethod(lambda params: calls.append(1) or normalize(params))
+        space, "normalize", lambda self, params: calls.append(1) or normalize(self, params)
     )
     res = estimate_kronecker(X, 3, 4, MMSettings(max_iter=200), method="gs")
     # the space normalizes the start, every map's pair and every trial
@@ -308,15 +308,16 @@ def test_kronecker_extrapolation_takes_fewer_maps(name, monkeypatch):
 def test_a_trial_that_is_not_pd_is_rejected(monkeypatch):
     kron = structcov.kronecker
     X = sample_elliptical(np.kron(ar_cov(3, 0.5), ar_cov(4, 0.8)), 10, 31)
-    space = kron._FactorSpace(kron.ReshapedSamples.from_samples(X, 3, 4))
+    space = kron.ReshapedSamples.from_samples(X, 3, 4)
     A, B = np.eye(3) / 3, np.eye(4) / 4
-    assert space.normalize((A, -B)) is None  # negative trace
-    assert space.normalize((A, B - np.diag([1.0, 0, 0, 0]))) is None  # zero trace
+    assert space.normalize(space.flatten((A, -B))) is None  # negative trace
+    assert space.normalize(space.flatten((A, B - np.diag([1.0, 0, 0, 0])))) is None  # zero trace
     # unit trace, not PD: normalize only scales, and the space's call refuses it
     indefinite = np.diag([2.0, -1.0 / 3, -1.0 / 3, -1.0 / 3])
-    pair, point = space.normalize((A, indefinite))
-    assert np.linalg.eigvalsh(pair[1])[0] < 0 and space(point) is None
-    assert space.normalize((A, B))[1][1][0, 0] == 0.25
+    flat, pair = space.normalize(space.flatten((A, indefinite)))
+    assert np.linalg.eigvalsh(pair[1])[0] < 0 and space(pair) is None
+    assert np.array_equal(space.split(flat)[1], pair[1])
+    assert space.normalize(space.flatten((A, B)))[1][1][0, 0] == 0.25
 
     spoiled = []
 
@@ -324,8 +325,9 @@ def test_a_trial_that_is_not_pd_is_rejected(monkeypatch):
         # the first three trials get an indefinite B of unit trace
         if len(spoiled) < 3:
             spoiled.append(1)
-            q = trial[1].shape[0]
-            trial = (trial[0], np.diag([2.0] + [-1.0 / (q - 1)] * (q - 1)))
+            A, B = space.split(trial)
+            q = B.shape[0]
+            trial = space.flatten((A, np.diag([2.0] + [-1.0 / (q - 1)] * (q - 1))))
         return trial
 
     tight = MMSettings(tol=1e-11)
@@ -361,7 +363,7 @@ def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
         )
         starts.append(factors[1])
         out = step(factors, reshaped, b_structure, **kwargs)
-        made.append(kron._FactorSpace.normalize(out)[0])
+        made.append(reshaped.normalize(reshaped.flatten(out))[1])
         return out
 
     def warm_started(structure, coeffs, *args):

@@ -259,6 +259,21 @@ class TestMMDrive:
             mm_drive(inner=bad, space=_Whitening(X), init_params=np.eye(3) / 3)
         assert err.value.mm_iteration == 1
 
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_a_map_without_a_positive_trace_stops_the_fit(self, at):
+        """A scatter of negative trace has no unit-trace point: the fit stops at that map."""
+        X = sample_elliptical(ar_cov(3, 0.4), 30, seed=17)
+        maps = []
+
+        def flipped(params, it):
+            maps.append(1)
+            return -it.M if len(maps) == at else it.M
+
+        with pytest.raises(FailedToConvergeError, match="usable scale") as err:
+            mm_drive(inner=flipped, space=_Whitening(X), init_params=np.eye(3) / 3,
+                     settings=MMSettings(tol=1e-14))
+        assert err.value.diagnostics["iteration"] == at == len(maps)
+
     def test_bad_init_rejected(self):
         X = sample_elliptical(ar_cov(3, 0.4), 30, seed=18)
         with pytest.raises(InvalidInputError):
@@ -425,10 +440,10 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         work = count_calls(monkeypatch, [
             *((np.linalg, name) for name in ("inv", "solve", "slogdet", "eigh")),
             *((scipy.linalg, name) for name in ("inv", "solve", "eigh"))])
-        space = kron_mod._FactorSpace
+        space = kron_mod.ReshapedSamples
         normalize, normalized = space.normalize, []
-        monkeypatch.setattr(space, "normalize", staticmethod(
-            lambda params: normalized.append(1) or normalize(params)))
+        monkeypatch.setattr(space, "normalize",
+                            lambda self, params: normalized.append(1) or normalize(self, params))
         # Hermitian checks and the iterates the space builds, in call order
         order = count_calls(monkeypatch, [(structcov.linalg, "check_hermitian"),
                                           (space, "__call__")])
@@ -446,8 +461,8 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         assert len(calls) == 2 * (built + 1)
         # the space builds the start, every trial and every map's pair but
         # the x2 each taken trial replaces, 1 + trials + (iterations - trials):
-        # mm takes 52 = 2 * (24 + 2) factors (68 when each step built a
-        # checked pair), gs 26 = 2 * (11 + 2) (28)
+        # mm takes 50 = 2 * (23 + 2) factors, gs 26 = 2 * (11 + 2) (28 when
+        # each step built a checked pair)
         assert built == 1 + res.iterations
         # the initial pair's Hermitian checks are the only ones: nothing
         # checks a factor Hermitian once the space builds the start

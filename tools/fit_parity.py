@@ -16,7 +16,10 @@ third call, so that each fit restarts with the 1e-10 ridge, plus a
 mixed-field group of real K=5 AR(0.6) samples (N=20, 3 draws) meeting a
 complex operand: a linear fit on ``hermitian_basis(5)``, a rank-one fit
 on the augmented complex 10-degree ULA dictionary, and Tyler and spiked
-(2 spikes) fits from a complex positive definite start, and writes one
+(2 spikes) fits from a complex positive definite start, plus a complex
+Kronecker group of 3x4 fits (block MM and Gauss-Seidel, each also with a
+Toeplitz B) of complex samples with scatter AR(0.5) kron AR(0.8) (N=10,
+3 draws), and writes one
 sha256 per fit to OUT.json. The hash covers the scatter, params,
 objective trace, iterations, termination, the SQUAREM counters, the
 ridge ``epsilon`` and, for Kronecker fits, factor_a, factor_b and
@@ -28,7 +31,8 @@ that raised). Every BLAS runs on one thread.
 The second form lists the fits whose hashes differ (or that only one
 file has) with both sides' iterations, termination and cost, then per
 group the largest cost gap, the largest signed cost rise of the second
-file over the first and both sides' mean iterations, and exits 1 when
+file over the first, both sides' mean iterations and how many fits took
+more and how many fewer maps in the second file, and exits 1 when
 any hash differs. Its last line counts the fits whose iterations or
 termination changed (a fit only one file has counts as changed). A
 roundoff change keeps the iterations and the termination, so that count
@@ -54,6 +58,7 @@ MC_N = (20, 40, 60, 100)
 MC_DRAWS = 10
 RESTART_DRAWS = 3
 MIXED_DRAWS = 3
+KRON_COMPLEX_DRAWS = 3
 DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "factor_a", "factor_b",
                "b_coeffs")
 
@@ -181,6 +186,26 @@ def _mixed_fits():
             yield label, f"{label}/d{draw}", fit, X
 
 
+def _kron_complex_fits():
+    """(group, key, fit, samples) of the Kronecker fits of complex samples."""
+    import numpy as np
+
+    import structcov as sc
+
+    basis = sc.toeplitz_basis(4)
+    fits = {
+        "mm": lambda X: sc.estimate_kronecker(X, 3, 4, method="mm"),
+        "gs": lambda X: sc.estimate_kronecker(X, 3, 4, method="gs"),
+        "mm_toepb": lambda X: sc.estimate_kronecker(X, 3, 4, method="mm", b_structure=basis),
+        "gs_toepb": lambda X: sc.estimate_kronecker(X, 3, 4, method="gs", b_structure=basis),
+    }
+    truth = np.kron(sc.ar_cov(3, 0.5), sc.ar_cov(4, 0.8)).astype(complex)
+    for draw in range(KRON_COMPLEX_DRAWS):
+        X = sc.sample_elliptical(truth, 10, np.random.SeedSequence([12, draw]), tau_dof=1.0)
+        for label, fit in fits.items():
+            yield "kron_complex", f"kron_complex/{label}/d{draw}", fit, X
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -199,7 +224,8 @@ def hash_fits(root: str) -> dict:
             for case in build(seed, cases.DATASETS[workload]):
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
-    for group, key, fit, samples in (*_mc_fits(), *_restart_fits(), *_mixed_fits()):
+    for group, key, fit, samples in (*_mc_fits(), *_restart_fits(), *_mixed_fits(),
+                                     *_kron_complex_fits()):
         record(group, key, fit, samples)
     return out
 
@@ -224,7 +250,9 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
     negative when every fit of B ends below A's. A fit that raised on
     one side only counts as an infinite gap, and as a rise of +inf when
     B raised and -inf when A did. ``iterations`` holds each side's mean
-    iterations over the fits that did not raise there.
+    iterations over the fits that did not raise there, and ``more`` and
+    ``fewer`` count the fits that did not raise on either side and took
+    more, or fewer, iterations in B than in A.
     """
     a, b = _load(path_a), _load(path_b)
     gaps = {}
@@ -237,12 +265,17 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
             gap, rise = abs(cb - ca), cb - ca
             rel = gap / abs(ca) if ca else gap
         group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0, "rise": -float("inf"),
-                                                  "iteration_lists": [[], []]})
+                                                  "iteration_lists": [[], []],
+                                                  "more": 0, "fewer": 0})
         group["abs"], group["rel"] = max(group["abs"], gap), max(group["rel"], rel)
         group["rise"] = max(group["rise"], rise)
         for side, fits in zip(group["iteration_lists"], (a, b)):
             if fits[key]["iterations"] is not None:
                 side.append(fits[key]["iterations"])
+        ia, ib = a[key]["iterations"], b[key]["iterations"]
+        if ia is not None and ib is not None:
+            group["more"] += ib > ia
+            group["fewer"] += ib < ia
     for group in gaps.values():
         lists = group.pop("iteration_lists")
         group["iterations"] = [sum(c) / len(c) if c else None for c in lists]
@@ -267,10 +300,11 @@ def main(argv=None) -> int:
                 print(f"    {field:<12} {sides[0][field]!r:<24} -> {sides[1][field]!r}")
         print(f"{len(differ)} fits differ")
         print("per group: largest cost gap (absolute, relative), largest cost rise of B "
-              "over A, mean iterations A -> B:")
+              "over A, mean iterations A -> B, fits with more and with fewer iterations in B:")
         for group, gap in cost_gaps(*args.paths).items():
             its = " -> ".join("-" if m is None else f"{m:.2f}" for m in gap["iterations"])
-            print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}  {gap['rise']:+.3g}  {its}")
+            print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}  {gap['rise']:+.3g}  {its}"
+                  f"  more {gap['more']}  fewer {gap['fewer']}")
         moved = [key for key in differ if key not in a or key not in b
                  or any(a[key][field] != b[key][field] for field in ("iterations", "termination"))]
         print(f"{len(moved)} fits changed iterations or termination")
