@@ -15,11 +15,20 @@ boundary of the positive definite cone whenever M_t is positive
 definite, so the iterates stay strictly feasible; a tiny log-det barrier
 is added only when M_t is singular. Either way the surrogate is strictly
 convex, so one Cholesky factor of its Hessian gives the Newton direction.
+
+A structure may bound its coefficients below (:class:`PowerBound`): its
+basis matrices are then positive semidefinite and the coefficients are
+powers, p >= floor. The step is then a projected Newton step (D. P.
+Bertsekas, "Projected Newton methods for optimization problems with
+simple constraints", SIAM J. Control Optim. 20(2), 1982), and the
+minimizer of the paper's separable bound on the surrogate is its fallback.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,6 +41,28 @@ from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, 
 
 _NEWTON_GRAD_TOL = 1e-8
 _MAX_HALVINGS = 60
+_BOUNDED_HALVINGS = 12  # a bounded step past these takes its separable point
+_HELD = 1e-12  # a power within this fraction of the largest of its floor may be held there
+
+
+@dataclass
+class PowerBound:
+    """Coefficients that are powers p >= ``floor`` of positive semidefinite basis matrices.
+
+    Basis matrix l is B_l = C_l C_l^H, with C_l the r columns l*r .. l*r + r - 1
+    of the K x (L r) ``factors``. The surrogate's pieces then come from the
+    two (L r) x (L r) matrices C^H W C and C^H W M_t W C, W = R_t^{-1}, and its
+    second term has the paper's separable bound, whose minimizer
+    max(separable(w, d), floor) is a monotone step: w_l = Re Tr(W B_l) and
+    d_l = p_l^2 Re Tr(W M_t W B_l). :func:`inner_update` forms that point on
+    every map and takes it when its line search fails; ``fallbacks``
+    counts those maps.
+    """
+
+    floor: np.ndarray
+    separable: Callable
+    factors: np.ndarray
+    fallbacks: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,6 +87,8 @@ class LinearStructure:
     # lower Cholesky factor of gram[l, m] = Re Tr(B_l B_m^H), the normal matrix of
     # the projection onto the span
     gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    # set only by _bounded, on a copy for one fit
+    bound: PowerBound | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_field_array(self.basis, "basis")
@@ -97,6 +130,12 @@ class LinearStructure:
         """Coefficients of the member nearest R in Frobenius norm; R's own when R is one."""
         vecs = self.basis.reshape(self.size, -1)
         return lapack.dpotrs(self.gram_chol, (vecs.conj() @ R.reshape(-1)).real, lower=1)[0]
+
+    def _bounded(self, bound: PowerBound) -> "LinearStructure":
+        """This structure with its coefficients held by ``bound``; nothing is rebuilt."""
+        out = copy.copy(self)
+        object.__setattr__(out, "bound", bound)
+        return out
 
     def _checked_coeffs(self, coeffs) -> np.ndarray:
         """A caller's coefficient vector as floats; InvalidInputError unless finite of length L."""
@@ -233,24 +272,46 @@ def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray
 
 
 def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
-    """Value, gradient and Hessian of the surrogate at its warm start R(a) = R_t, from Wt alone.
+    """Value, the gradient's two terms and the Hessian of the surrogate at R(a) = R_t, from Wt alone.
 
     There W = Wt, the value is K + Re Tr(M Wt) and the barrier adds
-    -mu*logdet R_t = mu*logdet Wt, so no matrix is factored.
+    -mu*logdet R_t = mu*logdet Wt, so no matrix is factored. The gradient
+    is w - u - mu*w, with w_l = Re Tr(Wt B_l) and u_l = Re Tr(Wt M Wt B_l).
 
     One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
-    the L basis matrices and its GEMM against the flattened basis.
+    the L basis matrices and its GEMM against the flattened basis. With a
+    :class:`PowerBound` it costs four GEMMs of at most K x K x (L r) and
+    (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
+    their diagonal blocks' traces, and H_lm = 2 Re sum X_ij conj(Y_ij) over
+    block (l, m) (plus mu sum |Y_ij|^2).
     """
     value = Wt.shape[0] + float((M * Wt.conj()).sum().real)
     if mu > 0.0:
         # the one log-determinant not taken from a Cholesky factor: none is at hand
         value += mu * np.linalg.slogdet(Wt).logabsdet
-    WMW = Wt @ M @ Wt
-    return (
-        value,
-        _surrogate_gradient(struct, Wt, Wt, WMW, mu),
-        _surrogate_hessian(struct, Wt, WMW, mu),
-    )
+    if struct.bound is None:
+        WMW = Wt @ M @ Wt
+        return (
+            value,
+            _basis_traces(struct, Wt),
+            _basis_traces(struct, WMW),
+            _surrogate_hessian(struct, Wt, WMW, mu),
+        )
+    C = struct.bound.factors
+    size, r = struct.size, C.shape[1] // struct.size
+    WC = Wt @ C
+    Y = C.conj().T @ WC
+    X = WC.conj().T @ (M @ WC)
+
+    def block_sums(A):
+        return A.reshape(size, r, size, r).sum(axis=(1, 3)).real
+
+    w = Y.diagonal().real.reshape(size, r).sum(axis=1)
+    u = X.diagonal().real.reshape(size, r).sum(axis=1)
+    H = 2.0 * block_sums(X * Y.conj())
+    if mu > 0.0:
+        H += mu * block_sums(Y * Y.conj())
+    return value, w, u, H
 
 
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
@@ -285,29 +346,65 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
     ``coeffs`` comes back unchanged when |g| <= 1e-8 * (1 + |f|). A
     -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t has no
     Cholesky factor. A non-finite M_t, f, g or H raises NumericalFailureError.
+
+    A structure with a :class:`PowerBound` holds at its floor each power
+    within 1e-12 * max p of it whose g_j > 0, and takes the step on the
+    free block; g is that block's. Its trials run along the arc
+    max(p + t d, floor), with Armijo on the displacement, and after 12
+    halvings the step takes the separable point, which it forms first.
     """
     if not np.isfinite(M_t).all():
         raise NumericalFailureError("the structured inner step met a non-finite weighted scatter")
     mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
     coeffs = np.asarray(coeffs, dtype=float)
-    value, grad, H = _surrogate_pieces(struct, Wt, M_t, mu)
+    value, w, u, H = _surrogate_pieces(struct, Wt, M_t, mu)
+    grad = w - u
+    if mu > 0.0:
+        grad -= mu * w
     if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(H).all()):
         raise NumericalFailureError("the structured inner step met a non-finite surrogate")
-    if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
+    bound = struct.bound
+    if bound is None:
+        halvings, held = _MAX_HALVINGS, None
+    else:
+        floor = bound.floor
+        # d_l = p_l^2 u_l, as g = w - d / p^2: the paper's point costs a square root
+        fallback = np.maximum(bound.separable(w, coeffs * coeffs * u), floor)
+        held = (grad > 0.0) & (coeffs - floor <= _HELD * coeffs.max())
+        halvings, held = _BOUNDED_HALVINGS, held if held.any() else None
+    free = slice(None) if held is None else ~held
+    g = grad[free]
+    if np.linalg.norm(g) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
         return coeffs
+    if held is not None:
+        H = H[np.ix_(free, free)]
     L = chol_pd(H)
-    step = -grad if L is None else lapack.dpotrs(L, -grad, lower=1)[0]
-    slope = float(grad @ step)
+    step = -g if L is None else lapack.dpotrs(L, -g, lower=1)[0]
+    slope = float(g @ step)
+    if held is not None:
+        step, free_step = np.zeros_like(coeffs), step
+        step[free] = free_step
     # roundoff slack: near the optimum the Armijo decrease sits below
     # the evaluation noise of the value itself
     slack = 1e-12 * (1.0 + abs(value))
     t = 1.0
-    for _ in range(_MAX_HALVINGS):
+    for _ in range(halvings):
         trial = coeffs + t * step
+        if bound is None:
+            armijo = 1e-4 * t * slope
+        else:
+            # the arc max(p + t d, floor), with the held powers at the floor
+            trial = np.maximum(trial, floor)
+            if held is not None:
+                trial[held] = floor[held]
+            armijo = 1e-4 * min(float(grad @ (trial - coeffs)), 0.0)
         point = _surrogate_value(struct, trial, Wt, M_t, mu)
-        if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
+        if point is not None and point[0] <= value + armijo + slack:
             return trial
         t *= 0.5
+    if bound is not None:
+        bound.fallbacks += 1
+        return fallback
     raise NumericalFailureError(
         "line search failed in the structured inner step",
         gradient_norm=float(np.linalg.norm(grad)),

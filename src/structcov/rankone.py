@@ -193,7 +193,7 @@ def estimate_rank_one(
     EstimatorResult
         ``params`` holds the power vector of the returned trace-one
         scatter, ``dictionary.assemble(params, details['epsilon'])``;
-        the ridge is 0, or 1e-10 after a restart (see :func:`_run`).
+        the ridge is 0, or 1e-10 after a restart (see :func:`_restarting`).
         Real samples on a complex dictionary fit as complex samples.
     """
     if samples.is_complex and not dictionary.is_complex:
@@ -214,17 +214,16 @@ def estimate_rank_one(
 
 
 def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
-    """MM over R = A diag(p) A^H with the inner step p <- solve(w, d).
+    """MM over R = A diag(p) A^H with the paper's separable step p <- solve(w, d).
 
     ``solve`` maps the surrogate weights (w, d) to the minimizing powers.
-    If the run fails to converge (an iterate loses positive definiteness
-    or every power collapses), it restarts once from ``init_powers`` in
-    the effective powers q = p + eps, eps = 1e-10 * ridge, with the step
-    q <- max(solve(w, d), eps): R = A diag(q) A^H stays linear in q and
-    positive definite. The fit reports p = max(q - eps, 0), and
-    ``details['epsilon']`` records the ridge used, 0 or 1e-10.
-    ``ridge`` scales the ridge per atom, for a dictionary whose identity
-    spectrum is not all ones.
+    Rank-one fits take this step, and so do the circulant fits that the
+    bounded Newton step of :func:`structcov.linear.inner_update` does not
+    run: banded fits, and fits with L > 2K - 1, whose atoms' outer
+    products are dependent. The Newton step falls back to this point.
+    The run restarts once with a ridge (:func:`_restarting`); the step then
+    keeps q <- max(solve(w, d), eps), and R = A diag(q) A^H stays linear
+    in q and positive definite.
 
     Real samples on a complex dictionary fit the real scatter
     R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T),
@@ -247,22 +246,38 @@ def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> Estima
     def assemble(q):
         return hermitize((columns * (np.repeat(q, 2) if split else q)) @ columns_h)
 
-    def run(eps):
-        floor = eps * ridge
-
+    def fit(init, floor):
         def inner(q, it):
             q_new = np.maximum(solve(*_weights(atoms, q, it)), floor)
             if not (q_new > 0.0).any():
                 raise FailedToConvergeError("all powers collapsed to zero")
             return q_new
 
-        result = mm_drive(
+        return mm_drive(
             inner=inner,
             space=_Whitening(samples, assemble),
-            init_params=init_powers + floor,
+            init_params=init,
             settings=settings,
             extrapolate=vet,
         )
+
+    return _restarting(fit, init_powers, ridge)
+
+
+def _restarting(fit, init_powers, ridge=1.0) -> EstimatorResult:
+    """``fit(init, floor)`` from ``init_powers``, restarted once with a ridge should it fail.
+
+    If the run fails to converge (an iterate loses positive definiteness
+    or every power collapses), it restarts once from ``init_powers`` in
+    the effective powers q = p + eps, eps = 1e-10 * ridge, held at or above
+    eps. The fit reports p = max(q - eps, 0), and ``details['epsilon']``
+    records the ridge used, 0 or 1e-10. ``ridge`` scales the ridge per
+    atom, for a dictionary whose identity spectrum is not all ones.
+    """
+
+    def run(eps):
+        floor = eps * ridge
+        result = fit(init_powers + floor, floor)
         result.params = np.maximum(result.params - floor, 0.0)
         result.details["epsilon"] = eps
         return result

@@ -15,6 +15,17 @@ in real arithmetic. The surrogate weights of B are the pair sums of
 those of A, and the scaling makes ||p~|| = ||p|| / sqrt(2), so relative
 changes and extrapolation steps are those of the full spectrum.
 
+At L = 2K-1 the K half-dictionary atoms of a real fit, and the 2K-1
+atoms of a complex one, have linearly independent outer products, so the
+powers are the coefficients of a linear structure bounded at p >= 0.
+Each map of a Toeplitz fit is then one bounded Newton step on the tight
+surrogate Tr(R_t^{-1} R) + Tr(M_t R^{-1}) (:func:`structcov.linear.inner_update`).
+The paper majorizes that surrogate once more by a separable bound, whose
+minimizer is p_j = sqrt(d_j / w_j) (:func:`power_update`); that looser
+step is the Newton step's fallback, and the whole step of the fits it
+does not run: banded fits, and fits with L > 2K-1, whose outer products
+are dependent.
+
 Banding adds the linear constraint that correlations beyond the
 bandwidth vanish. Each inner problem is
 
@@ -28,6 +39,7 @@ primal is recovered in closed form from the dual optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +49,9 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import dft_matrix
-from .rankone import _assemble, _refuse_below_floor, _run, power_update
-from .tyler import EstimatorResult, MMSettings, SampleSet
+from .linear import LinearStructure, PowerBound, inner_update
+from .rankone import _assemble, _refuse_below_floor, _restarting, _run, power_update
+from .tyler import EstimatorResult, MMSettings, SampleSet, _Whitening, mm_drive
 
 _DUAL_MAX_ITER = 200
 _DUAL_KKT_TOL = 1e-10
@@ -55,14 +68,14 @@ class CirculantEmbedding:
 
     @classmethod
     def build(cls, k: int, l: int | None = None) -> "CirculantEmbedding":
+        """The embedding of size L (default 2K-1), built once per (K, L); its A is read-only."""
         if k < 1:
             raise InvalidInputError("dimension must be at least 1")
         if l is None:
             l = 2 * k - 1
         if l < 2 * k - 1:
             raise InvalidInputError(f"embedding size must satisfy L >= 2K-1, got L={l}, K={k}")
-        A = dft_matrix(l)[:k, :]
-        return cls(k=k, l=l, a_matrix=A)
+        return _embedding(cls, k, l)
 
     @property
     def n_folded(self) -> int:
@@ -93,6 +106,13 @@ class CirculantEmbedding:
         p = np.asarray(folded, dtype=float) / self.identity_spectrum
         j = np.arange(self.l)
         return p[np.minimum(j, self.l - j)]
+
+
+@lru_cache(maxsize=None)
+def _embedding(cls, k: int, l: int) -> CirculantEmbedding:
+    A = dft_matrix(l)[:k, :]
+    A.flags.writeable = False
+    return cls(k=k, l=l, a_matrix=A)
 
 
 def build_embedding(k: int, l: int | None = None) -> CirculantEmbedding:
@@ -203,19 +223,87 @@ def banded_inner_update(spec: BandedSpec, w_t, d_t, return_dual: bool = False):
     )
 
 
-def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve):
+@lru_cache(maxsize=None)
+def _power_structure(k: int, l: int, complex_: bool):
+    """(structure, factors) of the fit's powers as coefficients, or None at L > 2K - 1.
+
+    There is one basis matrix per atom: a_j a_j^H of the full dictionary
+    for complex samples, and Re(b_j b_j^H) of the half dictionary for real
+    ones, each built from its first column so that it is exactly
+    Toeplitz. Their factors are the atoms, or for a real fit the two real
+    columns [Re b_j, Im b_j] of each atom's float view. The starting
+    coefficients are the identity spectrum.
+    """
+    if l > 2 * k - 1:
+        return None
+    emb = CirculantEmbedding.build(k, l)
+    if complex_:
+        atoms, identity = emb.a_matrix, np.ones(l)
+    else:
+        atoms, identity = emb.half_matrix, emb.identity_spectrum
+    # column m of a_j a_j^H is a_j[m] conj(a_j[0]); entry (i, j) takes the
+    # column at offset i - j, conjugated above the diagonal
+    column = atoms * atoms[0].conj()
+    offset = np.subtract.outer(np.arange(k), np.arange(k))
+    lower = column[np.abs(offset)].transpose(2, 0, 1)
+    basis = np.where(offset >= 0, lower, lower.conj())
+    struct = LinearStructure(basis=basis if complex_ else basis.real, init_coeffs=identity)
+    return struct, atoms if complex_ else np.ascontiguousarray(atoms).view(np.float64)
+
+
+def _separable_point(w, d):
+    """The Newton step's fallback, :func:`power_update` as this module holds it at call time."""
+    return power_update(w, d)
+
+
+def _newton(powers, samples: SampleSet, settings):
+    """``fit(init, floor)``: MM with one bounded Newton step per map on the powers.
+
+    ``powers`` is a (structure, factors) pair of :func:`_power_structure`.
+    ``details['newton_fallbacks']`` counts the maps that took the
+    separable point.
+    """
+    struct, factors = powers
+
+    def fit(init, floor):
+        bound = PowerBound(floor=floor, separable=_separable_point, factors=factors)
+        bounded = struct._bounded(bound)
+        result = mm_drive(
+            inner=lambda q, it: inner_update(bounded, q, it.inverse(), it.M),
+            space=_Whitening(samples, struct.assemble),
+            init_params=init,
+            settings=settings,
+            extrapolate=_refuse_below_floor,
+        )
+        result.details["newton_fallbacks"] = bound.fallbacks
+        return result
+
+    return fit
+
+
+def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve=None):
     """Circulant MM: the half dictionary for real samples, the full A for complex ones.
 
     A real fit's powers are the half-dictionary powers p~, so R is real
     and p_j = p_{L-j} holds by construction; ``params`` is unfolded to
     the length-L spectrum. The restart's ridge eps*I is eps times the
-    identity spectrum in either dictionary.
+    identity spectrum in either dictionary. Without ``solve`` (a Toeplitz
+    fit) each map is a bounded Newton step when the powers form a linear
+    structure, and :func:`power_update` otherwise; a fit on the
+    separable step reports each of its maps as a Newton fallback.
     """
     if samples.is_complex:
         atoms, identity = emb.a_matrix, np.ones(emb.l)
     else:
         atoms, identity = emb.half_matrix, emb.identity_spectrum
-    result = _run(atoms, samples, settings, identity, solve, _refuse_below_floor, identity)
+    powers = None if solve is not None else _power_structure(emb.k, emb.l, samples.is_complex)
+    if powers is not None:
+        result = _restarting(_newton(powers, samples, settings), identity, identity)
+    else:
+        result = _run(atoms, samples, settings, identity, solve or power_update,
+                      _refuse_below_floor, identity)
+        if solve is None:
+            result.details["newton_fallbacks"] = result.iterations
     if not samples.is_complex:
         result.params = emb.unfold(result.params)
     result.details["embedding_size"] = emb.l
@@ -233,10 +321,12 @@ def estimate_toeplitz(
     samples give a Hermitian Toeplitz estimate. For real samples the
     conjugate-pair symmetry p_j = p_{L-j} of the circulant spectrum
     holds by construction: the fit runs on the half dictionary.
+    ``details['newton_fallbacks']`` counts the maps that took the
+    paper's separable point rather than the bounded Newton step.
     """
     samples.require_oversampled()
     emb = CirculantEmbedding.build(samples.k, embedding_size)
-    return _fit(emb, samples, settings, power_update)
+    return _fit(emb, samples, settings)
 
 
 def estimate_banded_toeplitz(

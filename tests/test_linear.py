@@ -20,6 +20,7 @@ from structcov import (
     tyler_unconstrained,
 )
 from structcov.linear import (
+    PowerBound,
     _surrogate_gradient,
     _surrogate_hessian,
     _surrogate_pieces,
@@ -27,7 +28,9 @@ from structcov.linear import (
     inner_update,
     surrogate_gradient,
 )
+from structcov.rankone import power_update
 from structcov.simulate import ar_cov, nmse
+from structcov.toeplitz import _power_structure
 from support import (
     coordinate_descent,
     gaussian_cost_naive,
@@ -58,11 +61,23 @@ def _interior_point(struct, rng, spread=0.1):
     raise AssertionError("could not draw a feasible point")
 
 
+def _bounded_powers(k, complex_):
+    """The circulant powers of a Toeplitz fit at L = 2K - 1, bounded at 0."""
+    struct, factors = _power_structure(k, 2 * k - 1, complex_)
+    return struct._bounded(PowerBound(np.zeros(struct.size), power_update, factors))
+
+
 def _pieces_inputs(name, seed):
-    """(struct, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate."""
+    """(struct, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate.
+
+    The "powers" surrogates are those of circulant powers, whose pieces
+    come from the factors of their basis matrices.
+    """
     rng = np.random.default_rng(seed)
-    complex_ = name == "hermitian"
-    struct = hermitian_basis(3) if complex_ else toeplitz_basis(5)
+    complex_ = name in ("hermitian", "powers-complex")
+    struct = {"toeplitz": lambda: toeplitz_basis(5), "hermitian": lambda: hermitian_basis(3),
+              "powers": lambda: _bounded_powers(5, False),
+              "powers-complex": lambda: _bounded_powers(3, True)}[name]()
     Wt = np.linalg.inv(rand_pd(struct.dim, rng, complex_))
     M = rand_pd(struct.dim, rng, complex_, ridge=1.0)
     return struct, _interior_point(struct, rng), Wt, M
@@ -156,6 +171,12 @@ def _mm_fixed_point(struct, a, M, max_steps=500):
         assert g_next <= g + 1e-12 * (1.0 + abs(g))
         a, g = nxt, g_next
     raise AssertionError(f"the map did not reach a fixed point in {max_steps} steps")
+
+
+def _newton_pieces(struct, Wt, M, mu):
+    """Value, gradient and Hessian at the warm start, from the surrogate's pieces."""
+    value, w, u, H = _surrogate_pieces(struct, Wt, M, mu)
+    return value, w - u - mu * w, H
 
 
 def _pieces_at(struct, a, Wt, M, mu):
@@ -334,13 +355,13 @@ class TestSurrogatePieces:
     """The value, gradient and Hessian that the Newton step uses."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
-    @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian", "powers", "powers-complex"])
     def test_warm_start_matches_value_evaluation(self, name, mu):
         # at R(a) = R_t the pieces built from Wt alone are those of the
         # factored evaluation at a
         struct, a, _, M = _pieces_inputs(name, 350)
         Wt = np.linalg.inv(struct.assemble(a))
-        pieces = _surrogate_pieces(struct, Wt, M, mu)
+        pieces = _newton_pieces(struct, Wt, M, mu)
         for got, ref in zip(pieces, _pieces_at(struct, a, Wt, M, mu)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -359,11 +380,11 @@ class TestSurrogatePieces:
         assert np.max(np.abs(H - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
-    @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian", "powers", "powers-complex"])
     def test_derivatives_match_central_differences(self, name, mu):
         struct, a, _, M = _pieces_inputs(name, 500)
         Wt = np.linalg.inv(struct.assemble(a))
-        _, grad, H = _surrogate_pieces(struct, Wt, M, mu)
+        _, grad, H = _newton_pieces(struct, Wt, M, mu)
         h = 1e-5
         for j in range(struct.size):
             e = np.zeros(struct.size)
@@ -473,3 +494,51 @@ class TestEstimateLinear:
         X = sample_elliptical(ar_cov(4, 0.5), 30, seed=27)
         with pytest.raises(InvalidInputError):
             estimate_linear(banded_toeplitz_basis(4, 2), X, init_coeffs=init)
+
+
+def _unbounded_step(struct, coeffs, Wt, M_t):
+    """The Newton step of a structure whose coefficients are not bounded, written out in full."""
+    from scipy.linalg import lapack
+
+    from structcov.linalg import chol_pd
+
+    mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
+    coeffs = np.asarray(coeffs, dtype=float)
+    value = Wt.shape[0] + float((M_t * Wt.conj()).sum().real)
+    if mu > 0.0:
+        value += mu * np.linalg.slogdet(Wt).logabsdet
+    WMW = Wt @ M_t @ Wt
+    grad = _surrogate_gradient(struct, Wt, Wt, WMW, mu)
+    H = _surrogate_hessian(struct, Wt, WMW, mu)
+    if np.linalg.norm(grad) <= 1e-8 * (1.0 + abs(value)):
+        return coeffs
+    L = chol_pd(H)
+    step = -grad if L is None else lapack.dpotrs(L, -grad, lower=1)[0]
+    slope = float(grad @ step)
+    slack = 1e-12 * (1.0 + abs(value))
+    t = 1.0
+    for _ in range(60):
+        trial = coeffs + t * step
+        point = _surrogate_value(struct, trial, Wt, M_t, mu)
+        if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
+            return trial
+        t *= 0.5
+    raise AssertionError("line search failed")
+
+
+@pytest.mark.parametrize("preset", [toeplitz_basis, full_symmetric_basis],
+                         ids=["toeplitz", "full"])
+def test_an_unbounded_structure_takes_the_unbounded_step(preset, monkeypatch):
+    """Without a bound, the step is the plain Newton step, bit for bit."""
+    import structcov.linear
+
+    struct = preset(15)
+    X = sample_elliptical(ar_cov(15, 0.8), 40, seed=8)
+    settings = MMSettings(tol=1e-8, max_iter=200)
+    fit = estimate_linear(struct, X, settings)
+    monkeypatch.setattr(structcov.linear, "inner_update", _unbounded_step)
+    plain = estimate_linear(struct, X, settings)
+    assert fit.iterations == plain.iterations and fit.termination == "converged"
+    assert np.array_equal(fit.params, plain.params)
+    assert np.array_equal(fit.scatter, plain.scatter)
+    assert np.array_equal(fit.objective_trace, plain.objective_trace)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import structcov.kronecker
 import structcov.rankone
+import structcov.toeplitz
 import structcov.tyler
 from structcov import (
     InvalidInputError,
@@ -32,7 +33,7 @@ from structcov import (
     ula_dictionary,
 )
 from structcov.simulate import ar_cov
-from structcov.toeplitz import CirculantEmbedding, power_update
+from structcov.toeplitz import CirculantEmbedding
 from structcov.tyler import _Whitening
 from support import nonincreasing, rand_pd
 
@@ -121,12 +122,13 @@ def _random_start(name, seed):
         # a diagonally dominant Toeplitz matrix is positive definite
         coeffs = np.concatenate([[K], rng.uniform(-1.0, 1.0, K - 1)])
         return estimate_linear(TOEPLITZ, _ar_samples(seed), init_coeffs=coeffs)
-    # Toeplitz: the runner of estimate_toeplitz from a positive half spectrum
+    # Toeplitz: the runner of estimate_toeplitz, its bounded Newton step on
+    # the half-dictionary powers, from a positive half spectrum
     emb = CirculantEmbedding.build(K)
     init = rng.uniform(0.01, 2.0, emb.n_folded)
-    return structcov.rankone._run(
-        emb.half_matrix, _ar_samples(seed), None, init, power_update,
-        structcov.rankone._refuse_below_floor, emb.identity_spectrum,
+    powers = structcov.toeplitz._power_structure(K, emb.l, False)
+    return structcov.rankone._restarting(
+        structcov.toeplitz._newton(powers, _ar_samples(seed), None), init, emb.identity_spectrum,
     )
 
 

@@ -337,3 +337,50 @@ class TestEstimateBanded:
             estimate_banded_toeplitz(X, 4)
         with pytest.raises(InvalidInputError):
             estimate_banded_toeplitz(X, -1)
+
+
+class TestBoundedNewtonStep:
+    """Each map of a Toeplitz fit is one Newton step on the powers, bounded at p >= 0."""
+
+    # AR(0.95) and AR(0.99) truths with N barely above K: the optimum has
+    # zero powers on every one of these draws, so the bound binds
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("beta", [0.95, 0.99])
+    def test_the_bound_binds_at_near_singular_truths(self, beta, complex_, seed):
+        R0 = ar_cov(15, beta)
+        X = sample_elliptical(R0.astype(complex) if complex_ else R0, 16, seed)
+        res = estimate_toeplitz(X)
+        refit = estimate_toeplitz(X, MMSettings(tol=1e-12, max_iter=20000))
+        assert res.termination == refit.termination == TERMINATION_CONVERGED
+        assert np.all(res.params >= 0.0) and np.any(res.params == 0.0)
+        assert diagonal_spread(res.scatter) <= 1e-15 * np.max(np.abs(res.scatter))
+        assert abs(tyler_cost(res.scatter, X) - tyler_cost(refit.scatter, X)) <= 1e-9
+        assert nonincreasing(res.objective_trace)
+        assert res.details["newton_fallbacks"] == 0
+
+    def test_failed_line_searches_take_the_papers_step(self, monkeypatch):
+        # with no halving allowed every map falls back to the separable point,
+        # which is the paper's map: the fit of a full bandwidth, whose dual
+        # has no constraint, takes the same maps
+        import structcov.linear
+
+        X = sample_elliptical(ar_cov(8, 0.8), 30, seed=3)
+        monkeypatch.setattr(structcov.linear, "_BOUNDED_HALVINGS", 0)
+        res = estimate_toeplitz(X)
+        paper = estimate_banded_toeplitz(X, 7)
+        assert res.details["newton_fallbacks"] == res.iterations == paper.iterations
+        assert np.max(np.abs(res.scatter - paper.scatter)) <= 1e-12
+        assert nonincreasing(res.objective_trace)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_a_wide_embedding_takes_the_papers_step(self, complex_):
+        # at L > 2K - 1 the atoms' outer products are dependent: no Newton step
+        R0 = ar_cov(4, 0.5)
+        X = sample_elliptical(R0.astype(complex) if complex_ else R0, 30, seed=3)
+        res = estimate_toeplitz(X, embedding_size=9)
+        assert res.details["newton_fallbacks"] == res.iterations > 0
+        assert res.details["embedding_size"] == 9
+        fit = estimate_toeplitz(X)
+        assert fit.details["newton_fallbacks"] == 0
+        assert fit.iterations < res.iterations

@@ -429,7 +429,15 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
             "tyler": lambda: tyler_unconstrained(X, settings),
             "toeplitz": lambda: estimate_toeplitz(X, settings),
         }[estimator]
+    if estimator == "toeplitz":
+        import structcov.linear
+
+        fit()  # builds the structure of the powers, once per (K, L, field)
     calls = _count_factorizations(monkeypatch)
+    if estimator == "toeplitz":
+        # each map's surrogate pieces and its line-search trials, in call order
+        steps = count_calls(monkeypatch, [(structcov.linear, "_surrogate_pieces"),
+                                          (structcov.linear, "_surrogate_value")])
     if estimator.startswith("kronecker"):
         import scipy.linalg
 
@@ -481,4 +489,16 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     # a rank-one trial is clipped, never refused before its factor, so each
     # rejected trial was factored once
     rejected = res.details["squarem_rejected"] if estimator == "rankone" else 0
+    if estimator == "toeplitz":
+        # a Newton map also factors M_t (its barrier check), and a map that
+        # steps factors H and each line-search trial; one map here stops on
+        # its gradient: 18 maps, 17 steps and 17 trials factor
+        # 19 + 18 + 17 + 17 = 71
+        maps, trials = steps.count("_surrogate_pieces"), steps.count("_surrogate_value")
+        stepped = sum(a == "_surrogate_pieces" and b == "_surrogate_value"
+                      for a, b in zip(steps, steps[1:]))
+        assert maps == res.iterations and res.details["newton_fallbacks"] == 0
+        assert (res.iterations, stepped, trials) == (18, 17, 17)
+        assert len(calls) == res.iterations + 1 + rejected + maps + stepped + trials
+        return
     assert len(calls) == res.iterations + 1 + rejected

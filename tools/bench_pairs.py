@@ -42,7 +42,7 @@ WORKLOADS = ("fit-closedform", "fit-newton", "mc-study")
 TRACE_SEED = 7
 PAIRS = 10  # an improvement needs 9 of 10 pairs won
 # no earlier committed run used seeds from this base; see CHANGES.md
-SEED_BASE = 6301
+SEED_BASE = 8101
 
 
 def machine() -> dict:

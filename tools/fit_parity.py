@@ -8,7 +8,10 @@ cases from ``ROOT/perfbench/cases.py`` (read, never changed), fits
 every case of the ``fit-closedform`` and ``fit-newton`` workloads for
 seeds 3, 7 and 11, plus ``mc-study``-like K=15 AR(0.8) Toeplitz and
 Tyler fits (real and complex, N in {20, 40, 60, 100}, 10 draws each,
-tol 1e-6, max_iter 400, no cost trace), plus a restart group of
+tol 1e-6, max_iter 400, no cost trace), plus a ``toeplitz_binding`` group
+of Toeplitz fits with the same settings on AR(0.95) and AR(0.99) truths
+(K=15, N in {16, 20}, real and complex, 3 draws each), where some powers
+of the optimum are zero, plus a restart group of
 rank-one (augmented 10-degree ULA dictionary), Toeplitz and banded
 (bandwidth 2) fits of K=8 AR(0.8) samples (real and complex, N=20, 3
 draws each) whose inner solve raises FailedToConvergeError once, at its
@@ -22,8 +25,9 @@ Toeplitz B) of complex samples with scatter AR(0.5) kron AR(0.8) (N=10,
 3 draws), and writes one
 sha256 per fit to OUT.json. The hash covers the scatter, params,
 objective trace, iterations, termination, the SQUAREM counters, the
-ridge ``epsilon`` and, for Kronecker fits, factor_a, factor_b and
-b_coeffs; a fit that raises hashes its error.
+ridge ``epsilon``, a Toeplitz fit's ``newton_fallbacks`` and, for
+Kronecker fits, factor_a, factor_b and b_coeffs; a fit that raises
+hashes its error.
 Beside each hash are the fit's iterations, its termination and the cost
 ``tyler_cost(result.scatter, samples)`` of its scatter (None for a fit
 that raised). Every BLAS runs on one thread.
@@ -32,8 +36,9 @@ The second form lists the fits whose hashes differ (or that only one
 file has) with both sides' iterations, termination and cost, then per
 group the largest cost gap, the largest signed cost rise of the second
 file over the first, both sides' mean iterations and how many fits took
-more and how many fewer maps in the second file, and exits 1 when
-any hash differs. Its last line counts the fits whose iterations or
+more and how many fewer maps in the second file, both sides' ``max_iter``
+stops and the distribution of the signed cost change (minimum,
+quartiles, maximum), and exits 1 when any hash differs. Its last line counts the fits whose iterations or
 termination changed (a fit only one file has counts as changed). A
 roundoff change keeps the iterations and the termination, so that count
 is 0, and moves the cost by a few ulps; a real change does not. A change
@@ -56,11 +61,14 @@ import sys  # noqa: E402
 SEEDS = (3, 7, 11)
 MC_N = (20, 40, 60, 100)
 MC_DRAWS = 10
+BINDING_BETAS = (0.95, 0.99)
+BINDING_N = (16, 20)
+BINDING_DRAWS = 3
 RESTART_DRAWS = 3
 MIXED_DRAWS = 3
 KRON_COMPLEX_DRAWS = 3
-DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "factor_a", "factor_b",
-               "b_coeffs")
+DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "factor_a",
+               "factor_b", "b_coeffs")
 
 
 def _digest(result) -> str:
@@ -111,6 +119,24 @@ def _mc_fits():
                 X = sc.sample_elliptical(R0, n, np.random.SeedSequence([15, n, draw]), tau_dof=1.0)
                 for label, fit in fits.items():
                     yield f"{label}/{field}", f"{label}/{field}/N{n}/d{draw}", fit, X
+
+
+def _binding_fits():
+    """(group, key, fit, samples) of the Toeplitz fits whose optimum has zero powers."""
+    import numpy as np
+
+    import structcov as sc
+
+    settings = sc.MMSettings(tol=1e-6, max_iter=400, record_trace=False)
+    for beta in BINDING_BETAS:
+        truth = sc.ar_cov(15, beta)
+        for field, R0 in (("real", truth), ("complex", truth.astype(complex))):
+            for n in BINDING_N:
+                for draw in range(BINDING_DRAWS):
+                    seed = np.random.SeedSequence([15, round(100 * beta), n, draw])
+                    X = sc.sample_elliptical(R0, n, seed, tau_dof=1.0)
+                    yield (f"toeplitz_binding/{field}", f"toeplitz_binding/{field}/b{beta}/N{n}/d{draw}",
+                           lambda X: sc.estimate_toeplitz(X, settings), X)
 
 
 def _failing_once(module, attr, fit):
@@ -224,8 +250,8 @@ def hash_fits(root: str) -> dict:
             for case in build(seed, cases.DATASETS[workload]):
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
-    for group, key, fit, samples in (*_mc_fits(), *_restart_fits(), *_mixed_fits(),
-                                     *_kron_complex_fits()):
+    for group, key, fit, samples in (*_mc_fits(), *_binding_fits(), *_restart_fits(),
+                                     *_mixed_fits(), *_kron_complex_fits()):
         record(group, key, fit, samples)
     return out
 
@@ -252,7 +278,10 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
     B raised and -inf when A did. ``iterations`` holds each side's mean
     iterations over the fits that did not raise there, and ``more`` and
     ``fewer`` count the fits that did not raise on either side and took
-    more, or fewer, iterations in B than in A.
+    more, or fewer, iterations in B than in A. ``changes`` is the
+    distribution of the signed cost_b - cost_a over those fits: its
+    minimum, quartiles and maximum (empty when there are none), and
+    ``max_iter`` counts each side's fits that stopped at ``max_iter``.
     """
     a, b = _load(path_a), _load(path_b)
     gaps = {}
@@ -266,12 +295,16 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
             rel = gap / abs(ca) if ca else gap
         group = gaps.setdefault(a[key]["group"], {"abs": 0.0, "rel": 0.0, "rise": -float("inf"),
                                                   "iteration_lists": [[], []],
-                                                  "more": 0, "fewer": 0})
+                                                  "more": 0, "fewer": 0, "changes": [],
+                                                  "max_iter": [0, 0]})
         group["abs"], group["rel"] = max(group["abs"], gap), max(group["rel"], rel)
         group["rise"] = max(group["rise"], rise)
-        for side, fits in zip(group["iteration_lists"], (a, b)):
+        if ca is not None and cb is not None:
+            group["changes"].append(cb - ca)
+        for i, (side, fits) in enumerate(zip(group["iteration_lists"], (a, b))):
             if fits[key]["iterations"] is not None:
                 side.append(fits[key]["iterations"])
+            group["max_iter"][i] += fits[key]["termination"] == "max_iter"
         ia, ib = a[key]["iterations"], b[key]["iterations"]
         if ia is not None and ib is not None:
             group["more"] += ib > ia
@@ -279,6 +312,9 @@ def cost_gaps(path_a: str, path_b: str) -> dict:
     for group in gaps.values():
         lists = group.pop("iteration_lists")
         group["iterations"] = [sum(c) / len(c) if c else None for c in lists]
+        changes = sorted(group["changes"])
+        group["changes"] = [changes[round(q * (len(changes) - 1))] for q in (0, 0.25, 0.5, 0.75, 1)
+                            ] if changes else []
     return gaps
 
 
@@ -300,11 +336,14 @@ def main(argv=None) -> int:
                 print(f"    {field:<12} {sides[0][field]!r:<24} -> {sides[1][field]!r}")
         print(f"{len(differ)} fits differ")
         print("per group: largest cost gap (absolute, relative), largest cost rise of B "
-              "over A, mean iterations A -> B, fits with more and with fewer iterations in B:")
+              "over A, mean iterations A -> B, fits with more and with fewer iterations in B, "
+              "max_iter stops A -> B, and the cost change B - A (min, quartiles, max):")
         for group, gap in cost_gaps(*args.paths).items():
             its = " -> ".join("-" if m is None else f"{m:.2f}" for m in gap["iterations"])
+            changes = " ".join(f"{c:+.2g}" for c in gap["changes"])
             print(f"    {group:<24} {gap['abs']:.3g}  {gap['rel']:.3g}  {gap['rise']:+.3g}  {its}"
-                  f"  more {gap['more']}  fewer {gap['fewer']}")
+                  f"  more {gap['more']}  fewer {gap['fewer']}"
+                  f"  max_iter {gap['max_iter'][0]} -> {gap['max_iter'][1]}  [{changes}]")
         moved = [key for key in differ if key not in a or key not in b
                  or any(a[key][field] != b[key][field] for field in ("iterations", "termination"))]
         print(f"{len(moved)} fits changed iterations or termination")
