@@ -37,7 +37,7 @@ from .simulate import (
     ula_dictionary,
 )
 from .spiked import estimate_spiked, project_spiked
-from .toeplitz import estimate_banded_toeplitz, estimate_toeplitz
+from .toeplitz import BandedSpec, CirculantEmbedding, estimate_banded_toeplitz, estimate_toeplitz
 from .tyler import TERMINATION_MAX_ITER, EstimatorResult, MMSettings, tyler_unconstrained
 
 RESULT_COLUMNS = [
@@ -75,7 +75,7 @@ def _pair(value):
 
 
 # How the value of each spec key is read. The readers are cheap conversions
-# (a pool job re-runs them for every trial); a value one rejects with
+# (every trial re-runs them); a value one rejects with
 # TypeError or ValueError is InvalidInputError.
 _SPEC_VALUES = {
     "a_beta": float,
@@ -104,8 +104,8 @@ def _check_spec(spec, table: dict, what: str):
     A builder's parameters after its first two are the keys a spec of its
     kind may give; those without a default are required. Each value is
     read by its ``_SPEC_VALUES`` entry. Anything else is
-    ``InvalidInputError``. Nothing is built, so this stays cheap: a pool
-    job re-runs it for every trial.
+    ``InvalidInputError``. Nothing is built, so this stays cheap: every
+    trial re-runs it.
     """
     if not isinstance(spec, dict):
         raise InvalidInputError(f"{what} must be a dict with a 'kind', got {spec!r}")
@@ -159,21 +159,14 @@ TRUTH_KINDS = {
 # that replaces, say, ``structcov.bench.estimate_toeplitz`` sees every fit
 # go through the replacement.
 
-def _check_embedding(k, embedding_size):
-    """Refuse a circulant embedding below 2K-1."""
-    if embedding_size is not None and embedding_size < 2 * k - 1:
-        raise InvalidInputError(f"embedding size must be >= 2K-1, got {embedding_size} for K={k}")
-
-
 def _toeplitz(k, settings, embedding_size=None):
-    _check_embedding(k, embedding_size)
+    CirculantEmbedding.build(k, embedding_size)  # refuses L < 2K-1
     return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size)
 
 
 def _banded_toeplitz(k, settings, bandwidth, embedding_size=None):
-    if not 0 <= bandwidth <= k - 1:
-        raise InvalidInputError(f"bandwidth must lie in [0, K-1], got {bandwidth} for K={k}")
-    _check_embedding(k, embedding_size)
+    # refuses L < 2K-1 and a bandwidth outside [0, K-1]
+    BandedSpec.from_embedding(CirculantEmbedding.build(k, embedding_size), bandwidth)
     return lambda X: estimate_banded_toeplitz(X, bandwidth, settings, embedding_size=embedding_size)
 
 
@@ -377,12 +370,6 @@ def run_trial(cfg: ExperimentConfig, n: int, trial: int) -> list[dict]:
     return records
 
 
-def _run_trial_star(args):
-    cfg_dict, n, trial = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return run_trial(cfg, n, trial)
-
-
 def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
     """Run the full study and return aggregated rows (also written as CSV).
 
@@ -396,11 +383,8 @@ def run_experiment(cfg: ExperimentConfig, output=None) -> list[dict]:
     _estimators(cfg)  # a structure that does not fit k fails here, before any trial
     jobs = [(n, trial) for n in cfg.n_list for trial in range(cfg.trials)]
     if cfg.workers > 1:
-        cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            all_records = list(
-                pool.map(_run_trial_star, [(cfg_dict, n, t) for n, t in jobs], chunksize=1)
-            )
+            all_records = list(pool.map(partial(run_trial, cfg), *zip(*jobs), chunksize=1))
     else:
         all_records = [run_trial(cfg, n, t) for n, t in jobs]
 

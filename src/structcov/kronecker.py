@@ -231,7 +231,8 @@ def _sweep(update, starts, it, b_structure):
     ``update(stack, weights, start)`` is the scheme's factor update, and
     ``starts`` holds what it starts from: the factors or their Cholesky
     factors. A updates from the iterate's T and weights; the new A whitens
-    the samples for B's update, or for one structured step from B^{-1}.
+    the samples for B's update, or for one structured step from B^{-1},
+    warm-started from the coefficients of B.
     """
     A = update(it.T, it.weights, starts[0])
     U = _whiten_a(it.reshaped, _factor_inverse(A))
@@ -244,28 +245,22 @@ def _sweep(update, starts, it, b_structure):
     return A, hermitize(b_structure.assemble(coeffs))
 
 
-def gauss_seidel_step(factors, reshaped: ReshapedSamples, b_structure=None, it=None):
-    """One sweep of the alternating scheme: solve for A with B fixed, then for B.
+def gauss_seidel_step(it: _FactorIterate, b_structure=None):
+    """One sweep of the alternating scheme from the iterate ``it``: solve for A, then for B.
 
-    With ``b_structure`` B takes one structured surrogate step instead,
-    as in :func:`block_mm_step`; returns the pair (A, B) as it does.
-    ``it`` is the fit's iterate at ``factors`` when the caller has it.
+    ``it`` is the fit's iterate at a pair, as its :class:`ReshapedSamples`
+    builds it. With ``b_structure`` (a LinearStructure on the B factor) B
+    takes one structured surrogate step instead. Returns the pair (A, B),
+    neither scaled nor checked.
     """
-    it = it or _FactorIterate(factors, reshaped)
     return _sweep(_tyler_factor_loop, it.factors, it, b_structure)
 
 
-def block_mm_step(factors, reshaped: ReshapedSamples, b_structure=None, it=None):
-    """One block-MM sweep: geometric-mean update of A, then of B.
+def block_mm_step(it: _FactorIterate, b_structure=None):
+    """One block-MM sweep from the iterate ``it``: geometric-mean update of A, then of B.
 
-    With ``b_structure`` (a LinearStructure on the B factor) the B
-    update minimizes the same surrogate over the structure instead of
-    using the closed form, warm-started from the coefficients of B.
-    ``it`` is the fit's iterate at ``factors`` when the caller has it.
-
-    Returns the pair (A, B), neither scaled nor checked.
+    Takes and returns what :func:`gauss_seidel_step` does.
     """
-    it = it or _FactorIterate(factors, reshaped)
     return _sweep(_mm_factor_step, it.chols, it, b_structure)
 
 
@@ -315,7 +310,7 @@ def estimate_kronecker(
 
     step = block_mm_step if method == "mm" else gauss_seidel_step
     result = mm_drive(
-        inner=lambda params, it: reshaped.flatten(step(it.factors, reshaped, b_structure, it=it)),
+        inner=lambda params, it: reshaped.flatten(step(it, b_structure)),
         space=reshaped,
         init_params=reshaped.flatten(init),
         settings=settings,

@@ -16,17 +16,17 @@ definite, so the iterates stay strictly feasible; a tiny log-det barrier
 is added only when M_t is singular. Either way the surrogate is strictly
 convex, so one Cholesky factor of its Hessian gives the Newton direction.
 
-A structure may bound its coefficients below (:class:`PowerBound`): its
-basis matrices are then positive semidefinite and the coefficients are
-powers, p >= floor. The step is then a projected Newton step (D. P.
-Bertsekas, "Projected Newton methods for optimization problems with
-simple constraints", SIAM J. Control Optim. 20(2), 1982), and the
-minimizer of the paper's separable bound on the surrogate is its fallback.
+A fit may bound the coefficients below (:class:`PowerBound`, passed to
+each step): the basis matrices are then positive semidefinite and the
+coefficients are powers, p >= floor. The step is then a projected Newton
+step (D. P. Bertsekas, "Projected Newton methods for optimization
+problems with simple constraints", SIAM J. Control Optim. 20(2), 1982),
+and the minimizer of the paper's separable bound on the surrogate is its
+fallback.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,7 +56,7 @@ class PowerBound:
     max(separable(w, d), floor) is a monotone step: w_l = Re Tr(W B_l) and
     d_l = p_l^2 Re Tr(W M_t W B_l). :func:`inner_update` forms that point on
     every map and takes it when its line search fails; ``fallbacks``
-    counts those maps.
+    counts those maps. A fit makes its own bound, so the count is its own.
     """
 
     floor: np.ndarray
@@ -87,8 +87,6 @@ class LinearStructure:
     # lower Cholesky factor of gram[l, m] = Re Tr(B_l B_m^H), the normal matrix of
     # the projection onto the span
     gram_chol: np.ndarray = field(init=False, repr=False, compare=False)
-    # set only by _bounded, on a copy for one fit
-    bound: PowerBound | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = as_field_array(self.basis, "basis")
@@ -130,12 +128,6 @@ class LinearStructure:
         """Coefficients of the member nearest R in Frobenius norm; R's own when R is one."""
         vecs = self.basis.reshape(self.size, -1)
         return lapack.dpotrs(self.gram_chol, (vecs.conj() @ R.reshape(-1)).real, lower=1)[0]
-
-    def _bounded(self, bound: PowerBound) -> "LinearStructure":
-        """This structure with its coefficients held by ``bound``; nothing is rebuilt."""
-        out = copy.copy(self)
-        object.__setattr__(out, "bound", bound)
-        return out
 
     def _checked_coeffs(self, coeffs) -> np.ndarray:
         """A caller's coefficient vector as floats; InvalidInputError unless finite of length L."""
@@ -271,7 +263,7 @@ def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray
     return H
 
 
-def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
+def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, factors=None):
     """Value, the gradient's two terms and the Hessian of the surrogate at R(a) = R_t, from Wt alone.
 
     There W = Wt, the value is K + Re Tr(M Wt) and the barrier adds
@@ -279,9 +271,9 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
     is w - u - mu*w, with w_l = Re Tr(Wt B_l) and u_l = Re Tr(Wt M Wt B_l).
 
     One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
-    the L basis matrices and its GEMM against the flattened basis. With a
-    :class:`PowerBound` it costs four GEMMs of at most K x K x (L r) and
-    (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
+    the L basis matrices and its GEMM against the flattened basis. With the
+    ``factors`` C of a :class:`PowerBound` it costs four GEMMs of at most
+    K x K x (L r) and (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
     their diagonal blocks' traces, and H_lm = 2 Re sum X_ij conj(Y_ij) over
     block (l, m) (plus mu sum |Y_ij|^2).
     """
@@ -289,7 +281,7 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
     if mu > 0.0:
         # the one log-determinant not taken from a Cholesky factor: none is at hand
         value += mu * np.linalg.slogdet(Wt).logabsdet
-    if struct.bound is None:
+    if factors is None:
         WMW = Wt @ M @ Wt
         return (
             value,
@@ -297,10 +289,9 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float):
             _basis_traces(struct, WMW),
             _surrogate_hessian(struct, Wt, WMW, mu),
         )
-    C = struct.bound.factors
-    size, r = struct.size, C.shape[1] // struct.size
-    WC = Wt @ C
-    Y = C.conj().T @ WC
+    size, r = struct.size, factors.shape[1] // struct.size
+    WC = Wt @ factors
+    Y = factors.conj().T @ WC
     X = WC.conj().T @ (M @ WC)
 
     def block_sums(A):
@@ -333,7 +324,8 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
     return _surrogate_gradient(struct, Wt, W, W @ M @ W, 0.0)
 
 
-def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
+def inner_update(struct: LinearStructure, coeffs, Wt, M_t,
+                 bound: PowerBound | None = None) -> np.ndarray:
     """One Newton step on the MM surrogate from the outer iterate, with a feasibility line search.
 
     ``coeffs`` are the coefficients of the iterate, which must lie in the
@@ -347,7 +339,7 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
     -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t has no
     Cholesky factor. A non-finite M_t, f, g or H raises NumericalFailureError.
 
-    A structure with a :class:`PowerBound` holds at its floor each power
+    With a :class:`PowerBound` the step holds at its floor each power
     within 1e-12 * max p of it whose g_j > 0, and takes the step on the
     free block; g is that block's. Its trials run along the arc
     max(p + t d, floor), with Armijo on the displacement, and after 12
@@ -357,13 +349,13 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t) -> np.ndarray:
         raise NumericalFailureError("the structured inner step met a non-finite weighted scatter")
     mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
     coeffs = np.asarray(coeffs, dtype=float)
-    value, w, u, H = _surrogate_pieces(struct, Wt, M_t, mu)
+    value, w, u, H = _surrogate_pieces(struct, Wt, M_t, mu,
+                                       None if bound is None else bound.factors)
     grad = w - u
     if mu > 0.0:
         grad -= mu * w
     if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(H).all()):
         raise NumericalFailureError("the structured inner step met a non-finite surrogate")
-    bound = struct.bound
     if bound is None:
         halvings, held = _MAX_HALVINGS, None
     else:

@@ -247,14 +247,8 @@ def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> Estima
         return hermitize((columns * (np.repeat(q, 2) if split else q)) @ columns_h)
 
     def fit(init, floor):
-        def inner(q, it):
-            q_new = np.maximum(solve(*_weights(atoms, q, it)), floor)
-            if not (q_new > 0.0).any():
-                raise FailedToConvergeError("all powers collapsed to zero")
-            return q_new
-
         return mm_drive(
-            inner=inner,
+            inner=lambda q, it: np.maximum(solve(*_weights(atoms, q, it)), floor),
             space=_Whitening(samples, assemble),
             init_params=init,
             settings=settings,
@@ -267,12 +261,13 @@ def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> Estima
 def _restarting(fit, init_powers, ridge=1.0) -> EstimatorResult:
     """``fit(init, floor)`` from ``init_powers``, restarted once with a ridge should it fail.
 
-    If the run fails to converge (an iterate loses positive definiteness
-    or every power collapses), it restarts once from ``init_powers`` in
-    the effective powers q = p + eps, eps = 1e-10 * ridge, held at or above
-    eps. The fit reports p = max(q - eps, 0), and ``details['epsilon']``
-    records the ridge used, 0 or 1e-10. ``ridge`` scales the ridge per
-    atom, for a dictionary whose identity spectrum is not all ones.
+    If the run fails to converge (an iterate loses positive definiteness,
+    or its scale when every power collapses to zero), it restarts once from
+    ``init_powers`` in the effective powers q = p + eps, eps = 1e-10 * ridge,
+    held at or above eps. The fit reports p = max(q - eps, 0), and
+    ``details['epsilon']`` records the ridge used, 0 or 1e-10. ``ridge``
+    scales the ridge per atom, for a dictionary whose identity spectrum is
+    not all ones.
     """
 
     def run(eps):

@@ -98,6 +98,12 @@ class CirculantEmbedding:
         """
         return self.a_matrix[:, : self.n_folded] * np.sqrt(2.0 * self.identity_spectrum)
 
+    def dictionary(self, complex_: bool):
+        """(atoms, identity spectrum) of a fit: A and ones for complex samples, else the half B."""
+        if complex_:
+            return self.a_matrix, np.ones(self.l)
+        return self.half_matrix, self.identity_spectrum
+
     def assemble(self, powers, epsilon: float = 0.0) -> np.ndarray:
         return _assemble(self.a_matrix, powers, epsilon)
 
@@ -142,7 +148,7 @@ class BandedSpec:
             raise InvalidInputError("bandwidth must lie in [0, K-1]")
         # r_j = sum_i p_i D[j, i] conj(D[0, i]) for the fit's dictionary D, in
         # units of 1/sqrt(L): the dual's KKT tolerance holds C p to 1e-10 in these
-        D = emb.a_matrix if complex_ else emb.half_matrix
+        D = emb.dictionary(complex_)[0]
         C = np.sqrt(emb.l) * D[bandwidth + 1 :] * D[0].conj()
         A_t = np.concatenate([C.real, C.imag]) if complex_ else C.real
         return cls(bandwidth=bandwidth, constraint_matrix=A_t)
@@ -236,11 +242,7 @@ def _power_structure(k: int, l: int, complex_: bool):
     """
     if l > 2 * k - 1:
         return None
-    emb = CirculantEmbedding.build(k, l)
-    if complex_:
-        atoms, identity = emb.a_matrix, np.ones(l)
-    else:
-        atoms, identity = emb.half_matrix, emb.identity_spectrum
+    atoms, identity = CirculantEmbedding.build(k, l).dictionary(complex_)
     # column m of a_j a_j^H is a_j[m] conj(a_j[0]); entry (i, j) takes the
     # column at offset i - j, conjugated above the diagonal
     column = atoms * atoms[0].conj()
@@ -267,9 +269,8 @@ def _newton(powers, samples: SampleSet, settings):
 
     def fit(init, floor):
         bound = PowerBound(floor=floor, separable=_separable_point, factors=factors)
-        bounded = struct._bounded(bound)
         result = mm_drive(
-            inner=lambda q, it: inner_update(bounded, q, it.inverse(), it.M),
+            inner=lambda q, it: inner_update(struct, q, it.inverse(), it.M, bound),
             space=_Whitening(samples, struct.assemble),
             init_params=init,
             settings=settings,
@@ -292,10 +293,7 @@ def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve=None):
     structure, and :func:`power_update` otherwise; a fit on the
     separable step reports each of its maps as a Newton fallback.
     """
-    if samples.is_complex:
-        atoms, identity = emb.a_matrix, np.ones(emb.l)
-    else:
-        atoms, identity = emb.half_matrix, emb.identity_spectrum
+    atoms, identity = emb.dictionary(samples.is_complex)
     powers = None if solve is not None else _power_structure(emb.k, emb.l, samples.is_complex)
     if powers is not None:
         result = _restarting(_newton(powers, samples, settings), identity, identity)

@@ -96,6 +96,25 @@ class TestRunExperiment:
         run_experiment(parallel, output=str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("structure", [
+        {"kind": "toeplitz", "embedding_size": 8},
+        {"kind": "banded-toeplitz", "bandwidth": 5},
+        {"kind": "banded-toeplitz", "bandwidth": -1},
+        {"kind": "banded-toeplitz", "bandwidth": 2, "embedding_size": 8},
+    ], ids=["short-embedding", "wide-band", "negative-band", "banded-short-embedding"])
+    def test_a_circulant_spec_that_does_not_fit_k_runs_no_trial(self, structure, workers,
+                                                                monkeypatch):
+        # K=5 needs an embedding of at least 9 and a bandwidth in [0, 4]
+        import structcov.bench as bench
+
+        trials = []
+        monkeypatch.setattr(bench, "run_trial", lambda *args: trials.append(args))
+        cfg = _base_config(structure=structure, workers=workers)
+        with pytest.raises(InvalidInputError):
+            run_experiment(cfg)
+        assert trials == []
+
     def test_failures_counted(self, tmp_path):
         # N <= K: the Tyler baseline refuses every trial, SCM still works
         cfg = ExperimentConfig(

@@ -168,7 +168,7 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.random.default_rng(5).standard_normal((6, 1)))
         resh = ReshapedSamples.from_samples(X, 1, 1)
         f = KroneckerFactors(factor_a=np.eye(1), factor_b=np.eye(1))
-        A, B = gauss_seidel_step(f, resh)
+        A, B = gauss_seidel_step(resh(f))
         assert np.allclose(A, [[1.0]])
         assert np.allclose(B, [[1.0]])
 
@@ -186,7 +186,7 @@ class TestGaussSeidel:
         X = SampleSet.from_array(np.stack([m.reshape(-1, order="F") for m in mats]))
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q))
-        A, _B = gauss_seidel_step(f, resh)
+        A, _B = gauss_seidel_step(resh(f))
         expected = W / np.trace(W)
         assert np.linalg.norm(A - expected) <= 1e-8
 
@@ -196,7 +196,7 @@ class TestGaussSeidel:
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q) / q)
         before = kron_objective(f, resh)
-        A, B = gauss_seidel_step(f, resh)
+        A, B = gauss_seidel_step(resh(f))
         after = kron_objective((A, B), resh)
         assert after <= before + 1e-10
         # fixed-point residual of the A-subproblem at the returned factors
@@ -209,7 +209,7 @@ class TestGaussSeidel:
 
 def _scaled_step(step, factors, reshaped):
     """The pair a fit takes from ``step``: the space scales each factor to unit trace."""
-    _flat, pair = reshaped.normalize(reshaped.flatten(step(factors, reshaped)))
+    _flat, pair = reshaped.normalize(reshaped.flatten(step(reshaped(factors))))
     return pair
 
 
@@ -261,7 +261,7 @@ class TestBlockMM:
         resh = ReshapedSamples.from_samples(X, p, q)
         f = KroneckerFactors(factor_a=np.eye(p) / p, factor_b=np.eye(q) / q)
         before = kron_objective(f, resh)
-        out = block_mm_step(f, resh)
+        out = block_mm_step(resh(f))
         assert kron_objective(out, resh) <= before + 1e-10
 
 
@@ -533,8 +533,9 @@ class TestKroneckerOnTheDriver:
         step = getattr(kron_mod, name)
         maps = []  # each map's start, its normalized flat pair and both as pairs
 
-        def recorded(factors, reshaped, *args, **kwargs):
-            out = step(factors, reshaped, *args, **kwargs)
+        def recorded(it, *args, **kwargs):
+            factors, reshaped = it.factors, it.reshaped
+            out = step(it, *args, **kwargs)
             to, pair = reshaped.normalize(reshaped.flatten(out))
             maps.append((reshaped.flatten(factors), to, factors, pair))
             return out

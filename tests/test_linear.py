@@ -20,7 +20,6 @@ from structcov import (
     tyler_unconstrained,
 )
 from structcov.linear import (
-    PowerBound,
     _surrogate_gradient,
     _surrogate_hessian,
     _surrogate_pieces,
@@ -28,7 +27,6 @@ from structcov.linear import (
     inner_update,
     surrogate_gradient,
 )
-from structcov.rankone import power_update
 from structcov.simulate import ar_cov, nmse
 from structcov.toeplitz import _power_structure
 from support import (
@@ -61,26 +59,22 @@ def _interior_point(struct, rng, spread=0.1):
     raise AssertionError("could not draw a feasible point")
 
 
-def _bounded_powers(k, complex_):
-    """The circulant powers of a Toeplitz fit at L = 2K - 1, bounded at 0."""
-    struct, factors = _power_structure(k, 2 * k - 1, complex_)
-    return struct._bounded(PowerBound(np.zeros(struct.size), power_update, factors))
-
-
 def _pieces_inputs(name, seed):
-    """(struct, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate.
+    """(struct, factors, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate.
 
-    The "powers" surrogates are those of circulant powers, whose pieces
-    come from the factors of their basis matrices.
+    The "powers" surrogates are those of circulant powers at L = 2K - 1,
+    whose pieces come from the ``factors`` of their basis matrices (None
+    for the others).
     """
     rng = np.random.default_rng(seed)
     complex_ = name in ("hermitian", "powers-complex")
-    struct = {"toeplitz": lambda: toeplitz_basis(5), "hermitian": lambda: hermitian_basis(3),
-              "powers": lambda: _bounded_powers(5, False),
-              "powers-complex": lambda: _bounded_powers(3, True)}[name]()
+    struct, factors = {"toeplitz": lambda: (toeplitz_basis(5), None),
+                       "hermitian": lambda: (hermitian_basis(3), None),
+                       "powers": lambda: _power_structure(5, 9, False),
+                       "powers-complex": lambda: _power_structure(3, 5, True)}[name]()
     Wt = np.linalg.inv(rand_pd(struct.dim, rng, complex_))
     M = rand_pd(struct.dim, rng, complex_, ridge=1.0)
-    return struct, _interior_point(struct, rng), Wt, M
+    return struct, factors, _interior_point(struct, rng), Wt, M
 
 
 class TestPresets:
@@ -173,9 +167,9 @@ def _mm_fixed_point(struct, a, M, max_steps=500):
     raise AssertionError(f"the map did not reach a fixed point in {max_steps} steps")
 
 
-def _newton_pieces(struct, Wt, M, mu):
+def _newton_pieces(struct, Wt, M, mu, factors=None):
     """Value, gradient and Hessian at the warm start, from the surrogate's pieces."""
-    value, w, u, H = _surrogate_pieces(struct, Wt, M, mu)
+    value, w, u, H = _surrogate_pieces(struct, Wt, M, mu, factors)
     return value, w - u - mu * w, H
 
 
@@ -292,9 +286,9 @@ class TestInnerUpdate:
             M[:, 0] = M[0, :] = 0.0
         weights = []
 
-        def recorded(structure, Wt, M_t, mu):
+        def recorded(structure, Wt, M_t, mu, factors=None):
             weights.append(mu)
-            return _surrogate_pieces(structure, Wt, M_t, mu)
+            return _surrogate_pieces(structure, Wt, M_t, mu, factors)
 
         monkeypatch.setattr("structcov.linear._surrogate_pieces", recorded)
         inner_update(struct, struct.init_coeffs, np.eye(4), M)
@@ -359,16 +353,16 @@ class TestSurrogatePieces:
     def test_warm_start_matches_value_evaluation(self, name, mu):
         # at R(a) = R_t the pieces built from Wt alone are those of the
         # factored evaluation at a
-        struct, a, _, M = _pieces_inputs(name, 350)
+        struct, factors, a, _, M = _pieces_inputs(name, 350)
         Wt = np.linalg.inv(struct.assemble(a))
-        pieces = _newton_pieces(struct, Wt, M, mu)
+        pieces = _newton_pieces(struct, Wt, M, mu, factors)
         for got, ref in zip(pieces, _pieces_at(struct, a, Wt, M, mu)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("name", ["toeplitz", "hermitian"])
     def test_hessian_matches_reference_loop(self, name, mu):
-        struct, a, Wt, M = _pieces_inputs(name, 400)
+        struct, _, a, Wt, M = _pieces_inputs(name, 400)
         _, _, H = _pieces_at(struct, a, Wt, M, mu)
         W = np.linalg.inv(struct.assemble(a))
         B = struct.basis
@@ -382,9 +376,9 @@ class TestSurrogatePieces:
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("name", ["toeplitz", "hermitian", "powers", "powers-complex"])
     def test_derivatives_match_central_differences(self, name, mu):
-        struct, a, _, M = _pieces_inputs(name, 500)
+        struct, factors, a, _, M = _pieces_inputs(name, 500)
         Wt = np.linalg.inv(struct.assemble(a))
-        _, grad, H = _newton_pieces(struct, Wt, M, mu)
+        _, grad, H = _newton_pieces(struct, Wt, M, mu, factors)
         h = 1e-5
         for j in range(struct.size):
             e = np.zeros(struct.size)
@@ -396,7 +390,7 @@ class TestSurrogatePieces:
             assert np.max(np.abs(H[:, j] - fd)) <= 1e-6 * np.max(np.abs(H))
 
     def test_infeasible_point(self):
-        struct, a, Wt, M = _pieces_inputs("toeplitz", 600)
+        struct, _, a, Wt, M = _pieces_inputs("toeplitz", 600)
         assert _surrogate_value(struct, -a, Wt, M, 0.0) is None
 
 

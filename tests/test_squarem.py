@@ -358,13 +358,14 @@ def test_b_coeffs_reassemble_the_reported_b(method, monkeypatch):
     warm = []  # one entry per structured solve whose start was checked
     from_trials = 0
 
-    def checked(factors, reshaped, b_structure, **kwargs):
+    def checked(it, b_structure):
         nonlocal from_trials
+        factors, reshaped = it.factors, it.reshaped
         from_trials += not any(
             all(np.array_equal(F, G) for F, G in zip(factors, pair)) for pair in made
         )
         starts.append(factors[1])
-        out = step(factors, reshaped, b_structure, **kwargs)
+        out = step(it, b_structure)
         made.append(reshaped.normalize(reshaped.flatten(out))[1])
         return out
 

@@ -373,6 +373,25 @@ class TestBoundedNewtonStep:
         assert np.max(np.abs(res.scatter - paper.scatter)) <= 1e-12
         assert nonincreasing(res.objective_trace)
 
+    def test_fallbacks_count_only_their_own_fit(self, monkeypatch):
+        # a fit whose every map falls back leaves nothing behind in the
+        # cached structure: the next fit counts none and equals one run before
+        import structcov.linear
+
+        X = sample_elliptical(ar_cov(8, 0.8), 30, seed=3)
+        before = estimate_toeplitz(X)
+        with monkeypatch.context() as patch:
+            patch.setattr(structcov.linear, "_BOUNDED_HALVINGS", 0)
+            fallen = estimate_toeplitz(X)
+        after = estimate_toeplitz(X)
+        assert fallen.details["newton_fallbacks"] == fallen.iterations > 0
+        assert before.details["newton_fallbacks"] == after.details["newton_fallbacks"] == 0
+        assert before.iterations == after.iterations
+        assert before.termination == after.termination
+        assert before.details == after.details
+        for key in ("scatter", "params", "objective_trace"):
+            assert np.array_equal(getattr(before, key), getattr(after, key))
+
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_a_wide_embedding_takes_the_papers_step(self, complex_):
         # at L > 2K - 1 the atoms' outer products are dependent: no Newton step

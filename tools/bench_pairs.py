@@ -3,7 +3,8 @@
     python tools/bench_pairs.py PARENT CHANGE OUT.json
 
 PARENT and CHANGE are two checkouts (for example from ``git archive``).
-The script runs, in order, and rewrites OUT.json after each phase:
+OUT.json records the machine and each tree's ``src/`` line count. The
+script then runs, in order, and rewrites OUT.json after each phase:
 
 1. ``tools/fit_parity.py`` (this tree's copy) on both checkouts, the
    comparison of the two hash files and the largest cost gap per group;
@@ -26,6 +27,7 @@ distance between the parent's quartiles.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -66,6 +68,15 @@ def machine() -> dict:
         "blas_threads": "every BLAS thread variable set to 1 in each benchmark worker "
                         "(perfbench/run.py) and in the parity processes (tools/fit_parity.py)",
     }
+
+
+def src_lines(root: str) -> int:
+    """Lines of the library's source, as ``cat src/structcov/*.py | wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "structcov", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -153,6 +164,7 @@ def main(argv=None) -> int:
                 "on the parent and on the change",
         "command": "python tools/bench_pairs.py PARENT CHANGE OUT.json",
         "machine": machine(),
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
 
     def save():

@@ -22,7 +22,11 @@ on the augmented complex 10-degree ULA dictionary, and Tyler and spiked
 (2 spikes) fits from a complex positive definite start, plus a complex
 Kronecker group of 3x4 fits (block MM and Gauss-Seidel, each also with a
 Toeplitz B) of complex samples with scatter AR(0.5) kron AR(0.8) (N=10,
-3 draws), and writes one
+3 draws), plus a ``toeplitz_wide`` group of Toeplitz and banded (bandwidth 2)
+fits at embedding sizes 16 and 17, above 2K-1 = 15, of K=8 AR(0.8) samples
+(real and complex, N=20, 3 draws, tol 1e-6), which take the paper's
+separable step on the embedding's (for real samples, float-viewed) atoms,
+and writes one
 sha256 per fit to OUT.json. The hash covers the scatter, params,
 objective trace, iterations, termination, the SQUAREM counters, the
 ridge ``epsilon``, a Toeplitz fit's ``newton_fallbacks`` and, for
@@ -67,6 +71,8 @@ BINDING_DRAWS = 3
 RESTART_DRAWS = 3
 MIXED_DRAWS = 3
 KRON_COMPLEX_DRAWS = 3
+WIDE_SIZES = (16, 17)
+WIDE_DRAWS = 3
 DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "factor_a",
                "factor_b", "b_coeffs")
 
@@ -232,6 +238,28 @@ def _kron_complex_fits():
             yield "kron_complex", f"kron_complex/{label}/d{draw}", fit, X
 
 
+def _wide_fits():
+    """(group, key, fit, samples) of the Toeplitz and banded fits with L > 2K - 1."""
+    import numpy as np
+
+    import structcov as sc
+
+    settings = sc.MMSettings(tol=1e-6)
+    truth = sc.ar_cov(8, 0.8)
+    for field, R0 in (("real", truth), ("complex", truth.astype(complex))):
+        for draw in range(WIDE_DRAWS):
+            X = sc.sample_elliptical(R0, 20, np.random.SeedSequence([8, 16, draw]), tau_dof=1.0)
+            for l in WIDE_SIZES:
+                fits = {
+                    "toeplitz": lambda X, l=l: sc.estimate_toeplitz(X, settings, embedding_size=l),
+                    "banded": lambda X, l=l: sc.estimate_banded_toeplitz(X, 2, settings,
+                                                                         embedding_size=l),
+                }
+                for label, fit in fits.items():
+                    yield (f"toeplitz_wide/{field}", f"toeplitz_wide/{field}/{label}/L{l}/d{draw}",
+                           fit, X)
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -251,7 +279,7 @@ def hash_fits(root: str) -> dict:
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
     for group, key, fit, samples in (*_mc_fits(), *_binding_fits(), *_restart_fits(),
-                                     *_mixed_fits(), *_kron_complex_fits()):
+                                     *_mixed_fits(), *_kron_complex_fits(), *_wide_fits()):
         record(group, key, fit, samples)
     return out
 
