@@ -15,12 +15,13 @@ kept at unit trace to resolve the scale ambiguity of the factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DegenerateDataError, InvalidInputError, NumericalFailureError
-from .linalg import (_chol_inverse, _chol_logdet, _geometric_mean, check_hermitian, chol_pd,
-                     hermitize)
+from .linalg import (_chol_inverse, _chol_logdet, _geometric_mean, _spans, check_hermitian,
+                     chol_pd, hermitize)
 from .linear import inner_update
 from .tyler import EstimatorResult, MMSettings, SampleSet, _rel_change, _unit_rows, mm_drive
 
@@ -86,6 +87,16 @@ class ReshapedSamples:
     @property
     def n(self) -> int:
         return self.mats.shape[0]
+
+    @cached_property
+    def b_spans(self) -> bool:
+        """Whether the columns of all M_i span B's space, so that every weighted B moment is PD.
+
+        The moment (q/N) sum_i M_i conj(A^{-1}) M_i^H / w_i has their span
+        for every PD A and positive weights w_i, so this holds for the fit.
+        """
+        _n, q, _p = self.mats.shape
+        return _spans(self.mats.transpose(1, 0, 2).reshape(q, -1))
 
     @staticmethod
     def flatten(pair) -> np.ndarray:
@@ -241,7 +252,8 @@ def _sweep(update, starts, it, b_structure):
         return A, update(U, weights, starts[1])
     B_t = it.factors[1]
     M = _weighted_moment(U, weights)
-    coeffs = inner_update(b_structure, b_structure.coeffs_of(B_t), it.b_inverse, M)
+    logdet = _chol_logdet(it.chols[1]) if it.reshaped.b_spans else None
+    coeffs = inner_update(b_structure, b_structure.coeffs_of(B_t), it.b_inverse, M, logdet)
     return A, hermitize(b_structure.assemble(coeffs))
 
 

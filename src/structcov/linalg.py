@@ -89,6 +89,22 @@ def chol_pd(M, name: str = "matrix") -> np.ndarray | None:
     return L if info == 0 else None
 
 
+def _spans(columns) -> bool:
+    """Whether the K x n ``columns`` span the whole space.
+
+    Every sum of their outer products with positive weights is then
+    positive definite. Scaled to unit length, they span when there are at
+    least K of them and their Gram matrix has a Cholesky factor; a zero
+    column stays zero.
+    """
+    k, n = columns.shape
+    if n < k:
+        return False
+    norms = np.linalg.norm(columns, axis=0)
+    unit = columns / np.where(norms > 0.0, norms, 1.0)
+    return chol_pd(unit @ unit.conj().T) is not None
+
+
 def pd_sqrt(M) -> np.ndarray:
     """Unique positive definite square root of a positive definite matrix."""
     eig = hermitian_eig(M)

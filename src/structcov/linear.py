@@ -1,28 +1,36 @@
 """Scatter estimation under a general linear structure R = sum_j a_j B_j >= 0.
 
-Each MM map takes one Newton step, with a Cholesky feasibility line
-search, on the convex surrogate
+The tangent of each log q_i majorizes Tyler's cost at the iterate R_t by
 
-    f(a) = Tr(R_t^{-1} R(a)) + Tr(M_t R(a)^{-1})
+    g(a) = log det R(a) + Tr(M_t R(a)^{-1})
 
-over the coefficient vector: the MM gradient algorithm of K. Lange
-("A gradient algorithm locally equivalent to the EM algorithm", JRSS-B
-57(2), 1995), with the fixed points and local rate of the exact
+(plus a constant), and the tangent of log det R majorizes g in turn by the
+convex surrogate f(a) = Tr(R_t^{-1} R(a)) + Tr(M_t R(a)^{-1}), the paper's
+inner problem. That second bound is needed only to solve the inner problem
+exactly. Each MM map here takes one Newton step on g itself, with an
+Armijo line search that keeps R(a) positive definite: the MM gradient
+algorithm of K. Lange ("A gradient algorithm locally equivalent to the EM
+algorithm", JRSS-B 57(2), 1995), with the fixed points of the exact
 minimization. The step starts at the iterate, R(a_t) = R_t, and is built
-from R_t^{-1}, which the caller has; a Kronecker fit therefore starts a
-structured B inside the structure. The second term blows up at the
-boundary of the positive definite cone whenever M_t is positive
-definite, so the iterates stay strictly feasible; a tiny log-det barrier
-is added only when M_t is singular. Either way the surrogate is strictly
-convex, so one Cholesky factor of its Hessian gives the Newton direction.
+from R_t^{-1} and log det R_t, which the caller has from its factor; a
+Kronecker fit therefore starts a structured B inside the structure. g is
+not convex: where the Hessian of g has no Cholesky factor the step takes
+that of f, whose direction also descends g, since both gradients agree
+at a_t.
+
+g is bounded below only when M_t is positive definite. A fit decides once,
+from its samples (:func:`structcov.linalg._spans`), whether every M_t is;
+when its samples do not span the space the step models f instead, with a
+tiny log-det barrier that keeps its minimizer inside the cone.
 
 A fit may bound the coefficients below (:class:`PowerBound`, passed to
 each step): the basis matrices are then positive semidefinite and the
 coefficients are powers, p >= floor. The step is then a projected Newton
 step (D. P. Bertsekas, "Projected Newton methods for optimization
 problems with simple constraints", SIAM J. Control Optim. 20(2), 1982),
-and the minimizer of the paper's separable bound on the surrogate is its
-fallback.
+and the minimizer of the paper's separable bound on f is its fallback:
+that bound majorizes f, which majorizes g, so the fallback is a monotone
+step too.
 """
 
 from __future__ import annotations
@@ -50,10 +58,13 @@ class PowerBound:
     """Coefficients that are powers p >= ``floor`` of positive semidefinite basis matrices.
 
     Basis matrix l is B_l = C_l C_l^H, with C_l the r columns l*r .. l*r + r - 1
-    of the K x (L r) ``factors``. The surrogate's pieces then come from the
-    two (L r) x (L r) matrices C^H W C and C^H W M_t W C, W = R_t^{-1}, and its
-    second term has the paper's separable bound, whose minimizer
-    max(separable(w, d), floor) is a monotone step: w_l = Re Tr(W B_l) and
+    of the K x (L r) ``factors``. The step's pieces then come from the two
+    (L r) x (L r) matrices Y = C^H W C and X = C^H W M_t W C, W = R_t^{-1}:
+    each is summed over its r x r blocks as E^T A E, with ``blocks`` the
+    (L r) x L indicator E of the columns of each C_l (None when r = 1, where
+    the block sum is the real part). The tangent bound f on g has the
+    paper's separable bound, whose minimizer max(separable(w, d), floor)
+    majorizes g through f and so is a monotone step: w_l = Re Tr(W B_l) and
     d_l = p_l^2 Re Tr(W M_t W B_l). :func:`inner_update` forms that point on
     every map and takes it when its line search fails; ``fallbacks``
     counts those maps. A fit makes its own bound, so the count is its own.
@@ -62,6 +73,7 @@ class PowerBound:
     floor: np.ndarray
     separable: Callable
     factors: np.ndarray
+    blocks: np.ndarray | None
     fallbacks: int = 0
 
 
@@ -211,7 +223,7 @@ def structure_from_name(name: str, k: int) -> LinearStructure:
 
 
 # ---------------------------------------------------------------------------
-# inner convex solve
+# inner step
 # ---------------------------------------------------------------------------
 
 def _basis_traces(struct: LinearStructure, mats) -> np.ndarray:
@@ -227,19 +239,26 @@ def _basis_traces(struct: LinearStructure, mats) -> np.ndarray:
 
 
 def _surrogate_value(struct: LinearStructure, coeffs, Wt, M, mu: float):
-    """Surrogate value at ``coeffs`` and W = R(a)^{-1}, or None when R(a) is not PD.
+    """The step's model at ``coeffs`` and W = R(a)^{-1}, or None when R(a) is not PD.
 
-    Wt is the inverse of the outer iterate R_t; ``mu`` adds a -mu*logdet
-    barrier used only when M is singular.
+    With Wt, the inverse of the outer iterate R_t, the model is the convex
+    surrogate f(a) = Tr(Wt R(a)) + Tr(M W), less mu*logdet R(a) when the
+    barrier weight ``mu`` is positive; with Wt None it is
+    g(a) = log det R(a) + Tr(M W). Only the lower triangle of R(a) is
+    factored, and its log-determinant comes from that factor.
     """
-    R = hermitize(struct.assemble(coeffs))
+    R = struct.assemble(coeffs)
     L = chol_pd(R)
     if L is None:
         return None
     W = _chol_inverse(L)
-    value = float((Wt * R.conj()).sum().real + (M * W.conj()).sum().real)
-    if mu > 0.0:
-        value -= mu * _chol_logdet(L)
+    value = float((M * W.conj()).sum().real)
+    if Wt is None:
+        value += _chol_logdet(L)
+    else:
+        value += float((Wt * R.conj()).sum().real)
+        if mu > 0.0:
+            value -= mu * _chol_logdet(L)
     return value, W
 
 
@@ -252,57 +271,63 @@ def _surrogate_gradient(struct: LinearStructure, Wt, W, WMW, mu: float) -> np.nd
 
 
 def _surrogate_hessian(struct: LinearStructure, W, WMW, mu: float) -> np.ndarray:
-    """H_lm = 2 Re Tr(W M W B_l W B_m) + mu Re Tr(W B_l W B_m).
+    """H_lm = Re Tr((2 W M W + mu W) B_l W B_m), the Hessian of f less mu*logdet R(a).
 
-    Row l is the traces of Q_l = W M W B_l W against the basis, so H is
-    one batched matmul for Q and one (L, K^2) x (K^2, L) GEMM.
+    At mu = -1 it is the Hessian of g, whose log det R(a) is that term with
+    weight -1. Row l is the traces of Q_l = (2 W M W + mu W) B_l W against
+    the basis, so H is one batched matmul for Q and one (L, K^2) x (K^2, L)
+    GEMM.
     """
-    H = 2.0 * _basis_traces(struct, WMW @ struct.basis @ W)
-    if mu > 0.0:
-        H += mu * _basis_traces(struct, W @ struct.basis @ W)
-    return H
+    A = 2.0 * WMW if mu == 0.0 else 2.0 * WMW + mu * W
+    return _basis_traces(struct, A @ struct.basis @ W)
 
 
-def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, factors=None):
-    """Value, the gradient's two terms and the Hessian of the surrogate at R(a) = R_t, from Wt alone.
+def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, logdet=None,
+                      bound: PowerBound | None = None):
+    """(value, w, u, hessian) of the step's model at R(a) = R_t, from Wt alone.
 
-    There W = Wt, the value is K + Re Tr(M Wt) and the barrier adds
-    -mu*logdet R_t = mu*logdet Wt, so no matrix is factored. The gradient
-    is w - u - mu*w, with w_l = Re Tr(Wt B_l) and u_l = Re Tr(Wt M Wt B_l).
+    Given ``logdet`` = log det R_t the model is g, whose value there is
+    logdet + Re Tr(M Wt); otherwise it is f less mu*logdet R(a), whose value
+    is K + Re Tr(M Wt) + mu*logdet Wt. w_l = Re Tr(Wt B_l) and
+    u_l = Re Tr(Wt M Wt B_l), so the gradient of g, and of f, is w - u.
+    ``hessian(c)`` is H_lm = Re Tr((2 Wt M Wt + c Wt) B_l Wt B_m): the
+    Hessian of f less c*logdet R(a), and at c = -1 that of g.
 
-    One call costs O(L K^3 + L^2 K^2): the Hessian's batched matmul over
-    the L basis matrices and its GEMM against the flattened basis. With the
-    ``factors`` C of a :class:`PowerBound` it costs four GEMMs of at most
-    K x K x (L r) and (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
-    their diagonal blocks' traces, and H_lm = 2 Re sum X_ij conj(Y_ij) over
-    block (l, m) (plus mu sum |Y_ij|^2).
+    Each Hessian costs O(L K^3 + L^2 K^2): a batched matmul over the L basis
+    matrices and a GEMM against the flattened basis. With a
+    :class:`PowerBound` the pieces cost four GEMMs of at most K x K x (L r)
+    and (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
+    their diagonal blocks' traces, and H_lm = Re sum (2 X_ij + c Y_ij)
+    conj(Y_ij) over block (l, m), so each Hessian is one elementwise product
+    and one block sum.
     """
-    value = Wt.shape[0] + float((M * Wt.conj()).sum().real)
-    if mu > 0.0:
-        # the one log-determinant not taken from a Cholesky factor: none is at hand
-        value += mu * np.linalg.slogdet(Wt).logabsdet
-    if factors is None:
+    value = float((M * Wt.conj()).sum().real)
+    if logdet is not None:
+        value += logdet
+    else:
+        value += Wt.shape[0]
+        if mu > 0.0:
+            # the one log-determinant not taken from a Cholesky factor: none is at hand
+            value += mu * np.linalg.slogdet(Wt).logabsdet
+    if bound is None:
         WMW = Wt @ M @ Wt
-        return (
-            value,
-            _basis_traces(struct, Wt),
-            _basis_traces(struct, WMW),
-            _surrogate_hessian(struct, Wt, WMW, mu),
-        )
-    size, r = struct.size, factors.shape[1] // struct.size
-    WC = Wt @ factors
-    Y = factors.conj().T @ WC
+        return (value, _basis_traces(struct, Wt), _basis_traces(struct, WMW),
+                lambda c: _surrogate_hessian(struct, Wt, WMW, c))
+    C, E = bound.factors, bound.blocks
+    WC = Wt @ C
+    Y = C.conj().T @ WC
     X = WC.conj().T @ (M @ WC)
 
     def block_sums(A):
-        return A.reshape(size, r, size, r).sum(axis=(1, 3)).real
+        return A.real if E is None else E.T @ A @ E
 
-    w = Y.diagonal().real.reshape(size, r).sum(axis=1)
-    u = X.diagonal().real.reshape(size, r).sum(axis=1)
-    H = 2.0 * block_sums(X * Y.conj())
-    if mu > 0.0:
-        H += mu * block_sums(Y * Y.conj())
-    return value, w, u, H
+    def hessian(c):
+        return block_sums((2.0 * X if c == 0.0 else 2.0 * X + c * Y) * Y.conj())
+
+    w, u = Y.diagonal().real, X.diagonal().real
+    if E is not None:
+        w, u = w @ E, u @ E
+    return value, w, u, hessian
 
 
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
@@ -324,36 +349,51 @@ def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
     return _surrogate_gradient(struct, Wt, W, W @ M @ W, 0.0)
 
 
-def inner_update(struct: LinearStructure, coeffs, Wt, M_t,
+def inner_update(struct: LinearStructure, coeffs, Wt, M_t, logdet=None,
                  bound: PowerBound | None = None) -> np.ndarray:
-    """One Newton step on the MM surrogate from the outer iterate, with a feasibility line search.
+    """One Newton step on an MM model of the cost from the outer iterate, with a line search.
 
     ``coeffs`` are the coefficients of the iterate, which must lie in the
     structure (a Kronecker fit starts B at ``assemble(coeffs_of(B))``),
-    ``Wt`` = R(coeffs)^{-1} and ``M_t`` its Hermitian weighted scatter. The
-    value f, gradient g and Hessian H come from Wt alone and the direction
-    -H^{-1} g from one Cholesky factor of H (-g should roundoff leave H
-    without one); an Armijo line search keeps R(a) > 0, so only its trial
-    points are factored. Each step lowers the surrogate, and so the cost;
-    ``coeffs`` comes back unchanged when |g| <= 1e-8 * (1 + |f|). A
-    -mu*logdet barrier with mu = 1e-10 * Tr(M_t) is added when M_t has no
-    Cholesky factor. A non-finite M_t, f, g or H raises NumericalFailureError.
+    ``Wt`` = R(coeffs)^{-1} and ``M_t`` its Hermitian weighted scatter.
+
+    A fit whose samples span the space, so that every M_t is positive
+    definite, passes ``logdet`` = log det R_t from its factor, and the step
+    models g(a) = log det R(a) + Tr(M_t R(a)^{-1}), whose value at the
+    iterate is log det R_t + Re Tr(M_t Wt). Without it M_t may be singular,
+    g unbounded below, and the step models the convex surrogate
+    f(a) = Tr(Wt R(a)) + Tr(M_t R(a)^{-1}) - mu log det R(a), with the
+    barrier weight mu = 1e-10 * Tr(M_t) and the start value
+    K + Re Tr(M_t Wt) + mu log det Wt. Either way the gradient w - u (less
+    mu w) and the Hessian come from Wt alone. The direction -H^{-1} grad
+    comes from one Cholesky factor: of g's Hessian or, where g is not
+    convex there and it has none, of f's; the two gradients agree at the
+    iterate, so both directions descend g. Should roundoff leave H without
+    one, the direction is -grad. An Armijo line search on the model keeps
+    R(a) > 0, so only its trial points are factored, and each trial's
+    log-determinant comes from its own factor. Each step lowers its model,
+    and so the cost; ``coeffs`` comes back unchanged when
+    |grad| <= 1e-8 * (1 + |value|). A non-finite M_t, value, gradient or
+    Hessian raises NumericalFailureError.
 
     With a :class:`PowerBound` the step holds at its floor each power
-    within 1e-12 * max p of it whose g_j > 0, and takes the step on the
-    free block; g is that block's. Its trials run along the arc
-    max(p + t d, floor), with Armijo on the displacement, and after 12
-    halvings the step takes the separable point, which it forms first.
+    within 1e-12 * max p of it whose gradient is positive, and takes the
+    step on the free block; the gradient and Hessian are that block's. Its
+    trials run along the arc max(p + t d, floor), with Armijo on the
+    displacement, and after 12 halvings the step takes the separable point,
+    which it forms first. That point lowers g too: the separable bound
+    majorizes f, and f majorizes g, as log det R <= log det R_t +
+    Tr(Wt R) - K.
     """
     if not np.isfinite(M_t).all():
         raise NumericalFailureError("the structured inner step met a non-finite weighted scatter")
-    mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
     coeffs = np.asarray(coeffs, dtype=float)
-    value, w, u, H = _surrogate_pieces(struct, Wt, M_t, mu,
-                                       None if bound is None else bound.factors)
+    mu = 0.0 if logdet is not None else 1e-10 * float(np.trace(M_t).real)
+    value, w, u, hessian = _surrogate_pieces(struct, Wt, M_t, mu, logdet, bound)
     grad = w - u
     if mu > 0.0:
         grad -= mu * w
+    H = hessian(mu if logdet is None else -1.0)
     if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(H).all()):
         raise NumericalFailureError("the structured inner step met a non-finite surrogate")
     if bound is None:
@@ -368,9 +408,14 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t,
     g = grad[free]
     if np.linalg.norm(g) <= _NEWTON_GRAD_TOL * (1.0 + abs(value)):
         return coeffs
-    if held is not None:
-        H = H[np.ix_(free, free)]
-    L = chol_pd(H)
+
+    def free_block(A):
+        return A if held is None else A[np.ix_(free, free)]
+
+    L = chol_pd(free_block(H))
+    if L is None and logdet is not None:
+        # g is not convex here: f's Hessian, whose direction descends g too
+        L = chol_pd(free_block(hessian(0.0)))
     step = -g if L is None else lapack.dpotrs(L, -g, lower=1)[0]
     slope = float(g @ step)
     if held is not None:
@@ -379,6 +424,7 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t,
     # roundoff slack: near the optimum the Armijo decrease sits below
     # the evaluation noise of the value itself
     slack = 1e-12 * (1.0 + abs(value))
+    model = Wt if logdet is None else None
     t = 1.0
     for _ in range(halvings):
         trial = coeffs + t * step
@@ -390,7 +436,7 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t,
             if held is not None:
                 trial[held] = floor[held]
             armijo = 1e-4 * min(float(grad @ (trial - coeffs)), 0.0)
-        point = _surrogate_value(struct, trial, Wt, M_t, mu)
+        point = _surrogate_value(struct, trial, model, M_t, mu)
         if point is not None and point[0] <= value + armijo + slack:
             return trial
         t *= 0.5
@@ -423,9 +469,12 @@ def estimate_linear(
             f"structure dimension {struct.dim} does not match samples K={samples.k}"
         )
     coeffs = struct.init_coeffs if init_coeffs is None else struct._checked_coeffs(init_coeffs)
+    space = _Whitening(_in_field(samples, struct.basis), struct.assemble)
+    spans = space.spans
     return mm_drive(
-        inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M),
-        space=_Whitening(_in_field(samples, struct.basis), struct.assemble),
+        inner=lambda a, it: inner_update(struct, a, it.inverse(), it.M,
+                                         _chol_logdet(it.chol) if spans else None),
+        space=space,
         init_params=coeffs,
         settings=settings,
     )

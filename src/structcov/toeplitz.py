@@ -18,13 +18,16 @@ changes and extrapolation steps are those of the full spectrum.
 At L = 2K-1 the K half-dictionary atoms of a real fit, and the 2K-1
 atoms of a complex one, have linearly independent outer products, so the
 powers are the coefficients of a linear structure bounded at p >= 0.
-Each map of a Toeplitz fit is then one bounded Newton step on the tight
-surrogate Tr(R_t^{-1} R) + Tr(M_t R^{-1}) (:func:`structcov.linear.inner_update`).
-The paper majorizes that surrogate once more by a separable bound, whose
-minimizer is p_j = sqrt(d_j / w_j) (:func:`power_update`); that looser
-step is the Newton step's fallback, and the whole step of the fits it
-does not run: banded fits, and fits with L > 2K-1, whose outer products
-are dependent.
+Each map of a Toeplitz fit is then one bounded Newton step
+(:func:`structcov.linear.inner_update`) on the tight majorizer
+g(p) = log det R + Tr(M_t R^{-1}) of the cost, or, for samples that do
+not span C^K, on its convex tangent bound Tr(R_t^{-1} R) + Tr(M_t R^{-1})
+with a log-det barrier. The paper majorizes that tangent bound once more
+by a separable bound, whose minimizer is p_j = sqrt(d_j / w_j)
+(:func:`power_update`); it majorizes g too, so that looser step is the
+Newton step's monotone fallback, and the whole step of the fits it does
+not run: banded fits, and fits with L > 2K-1, whose outer products are
+dependent.
 
 Banding adds the linear constraint that correlations beyond the
 bandwidth vanish. Each inner problem is
@@ -48,7 +51,7 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import dft_matrix
+from .linalg import _chol_logdet, dft_matrix
 from .linear import LinearStructure, PowerBound, inner_update
 from .rankone import _assemble, _refuse_below_floor, _restarting, _run, power_update
 from .tyler import EstimatorResult, MMSettings, SampleSet, _Whitening, mm_drive
@@ -231,14 +234,16 @@ def banded_inner_update(spec: BandedSpec, w_t, d_t, return_dual: bool = False):
 
 @lru_cache(maxsize=None)
 def _power_structure(k: int, l: int, complex_: bool):
-    """(structure, factors) of the fit's powers as coefficients, or None at L > 2K - 1.
+    """(structure, factors, blocks) of the fit's powers as coefficients, or None at L > 2K - 1.
 
     There is one basis matrix per atom: a_j a_j^H of the full dictionary
     for complex samples, and Re(b_j b_j^H) of the half dictionary for real
     ones, each built from its first column so that it is exactly
     Toeplitz. Their factors are the atoms, or for a real fit the two real
-    columns [Re b_j, Im b_j] of each atom's float view. The starting
-    coefficients are the identity spectrum.
+    columns [Re b_j, Im b_j] of each atom's float view, and ``blocks`` is
+    the indicator of each atom's pair of columns, one row per column (None
+    for a complex fit, one column per atom). The starting coefficients are
+    the identity spectrum.
     """
     if l > 2 * k - 1:
         return None
@@ -250,7 +255,10 @@ def _power_structure(k: int, l: int, complex_: bool):
     lower = column[np.abs(offset)].transpose(2, 0, 1)
     basis = np.where(offset >= 0, lower, lower.conj())
     struct = LinearStructure(basis=basis if complex_ else basis.real, init_coeffs=identity)
-    return struct, atoms if complex_ else np.ascontiguousarray(atoms).view(np.float64)
+    if complex_:
+        return struct, atoms, None
+    blocks = np.repeat(np.eye(atoms.shape[1]), 2, axis=0)
+    return struct, np.ascontiguousarray(atoms).view(np.float64), blocks
 
 
 def _separable_point(w, d):
@@ -261,17 +269,20 @@ def _separable_point(w, d):
 def _newton(powers, samples: SampleSet, settings):
     """``fit(init, floor)``: MM with one bounded Newton step per map on the powers.
 
-    ``powers`` is a (structure, factors) pair of :func:`_power_structure`.
-    ``details['newton_fallbacks']`` counts the maps that took the
-    separable point.
+    ``powers`` is a (structure, factors, blocks) triple of
+    :func:`_power_structure`. ``details['newton_fallbacks']`` counts the
+    maps that took the separable point.
     """
-    struct, factors = powers
+    struct, factors, blocks = powers
+    space = _Whitening(samples, struct.assemble)
+    spans = space.spans
 
     def fit(init, floor):
-        bound = PowerBound(floor=floor, separable=_separable_point, factors=factors)
+        bound = PowerBound(floor=floor, separable=_separable_point, factors=factors, blocks=blocks)
         result = mm_drive(
-            inner=lambda q, it: inner_update(struct, q, it.inverse(), it.M, bound),
-            space=_Whitening(samples, struct.assemble),
+            inner=lambda q, it: inner_update(struct, q, it.inverse(), it.M,
+                                             _chol_logdet(it.chol) if spans else None, bound),
+            space=space,
             init_params=init,
             settings=settings,
             extrapolate=_refuse_below_floor,

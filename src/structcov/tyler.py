@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .exceptions import FailedToConvergeError, InvalidInputError, NumericalFailureError
-from .linalg import (_chol_inverse, _chol_logdet, as_field_array, check_hermitian, chol_pd,
-                     hermitize)
+from .linalg import (_chol_inverse, _chol_logdet, _spans, as_field_array, check_hermitian,
+                     chol_pd, hermitize)
 
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITER = "max_iter"
@@ -149,6 +149,8 @@ class _Whitening:
     The LAPACK ``trtrs`` routine is looked up once, for the field of the
     samples, which the fit has fixed at its boundary (:func:`_in_field`).
     It holds the samples as :func:`_unit_rows` scales them, and their cost's shortfall.
+    :attr:`spans` says, once per fit, whether every weighted scatter is
+    positive definite.
     """
 
     def __init__(self, samples: SampleSet, assemble=None):
@@ -159,6 +161,11 @@ class _Whitening:
         self.ratio = samples.k / samples.n
         self.assemble = assemble if assemble is not None else lambda p: p
         (self.trtrs,) = get_lapack_funcs(("trtrs",), (X,))
+
+    @cached_property
+    def spans(self) -> bool:
+        """Whether the samples span the space, so that every weighted scatter M_t is PD."""
+        return _spans(self.xt)
 
     def normalize(self, params):
         """(params, R) of the scatter assemble(params) scaled to unit trace.

@@ -17,9 +17,12 @@ from structcov import (
     stationarity_residual,
     structure_from_name,
     toeplitz_basis,
+    tyler_cost,
     tyler_unconstrained,
 )
 from structcov.linear import (
+    PowerBound,
+    _basis_traces,
     _surrogate_gradient,
     _surrogate_hessian,
     _surrogate_pieces,
@@ -27,8 +30,11 @@ from structcov.linear import (
     inner_update,
     surrogate_gradient,
 )
+from structcov.linalg import chol_pd
+from structcov.rankone import power_update
 from structcov.simulate import ar_cov, nmse
 from structcov.toeplitz import _power_structure
+from structcov.tyler import Iterate, _Whitening
 from support import (
     coordinate_descent,
     gaussian_cost_naive,
@@ -59,22 +65,29 @@ def _interior_point(struct, rng, spread=0.1):
     raise AssertionError("could not draw a feasible point")
 
 
+def _power_bound(powers):
+    """The structure of a ``_power_structure`` triple and a fit's ``PowerBound`` at floor 0."""
+    struct, factors, blocks = powers
+    return struct, PowerBound(floor=np.zeros(struct.size), separable=power_update,
+                              factors=factors, blocks=blocks)
+
+
 def _pieces_inputs(name, seed):
-    """(struct, factors, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate.
+    """(struct, bound, coeffs, Wt, M): a real Toeplitz or a complex Hermitian surrogate.
 
     The "powers" surrogates are those of circulant powers at L = 2K - 1,
-    whose pieces come from the ``factors`` of their basis matrices (None
-    for the others).
+    whose pieces come from the factors of their basis matrices, which the
+    ``bound`` holds (None for the others).
     """
     rng = np.random.default_rng(seed)
     complex_ = name in ("hermitian", "powers-complex")
-    struct, factors = {"toeplitz": lambda: (toeplitz_basis(5), None),
-                       "hermitian": lambda: (hermitian_basis(3), None),
-                       "powers": lambda: _power_structure(5, 9, False),
-                       "powers-complex": lambda: _power_structure(3, 5, True)}[name]()
+    struct, bound = {"toeplitz": lambda: (toeplitz_basis(5), None),
+                     "hermitian": lambda: (hermitian_basis(3), None),
+                     "powers": lambda: _power_bound(_power_structure(5, 9, False)),
+                     "powers-complex": lambda: _power_bound(_power_structure(3, 5, True))}[name]()
     Wt = np.linalg.inv(rand_pd(struct.dim, rng, complex_))
     M = rand_pd(struct.dim, rng, complex_, ridge=1.0)
-    return struct, factors, _interior_point(struct, rng), Wt, M
+    return struct, bound, _interior_point(struct, rng), Wt, M
 
 
 class TestPresets:
@@ -167,10 +180,10 @@ def _mm_fixed_point(struct, a, M, max_steps=500):
     raise AssertionError(f"the map did not reach a fixed point in {max_steps} steps")
 
 
-def _newton_pieces(struct, Wt, M, mu, factors=None):
+def _newton_pieces(struct, Wt, M, mu, bound=None):
     """Value, gradient and Hessian at the warm start, from the surrogate's pieces."""
-    value, w, u, H = _surrogate_pieces(struct, Wt, M, mu, factors)
-    return value, w - u - mu * w, H
+    value, w, u, hessian = _surrogate_pieces(struct, Wt, M, mu, None, bound)
+    return value, w - u - mu * w, hessian(mu)
 
 
 def _pieces_at(struct, a, Wt, M, mu):
@@ -278,21 +291,47 @@ class TestInnerUpdate:
 
     @pytest.mark.parametrize("singular", [True, False])
     def test_barrier_weight(self, singular, monkeypatch):
-        # mu = 1e-10 Tr(M_t) exactly when M_t has no Cholesky factor
-        rng = np.random.default_rng(13)
-        struct = toeplitz_basis(4)
-        M = rand_pd(4, rng, ridge=1.0)
+        # mu = 1e-10 Tr(M_t) exactly when the fit's samples do not span the
+        # space, which its space decides once, from the samples alone
+        data = sample_elliptical(ar_cov(4, 0.5), 20, seed=13).data.copy()
         if singular:
-            M[:, 0] = M[0, :] = 0.0
-        weights = []
+            data[:, 0] = 0.0
+        X = SampleSet.from_array(data)
+        assert _Whitening(X).spans is not singular
+        weights, scatters = [], []
 
-        def recorded(structure, Wt, M_t, mu, factors=None):
+        def recorded(structure, Wt, M_t, mu, logdet=None, bound=None):
             weights.append(mu)
-            return _surrogate_pieces(structure, Wt, M_t, mu, factors)
+            scatters.append(M_t)
+            return _surrogate_pieces(structure, Wt, M_t, mu, logdet, bound)
 
         monkeypatch.setattr("structcov.linear._surrogate_pieces", recorded)
-        inner_update(struct, struct.init_coeffs, np.eye(4), M)
-        assert weights == [1e-10 * np.trace(M) if singular else 0.0]
+        estimate_linear(toeplitz_basis(4), X, MMSettings(max_iter=3))
+        assert len(weights) == 3
+        assert weights == [1e-10 * np.trace(M) if singular else 0.0 for M in scatters]
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_a_kronecker_fit_decides_its_barrier_once(self, n, monkeypatch):
+        # at N = 3 the reshaped samples have 6 columns in C^8, so every B moment
+        # is singular, yet roundoff gives some of them a Cholesky factor: every
+        # step of the fit takes the barrier all the same; at N = 20 none does
+        from structcov import estimate_kronecker
+
+        barrier, factored = [], []
+
+        def recorded(structure, Wt, M_t, mu, logdet=None, bound=None):
+            barrier.append(mu > 0.0)
+            factored.append(chol_pd(M_t) is not None)
+            return _surrogate_pieces(structure, Wt, M_t, mu, logdet, bound)
+
+        monkeypatch.setattr("structcov.linear._surrogate_pieces", recorded)
+        truth = np.kron(ar_cov(2, 0.5), ar_cov(8, 0.8))
+        for draw in range(3):
+            X = sample_elliptical(truth, n, np.random.SeedSequence([9, 3, draw]))
+            estimate_kronecker(X, 2, 8, MMSettings(tol=1e-7), b_structure=toeplitz_basis(8))
+        assert barrier and all(barrier) == (n == 3) and any(barrier) == (n == 3)
+        if n == 3:
+            assert any(factored)
 
 
 class TestDerivatives:
@@ -353,9 +392,9 @@ class TestSurrogatePieces:
     def test_warm_start_matches_value_evaluation(self, name, mu):
         # at R(a) = R_t the pieces built from Wt alone are those of the
         # factored evaluation at a
-        struct, factors, a, _, M = _pieces_inputs(name, 350)
+        struct, bound, a, _, M = _pieces_inputs(name, 350)
         Wt = np.linalg.inv(struct.assemble(a))
-        pieces = _newton_pieces(struct, Wt, M, mu, factors)
+        pieces = _newton_pieces(struct, Wt, M, mu, bound)
         for got, ref in zip(pieces, _pieces_at(struct, a, Wt, M, mu)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -376,9 +415,9 @@ class TestSurrogatePieces:
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("name", ["toeplitz", "hermitian", "powers", "powers-complex"])
     def test_derivatives_match_central_differences(self, name, mu):
-        struct, factors, a, _, M = _pieces_inputs(name, 500)
+        struct, bound, a, _, M = _pieces_inputs(name, 500)
         Wt = np.linalg.inv(struct.assemble(a))
-        _, grad, H = _newton_pieces(struct, Wt, M, mu, factors)
+        _, grad, H = _newton_pieces(struct, Wt, M, mu, bound)
         h = 1e-5
         for j in range(struct.size):
             e = np.zeros(struct.size)
@@ -490,30 +529,30 @@ class TestEstimateLinear:
             estimate_linear(banded_toeplitz_basis(4, 2), X, init_coeffs=init)
 
 
-def _unbounded_step(struct, coeffs, Wt, M_t):
-    """The Newton step of a structure whose coefficients are not bounded, written out in full."""
+def _unbounded_step(struct, coeffs, Wt, M_t, logdet=None):
+    """The Newton step of a structure whose coefficients are not bounded, written out in full.
+
+    Its samples span the space, so the step models g(a) = log det R(a) + Tr(M_t R(a)^{-1}).
+    """
     from scipy.linalg import lapack
 
-    from structcov.linalg import chol_pd
-
-    mu = 1e-10 * float(np.trace(M_t).real) if chol_pd(M_t) is None else 0.0
+    assert logdet is not None
     coeffs = np.asarray(coeffs, dtype=float)
-    value = Wt.shape[0] + float((M_t * Wt.conj()).sum().real)
-    if mu > 0.0:
-        value += mu * np.linalg.slogdet(Wt).logabsdet
+    value = float((M_t * Wt.conj()).sum().real) + logdet
     WMW = Wt @ M_t @ Wt
-    grad = _surrogate_gradient(struct, Wt, Wt, WMW, mu)
-    H = _surrogate_hessian(struct, Wt, WMW, mu)
+    grad = _surrogate_gradient(struct, Wt, Wt, WMW, 0.0)
     if np.linalg.norm(grad) <= 1e-8 * (1.0 + abs(value)):
         return coeffs
-    L = chol_pd(H)
+    L = chol_pd(_surrogate_hessian(struct, Wt, WMW, -1.0))
+    if L is None:
+        L = chol_pd(_surrogate_hessian(struct, Wt, WMW, 0.0))
     step = -grad if L is None else lapack.dpotrs(L, -grad, lower=1)[0]
     slope = float(grad @ step)
     slack = 1e-12 * (1.0 + abs(value))
     t = 1.0
     for _ in range(60):
         trial = coeffs + t * step
-        point = _surrogate_value(struct, trial, Wt, M_t, mu)
+        point = _surrogate_value(struct, trial, None, M_t, 0.0)
         if point is not None and point[0] <= value + 1e-4 * t * slope + slack:
             return trial
         t *= 0.5
@@ -536,3 +575,110 @@ def test_an_unbounded_structure_takes_the_unbounded_step(preset, monkeypatch):
     assert np.array_equal(fit.params, plain.params)
     assert np.array_equal(fit.scatter, plain.scatter)
     assert np.array_equal(fit.objective_trace, plain.objective_trace)
+
+
+def _tight_inputs(name, seed):
+    """(struct, bound, samples, rng) of one unbounded preset or one bounded power structure."""
+    rng = np.random.default_rng(seed)
+    struct, bound = {"toeplitz": lambda: (toeplitz_basis(5), None),
+                     "full": lambda: (full_symmetric_basis(4), None),
+                     "hermitian": lambda: (hermitian_basis(3), None),
+                     "powers": lambda: _power_bound(_power_structure(5, 9, False)),
+                     "powers-complex": lambda: _power_bound(_power_structure(3, 5, True))}[name]()
+    complex_ = name in ("hermitian", "powers-complex")
+    X = sample_elliptical(rand_pd(struct.dim, rng, complex_), 4 * struct.dim, seed=seed)
+    return struct, bound, X, rng
+
+
+def _tight_start(struct, bound, rng):
+    """Random coefficients of a PD member: powers above the floor, or near the default point."""
+    if bound is None:
+        return _feasible_point(struct, rng)
+    return struct.init_coeffs * np.exp(rng.standard_normal(struct.size))
+
+
+class TestTightStep:
+    """With a spanning M_t the step models g(a) = log det R(a) + Tr(M_t R(a)^{-1})."""
+
+    @pytest.mark.parametrize("name", ["toeplitz", "full", "hermitian", "powers", "powers-complex"])
+    def test_each_step_lowers_g_and_the_cost(self, name):
+        struct, bound, X, rng = _tight_inputs(name, 700)
+        moved = 0
+        for _ in range(10):
+            start = _tight_start(struct, bound, rng)
+            it = Iterate.at(struct.assemble(start), X)
+            M = it.M
+            a = inner_update(struct, start, it.inverse(), M, np.linalg.slogdet(it.R)[1], bound)
+            moved += not np.array_equal(a, start)
+            g0, g1 = gaussian_cost_naive(struct, start, M), gaussian_cost_naive(struct, a, M)
+            assert g1 <= g0 + 1e-12 * (1.0 + abs(g0))
+            c0, c1 = tyler_cost(it.R, X), tyler_cost(struct.assemble(a), X)
+            assert c1 <= c0 + 1e-12 * (1.0 + abs(c0))
+            if bound is not None:
+                assert np.all(a >= 0.0)
+        assert moved == 10
+
+    @pytest.mark.parametrize("name", ["toeplitz", "powers"])
+    def test_an_indefinite_model_takes_the_convex_hessian(self, name):
+        # M_t = 0.1 R_t whitens to 0.1 I, so g's Hessian, with 2 * 0.1 I - I < 0
+        # in its middle, is negative definite: the direction is f's
+        struct, bound, _, rng = _tight_inputs(name, 710)
+        start = _tight_start(struct, bound, rng)
+        R_t = struct.assemble(start)
+        M, Wt, logdet = 0.1 * R_t, np.linalg.inv(R_t), np.linalg.slogdet(R_t)[1]
+        _, w, u, hessian = _surrogate_pieces(struct, Wt, M, 0.0, logdet, bound)
+        assert np.linalg.eigvalsh(hessian(-1.0))[-1] < 0.0
+        direction = -np.linalg.solve(hessian(0.0), w - u)
+        a = inner_update(struct, start, Wt, M, logdet, bound)
+        halvings = [t for t in 0.5 ** np.arange(12) if np.allclose(a, start + t * direction,
+                                                                   rtol=1e-12, atol=0.0)]
+        assert len(halvings) == 1
+        assert gaussian_cost_naive(struct, a, M) < gaussian_cost_naive(struct, start, M)
+
+    def test_the_map_stops_where_the_linearized_map_does(self):
+        # run as MM on a fixed M, the tight map stops where the linearized map
+        # does: both fixed points are the stationary points of g
+        rng = np.random.default_rng(720)
+        struct = toeplitz_basis(4)
+        M = rand_pd(4, rng, ridge=1.0)
+        a = struct.init_coeffs
+        g = gaussian_cost_naive(struct, a, M)
+        for _ in range(200):
+            R = struct.assemble(a)
+            nxt = inner_update(struct, a, np.linalg.inv(R), M, np.linalg.slogdet(R)[1])
+            if nxt is a:
+                break
+            g_next = gaussian_cost_naive(struct, nxt, M)
+            assert g_next <= g + 1e-12 * (1.0 + abs(g))
+            a, g = nxt, g_next
+        else:
+            raise AssertionError("the tight map did not reach a fixed point")
+        ref = _mm_fixed_point(struct, struct.init_coeffs, M)
+        assert abs(g - gaussian_cost_naive(struct, ref, M)) <= 1e-8
+        assert np.max(np.abs(a - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("mu", ["g", 0.0])
+    @pytest.mark.parametrize("name", ["toeplitz", "hermitian", "powers", "powers-complex"])
+    def test_the_model_hessians_match_central_differences(self, name, mu):
+        # hessian(-1) is g's, whose value is the factored evaluation without Wt;
+        # hessian(0) is f's
+        struct, bound, a, _, M = _pieces_inputs(name, 730)
+        R = struct.assemble(a)
+        Wt = np.linalg.inv(R)
+        tight = mu == "g"
+        value, w, u, hessian = _surrogate_pieces(struct, Wt, M, 0.0,
+                                                 np.linalg.slogdet(R)[1] if tight else None, bound)
+        H = hessian(-1.0 if tight else 0.0)
+        model = None if tight else Wt
+        assert value == pytest.approx(_surrogate_value(struct, a, model, M, 0.0)[0], rel=1e-12)
+        h = 1e-5
+        for j in range(struct.size):
+            e = np.zeros(struct.size)
+            e[j] = h
+            grads = []
+            for point in (a + e, a - e):
+                W = _surrogate_value(struct, point, model, M, 0.0)[1]
+                grads.append(_basis_traces(struct, W if tight else Wt)
+                             - _basis_traces(struct, W @ M @ W))
+            fd = (grads[0] - grads[1]) / (2 * h)
+            assert np.max(np.abs(H[:, j] - fd)) <= 1e-6 * np.max(np.abs(H))

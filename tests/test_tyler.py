@@ -435,9 +435,13 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         fit()  # builds the structure of the powers, once per (K, L, field)
     calls = _count_factorizations(monkeypatch)
     if estimator == "toeplitz":
-        # each map's surrogate pieces and its line-search trials, in call order
+        # each map's surrogate pieces, its line-search trials and the factors
+        # the step takes, in call order
         steps = count_calls(monkeypatch, [(structcov.linear, "_surrogate_pieces"),
                                           (structcov.linear, "_surrogate_value")])
+        chol = structcov.linear.chol_pd
+        monkeypatch.setattr(structcov.linear, "chol_pd",
+                            lambda M, *args: steps.append("chol_pd") or chol(M, *args))
     if estimator.startswith("kronecker"):
         import scipy.linalg
 
@@ -490,15 +494,25 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
     # rejected trial was factored once
     rejected = res.details["squarem_rejected"] if estimator == "rankone" else 0
     if estimator == "toeplitz":
-        # a Newton map also factors M_t (its barrier check), and a map that
-        # steps factors H and each line-search trial; one map here stops on
-        # its gradient: 18 maps, 17 steps and 17 trials factor
-        # 19 + 18 + 17 + 17 = 71
+        # the fit factors its samples' Gram matrix once, to decide the barrier;
+        # a map that steps factors g's Hessian, f's when g's has none, and
+        # each line-search trial. Every map here steps: 15 maps, 15 steps (the
+        # first on f's Hessian) and 15 trials factor 1 + 15 + 1 + 15 = 32
+        # beside the 16 iterates and the 2 SQUAREM trials rejected on their
+        # cost after their factor, 50 in all
         maps, trials = steps.count("_surrogate_pieces"), steps.count("_surrogate_value")
-        stepped = sum(a == "_surrogate_pieces" and b == "_surrogate_value"
-                      for a, b in zip(steps, steps[1:]))
+        hessians = []
+        for i, name in enumerate(steps):
+            if name == "_surrogate_pieces":
+                factored = 0
+                while i + 1 + factored < len(steps) and steps[i + 1 + factored] == "chol_pd":
+                    factored += 1
+                hessians.append(factored)
+        stepped, convex = sum(h > 0 for h in hessians), hessians.count(2)
         assert maps == res.iterations and res.details["newton_fallbacks"] == 0
-        assert (res.iterations, stepped, trials) == (18, 17, 17)
-        assert len(calls) == res.iterations + 1 + rejected + maps + stepped + trials
+        assert (res.iterations, stepped, convex, trials) == (15, 15, 1, 15)
+        rejected = res.details["squarem_rejected"]
+        assert rejected == 2
+        assert len(calls) == res.iterations + 1 + rejected + 1 + stepped + convex + trials == 50
         return
     assert len(calls) == res.iterations + 1 + rejected

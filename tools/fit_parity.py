@@ -26,6 +26,10 @@ Toeplitz B) of complex samples with scatter AR(0.5) kron AR(0.8) (N=10,
 fits at embedding sizes 16 and 17, above 2K-1 = 15, of K=8 AR(0.8) samples
 (real and complex, N=20, 3 draws, tol 1e-6), which take the paper's
 separable step on the embedding's (for real samples, float-viewed) atoms,
+plus a ``kron_singular_b`` group of 2x8 Kronecker fits with a Toeplitz B
+(block MM and Gauss-Seidel) of real samples with scatter AR(0.5) kron
+AR(0.8) at N in {2, 3} (3 draws, tol 1e-7), whose 2N reshaped
+columns cannot span B's 8 dimensions, so that every B step takes the log-det barrier,
 and writes one
 sha256 per fit to OUT.json. The hash covers the scatter, params,
 objective trace, iterations, termination, the SQUAREM counters, the
@@ -73,6 +77,8 @@ MIXED_DRAWS = 3
 KRON_COMPLEX_DRAWS = 3
 WIDE_SIZES = (16, 17)
 WIDE_DRAWS = 3
+SINGULAR_B_N = (2, 3)
+SINGULAR_B_DRAWS = 3
 DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "factor_a",
                "factor_b", "b_coeffs")
 
@@ -260,6 +266,24 @@ def _wide_fits():
                            fit, X)
 
 
+def _singular_b_fits():
+    """(group, key, fit, samples) of the Kronecker fits whose B moments are all singular."""
+    import numpy as np
+
+    import structcov as sc
+
+    settings = sc.MMSettings(tol=1e-7)
+    basis = sc.toeplitz_basis(8)
+    truth = np.kron(sc.ar_cov(2, 0.5), sc.ar_cov(8, 0.8))
+    for n in SINGULAR_B_N:
+        for draw in range(SINGULAR_B_DRAWS):
+            X = sc.sample_elliptical(truth, n, np.random.SeedSequence([9, n, draw]), tau_dof=1.0)
+            for method in ("mm", "gs"):
+                yield ("kron_singular_b", f"kron_singular_b/{method}/N{n}/d{draw}",
+                       lambda X, method=method: sc.estimate_kronecker(
+                           X, 2, 8, settings, method=method, b_structure=basis), X)
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -279,7 +303,8 @@ def hash_fits(root: str) -> dict:
                 for i, (samples, _) in enumerate(case.inputs):
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
     for group, key, fit, samples in (*_mc_fits(), *_binding_fits(), *_restart_fits(),
-                                     *_mixed_fits(), *_kron_complex_fits(), *_wide_fits()):
+                                     *_mixed_fits(), *_kron_complex_fits(), *_wide_fits(),
+                                     *_singular_b_fits()):
         record(group, key, fit, samples)
     return out
 
