@@ -299,7 +299,9 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, logdet=None,
     and (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
     their diagonal blocks' traces, and H_lm = Re sum (2 X_ij + c Y_ij)
     conj(Y_ij) over block (l, m), so each Hessian is one elementwise product
-    and one block sum.
+    and one block sum. That path never reads ``struct``: a rank-one map
+    (:func:`structcov.rankone._capped_solve`), whose atoms' outer products
+    need not be independent, passes None.
     """
     value = float((M * Wt.conj()).sum().real)
     if logdet is not None:

@@ -1,10 +1,26 @@
 """Scatter estimation for R = A diag(p) A^H with a known dictionary A.
 
-The MM surrogate separates over the nonnegative powers p, so each outer
-iteration has the closed-form update p_j = sqrt(d_j / w_j) with
+The tangent of log det R and of each log q_i majorizes Tyler's cost at the
+iterate R_t = R(p_t) by the paper's convex surrogate
 
-    w = diag(A^H R_t^{-1} A),
+    f(p) = Tr(R_t^{-1} R(p)) + Tr(M_t R(p)^{-1})
+         = w^T p + Tr(M_t R(p)^{-1}),   w = diag(A^H R_t^{-1} A)
+
+(plus a constant). Each map of a rank-one fit takes a capped primal-dual
+interior-point solve of min f(p) s.t. p >= floor (S. J. Wright,
+*Primal-Dual Interior-Point Methods*, SIAM 1997; :func:`_capped_solve`).
+The barrier term diag(s/y) makes its Newton system definite where the
+Hessian of f is singular, as it is for more atoms than the outer products
+of K-vectors can span. The solve stops once it certifies a decrease of f,
+so each map is a monotone MM step (the generalized EM principle), and
+takes no more than 6 steps. A map whose solve does not lower f takes the
+minimizer of the paper's second bound, which separates over the powers:
+p_j = sqrt(d_j / w_j) with
+
     d = diag(P_t A^H R_t^{-1} M_t R_t^{-1} A P_t).
+
+That separable step is the whole map of the circulant fits that
+:mod:`structcov.toeplitz` runs here (:func:`_run`).
 
 A fit that loses positive definiteness restarts once with every power
 held at or above eps = 1e-10, which keeps every iterate strictly
@@ -16,19 +32,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .exceptions import (
     FailedToConvergeError,
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import as_field_array, hermitize
+from .linalg import _chol_inverse, as_field_array, chol_pd, hermitize
+from .linear import _MAX_HALVINGS, PowerBound, _surrogate_pieces
 from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, _Whitening,
                     mm_drive)
 
 _EPS_RESTART = 1e-10
 _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
 _SPARK_SUBSETS = 8  # random K-column subsets whose rank a dictionary's check tests
+_SOLVE_STEPS = 6  # interior-point steps of one rank-one map, at most
+_TO_BOUNDARY = 0.995  # the fraction of the way to the boundary a step moves
 
 
 def _clip_to_floor(trial, x2):
@@ -182,6 +202,12 @@ def estimate_rank_one(
 ) -> EstimatorResult:
     """Tyler-type scatter estimation over R = A diag(p) A^H, p >= 0.
 
+    Each map is the capped interior-point solve of the paper's convex
+    surrogate (:func:`_capped_solve`), or its separable point where that
+    solve does not lower the surrogate. A SQUAREM trial is clipped to 0.1
+    x2 per power (:func:`_clip_to_floor`): the many decaying powers of an
+    overcomplete dictionary leave a refused trial no room to move.
+
     Parameters
     ----------
     init_powers : ndarray, optional
@@ -194,7 +220,10 @@ def estimate_rank_one(
         ``params`` holds the power vector of the returned trace-one
         scatter, ``dictionary.assemble(params, details['epsilon'])``;
         the ridge is 0, or 1e-10 after a restart (see :func:`_restarting`).
-        Real samples on a complex dictionary fit as complex samples.
+        ``details['inner_steps']`` counts the interior-point steps of the
+        fit and ``details['newton_fallbacks']`` the maps that took the
+        separable point. Real samples on a complex dictionary fit as
+        complex samples.
     """
     if samples.is_complex and not dictionary.is_complex:
         raise InvalidInputError("complex samples require a complex dictionary")
@@ -210,41 +239,141 @@ def estimate_rank_one(
     if not np.all(init_powers > 0.0):  # the step would keep a zero power at zero
         raise InvalidInputError("starting powers must be strictly positive")
 
-    return _run(dictionary.atoms, samples, settings, init_powers, power_update, _clip_to_floor)
+    atoms = dictionary.atoms
+    factors, blocks, assemble = _field_columns(atoms, samples)
+    space = _Whitening(samples, assemble)
+
+    def fit(init, floor):
+        bound = PowerBound(floor=floor, separable=power_update, factors=factors, blocks=blocks)
+        tally = {"inner_steps": 0, "newton_fallbacks": 0}
+        result = mm_drive(
+            inner=lambda q, it: _capped_solve(atoms, bound, assemble, tally, q, it),
+            space=space,
+            init_params=init,
+            settings=settings,
+            extrapolate=_clip_to_floor,
+        )
+        result.details.update(tally)
+        return result
+
+    return _restarting(fit, init_powers)
 
 
-def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
-    """MM over R = A diag(p) A^H with the paper's separable step p <- solve(w, d).
+def _capped_solve(atoms, bound: PowerBound, assemble, tally, q, it) -> np.ndarray:
+    """One rank-one map: a capped primal-dual solve of min f(p) s.t. p >= floor.
 
-    ``solve`` maps the surrogate weights (w, d) to the minimizing powers.
-    Rank-one fits take this step, and so do the circulant fits that the
-    bounded Newton step of :func:`structcov.linear.inner_update` does not
-    run: banded fits, and fits with L > 2K - 1, whose atoms' outer
-    products are dependent. The Newton step falls back to this point.
-    The run restarts once with a ridge (:func:`_restarting`); the step then
-    keeps q <- max(solve(w, d), eps), and R = A diag(q) A^H stays linear
-    in q and positive definite.
+    f(p) = w^T p + Tr(M_t R(p)^{-1}) is the surrogate at the iterate ``it``
+    of powers ``q``, with w = diag(A^H R_t^{-1} A) the iterate's weights.
+    Its gradient is g = w - u, u_j = a_j^H W M_t W a_j at W = R(p)^{-1}, and
+    its Hessian 2 Re(X o conj Y); :func:`structcov.linear._surrogate_pieces`
+    forms u, the Hessian and Tr(M_t W) from ``bound``'s factors, the atoms
+    (or for real samples their float view and its pair ``blocks``).
 
-    Real samples on a complex dictionary fit the real scatter
-    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T),
-    assembled from the float view of A; :func:`_weights` weighs it in
-    real arithmetic.
-
-    ``mm_drive`` extrapolates the powers; ``vet`` is its ``extrapolate``.
-    Rank-one fits clip a trial to 0.1 x2 per power (:func:`_clip_to_floor`):
-    their many decaying powers leave a refused trial no room to move.
-    Circulant fits refuse it (:func:`_refuse_below_floor`): a clip breaks
-    the banded equality constraints, which an affine combination of
-    feasible powers keeps, and saved Toeplitz fits no maps.
+    With y = p - floor and slacks s, the solve starts at p = q with
+    s = max(g, 1e-6 |f(q)| / (L y)). Each step solves
+    (H + diag(s/y)) dp = -g + sigma mu / y, mu = y^T s / L, sets
+    ds = sigma mu / y - s - (s/y) dp, and moves both 0.995 of the way to
+    the boundary, at most a full step, halving it while R(p) has no
+    Cholesky factor; sigma is 0.1, or 0.01 after a step of length >= 0.9.
+    The solve stops once y^T s and ||g - s||_inf sum(y), which bound what
+    f can still fall, are both at most 0.1 (f(q) - f(p)) or
+    1e-12 (1 + |f(q)|), or after 6 steps; a Newton matrix without a
+    Cholesky factor, or a step that halves 60 times, ends it too. It
+    returns p when f(p) <= f(q), so the map is a monotone MM step, and
+    otherwise the separable point max(sqrt(d/w), floor), which
+    :func:`power_update` forms from :func:`_weights`; so does a solve that
+    ended before its first step uncertified, and a map from powers not
+    above the floor, as a restart's normalized iterate may be. ``tally``
+    counts the fit's steps and those fallbacks.
     """
-    # a real fit on complex atoms puts each power on the two real columns
-    # [Re a_j, Im a_j] of their float view
+    floor, M = bound.floor, it.M
+    value, w, u, hessian = _surrogate_pieces(None, it.inverse(), M, 0.0, bound=bound)
+    k, n_powers = M.shape[0], q.size
+    f_t = f = float(w @ q) + value - k
+    p, y = q, q - floor
+    if y.min() > 0.0:
+        g, H = w - u, hessian(0.0)
+        s = np.maximum(g, 1e-6 * abs(f_t) / (n_powers * y))
+        sigma = 0.1
+        for _ in range(_SOLVE_STEPS):
+            gap, residual = float(y @ s), float(np.abs(g - s).max() * y.sum())
+            certified = max(gap, residual) <= max(0.1 * (f_t - f), 1e-12 * (1.0 + abs(f_t)))
+            if certified:
+                break
+            factor = chol_pd(H + np.diag(s / y))
+            if factor is None:
+                break
+            target = sigma * gap / n_powers / y
+            dp = lapack.dpotrs(factor, target - g, lower=1)[0]
+            ds = target - s - s / y * dp
+            shrink = max(-(dp / y).min(), -(ds / s).min())
+            t = min(1.0, _TO_BOUNDARY / shrink) if shrink > 0.0 else 1.0
+            for _ in range(_MAX_HALVINGS):
+                y_trial = y + t * dp
+                chol = chol_pd(assemble(floor + y_trial))
+                if chol is not None:
+                    break
+                t *= 0.5
+            else:
+                break
+            tally["inner_steps"] += 1
+            value, _, u, hessian = _surrogate_pieces(None, _chol_inverse(chol), M, 0.0, bound=bound)
+            p, y, s = floor + y_trial, y_trial, s + t * ds
+            f, g, H = float(w @ p) + value - k, w - u, hessian(0.0)
+            sigma = 0.01 if t >= 0.9 else 0.1
+        # a solve that roundoff stopped before its first step has not lowered f
+        if f <= f_t and (certified or p is not q):
+            return p
+    tally["newton_fallbacks"] += 1
+    return np.maximum(power_update(*_weights(atoms, q, it)), floor)
+
+
+def _field_columns(atoms, samples: SampleSet):
+    """(columns, blocks, assemble) of a fit's atoms in the field of its samples.
+
+    A real fit on complex atoms puts each power on the two real columns
+    [Re a_j, Im a_j] of their float view, and ``blocks`` is the (2L) x L
+    indicator of each atom's pair (None for a fit in the atoms' field);
+    ``assemble(q)`` is the fit's scatter sum_j q_j a_j a_j^H, real in the
+    real fit.
+    """
     split = np.iscomplexobj(atoms) and not samples.is_complex
     columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
     columns_h = columns.conj().T
 
     def assemble(q):
         return hermitize((columns * (np.repeat(q, 2) if split else q)) @ columns_h)
+
+    blocks = np.repeat(np.eye(atoms.shape[1]), 2, axis=0) if split else None
+    return columns, blocks, assemble
+
+
+def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
+    """MM over R = A diag(p) A^H with the paper's separable step p <- solve(w, d).
+
+    ``solve`` maps the surrogate weights (w, d) to the minimizing powers.
+    The circulant fits that the bounded Newton step of
+    :func:`structcov.linear.inner_update` does not run take this step:
+    banded fits, and fits with L > 2K - 1, whose atoms' outer products are
+    dependent. The same point is the fallback of that Newton step and of
+    a rank-one map's interior-point solve (:func:`_capped_solve`).
+    The run restarts once with a ridge (:func:`_restarting`); the step then
+    keeps q <- max(solve(w, d), eps), and R = A diag(q) A^H stays linear
+    in q and positive definite.
+
+    Real samples on a complex dictionary fit the real scatter
+    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T),
+    assembled from the float view of A (:func:`_field_columns`);
+    :func:`_weights` weighs it in real arithmetic.
+
+    ``mm_drive`` extrapolates the powers; ``vet`` is its ``extrapolate``.
+    Circulant fits refuse a trial with a power below 0.1 x2's
+    (:func:`_refuse_below_floor`): a clip, which rank-one fits take
+    (:func:`_clip_to_floor`), breaks the banded equality constraints,
+    which an affine combination of feasible powers keeps, and saved
+    Toeplitz fits no maps.
+    """
+    assemble = _field_columns(atoms, samples)[2]
 
     def fit(init, floor):
         return mm_drive(

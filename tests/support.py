@@ -98,51 +98,55 @@ def gaussian_cost_naive(struct, coeffs, M):
 # independent optimizers
 # ---------------------------------------------------------------------------
 
+def central_gradient(value, coeffs, h=1e-6):
+    """Central-difference gradient of ``value`` at ``coeffs``, one pair of evaluations per entry."""
+    a = np.asarray(coeffs, dtype=float)
+    g = np.zeros(a.size)
+    for j in range(a.size):
+        e = np.zeros(a.size)
+        e[j] = h
+        g[j] = (value(a + e) - value(a - e)) / (2 * h)
+    return g
+
+
 def coordinate_descent(value, coeffs, grad_tol=1e-10, max_sweeps=4000):
     """Cyclic exact 1-D minimization of ``value`` over coefficient vectors.
 
     ``value(a)`` is inf outside the feasible set. Uses only function
-    evaluations (scipy's scalar minimizer on a feasibility-probed
-    bracket). It stops when a sweep no longer lowers the value or a
+    evaluations: each coordinate's bracket grows from the current value,
+    doubling its step while the value keeps falling, so that it ends where
+    the value rises or the point is infeasible and holds the nearest local
+    minimum along the coordinate, which scipy's bounded scalar minimizer
+    then finds. It stops when a sweep no longer lowers the value or a
     central-difference gradient is small.
     """
     from scipy.optimize import minimize_scalar
 
     a = np.asarray(coeffs, dtype=float).copy()
-    L = a.size
-
-    def num_grad(v, h=1e-6):
-        g = np.zeros(L)
-        for j in range(L):
-            e = np.zeros(L)
-            e[j] = h
-            g[j] = (value(v + e) - value(v - e)) / (2 * h)
-        return g
 
     best = value(a)
     for _ in range(max_sweeps):
-        for j in range(L):
+        for j in range(a.size):
             def f1(t, j=j):
                 trial = a.copy()
                 trial[j] = t
                 return value(trial)
 
-            # probe a feasible bracket around the current coordinate
-            lo, hi = a[j], a[j]
-            step = 0.5 * (1.0 + abs(a[j]))
-            while np.isfinite(f1(lo - step)) and step < 1e6:
-                lo -= step
-                step *= 2.0
-            step = 0.5 * (1.0 + abs(a[j]))
-            while np.isfinite(f1(hi + step)) and step < 1e6:
-                hi += step
-                step *= 2.0
-            res = minimize_scalar(f1, bounds=(lo, hi), method="bounded",
+            def edge(sign, j=j):
+                x, fx, step = a[j], f1(a[j]), 1e-3 * (1.0 + abs(a[j]))
+                while True:
+                    y = x + sign * step
+                    fy = f1(y)
+                    if not fy < fx:
+                        return y
+                    x, fx, step = y, fy, 2.0 * step
+
+            res = minimize_scalar(f1, bounds=(edge(-1.0), edge(1.0)), method="bounded",
                                   options={"xatol": 1e-14})
             if res.fun < f1(a[j]):
                 a[j] = res.x
         swept = value(a)
-        if swept >= best or np.linalg.norm(num_grad(a)) <= grad_tol * (1.0 + abs(swept)):
+        if swept >= best or np.linalg.norm(central_gradient(value, a)) <= grad_tol * (1.0 + abs(swept)):
             break
         best = swept
     return a

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,10 @@ from structcov import (
     sample_elliptical,
     ula_dictionary,
 )
+from structcov.linear import PowerBound
 from structcov.rankone import (
     _clip_to_floor,
+    _field_columns,
     _refuse_below_floor,
     _weights,
     check_powers,
@@ -31,7 +35,8 @@ from structcov.rankone import (
 from structcov.simulate import ar_cov
 from structcov.toeplitz import build_embedding
 from structcov.tyler import Iterate
-from support import nonincreasing, rank_one_gradient, weighted_scatter_naive
+from support import (linear_surrogate_naive, nonincreasing, rank_one_gradient,
+                     weighted_scatter_naive)
 
 
 def _random_dictionary(rng, k=4, l=9, complex_=True):
@@ -232,7 +237,7 @@ class TestEstimateRankOne:
         R0 = ar_cov(4, 0.5).astype(complex)
         X = sample_elliptical(R0, 40, seed=31)
         res0 = estimate_rank_one(d, X)
-        _force_failures(monkeypatch, structcov.rankone, "power_update")({3})
+        _force_failures(monkeypatch, structcov.rankone, "_capped_solve")({3})
         res1 = estimate_rank_one(d, X)
         assert (res0.details["epsilon"], res1.details["epsilon"]) == (0.0, 1e-10)
         assert np.linalg.norm(res0.scatter - res1.scatter) <= 1e-5
@@ -301,6 +306,82 @@ class TestEstimateRankOne:
         res = estimate_rank_one(d, X, MMSettings(tol=1e-6, max_iter=500))
         music = music_spectrum(res.scatter, 5)
         assert angles_recovered(music, angles, 0.25)
+
+
+class TestCappedSolve:
+    """One rank-one map: the capped interior-point solve of the paper's surrogate f."""
+
+    @staticmethod
+    def _map(field, floor, seed, at_floor=None):
+        # a random iterate of K=6 DOA samples on the augmented complex
+        # dictionary, with some powers close to the floor
+        rng = np.random.default_rng(seed)
+        truth = doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1)
+        X = sample_elliptical(truth if field == "complex" else truth.real, 30, seed=40 + seed)
+        atoms = DICTIONARY_6.atoms
+        factors, blocks, assemble = _field_columns(atoms, X)
+        q = floor + rng.uniform(0.0, 2.0, atoms.shape[1]) ** 4
+        if at_floor is not None:
+            q[at_floor] = floor
+        it = Iterate.at(assemble(q), X)
+        bound = PowerBound(floor=floor, separable=power_update, factors=factors, blocks=blocks)
+        tally = {"inner_steps": 0, "newton_fallbacks": 0}
+        p = structcov.rankone._capped_solve(atoms, bound, assemble, tally, q, it)
+        return types.SimpleNamespace(assemble=assemble), q, p, it, X, tally
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("floor", [0.0, 1e-10])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_each_map_lowers_the_surrogate_above_the_floor(self, field, floor, seed):
+        family, q, p, it, X, tally = self._map(field, floor, seed)
+        assert p.shape == q.shape and np.all(p >= floor)
+        R_t = family.assemble(q)
+        M = weighted_scatter_naive(R_t, X.data)
+        assert np.iscomplexobj(M) == (field == "complex")
+        f_t = linear_surrogate_naive(family, q, R_t, M)
+        assert linear_surrogate_naive(family, p, R_t, M) <= f_t + 1e-12 * abs(f_t)
+        # the decrease is the solve's own: no map here takes the separable point
+        assert tally["inner_steps"] > 0 and tally["newton_fallbacks"] == 0
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_a_map_that_does_not_lower_the_surrogate_takes_the_separable_point(
+            self, field, monkeypatch):
+        real_pieces = structcov.rankone._surrogate_pieces
+        calls = []
+
+        def pieces(*args, **kwargs):
+            # every trial's value reads far above the start's: no step lowers f
+            value, w, u, hessian = real_pieces(*args, **kwargs)
+            calls.append(1)
+            return (value if len(calls) == 1 else value + 1e6), w, u, hessian
+
+        monkeypatch.setattr(structcov.rankone, "_surrogate_pieces", pieces)
+        family, q, p, it, X, tally = self._map(field, 1e-10, 0)
+        assert tally == {"inner_steps": len(calls) - 1, "newton_fallbacks": 1}
+        assert np.array_equal(p, np.maximum(power_update(*_weights(DICTIONARY_6.atoms, q, it)),
+                                            1e-10))
+
+    def test_powers_at_the_floor_take_the_separable_point(self):
+        # a restart's normalized iterate may put a power at or below its
+        # floor, where the solve has no interior start
+        family, q, p, it, X, tally = self._map("complex", 1e-10, 0, at_floor=3)
+        assert q[3] == 1e-10
+        assert tally == {"inner_steps": 0, "newton_fallbacks": 1}
+        assert np.array_equal(p, np.maximum(power_update(*_weights(DICTIONARY_6.atoms, q, it)),
+                                            1e-10))
+
+
+@pytest.mark.parametrize("k, n", [(15, 16), (3, 4)])
+def test_fits_near_n_equal_k_converge(k, n):
+    # two sources on an augmented 5-degree grid, N just above K
+    dictionary = RankOneDictionary.augment(ula_dictionary(k, 5.0))
+    truth = doa_cov(k, [-20.0, 30.0], [1.0, 1.0], 0.1)
+    for draw in range(3):
+        X = sample_elliptical(truth, n, np.random.SeedSequence([k, n, draw]), tau_dof=1.0)
+        res = estimate_rank_one(dictionary, X)
+        assert res.termination == "converged"
+        assert nonincreasing(res.objective_trace)
+        assert res.details["inner_steps"] > 0
 
 
 class TestFloorVetting:
@@ -415,8 +496,10 @@ def _force_failures(monkeypatch, module, attr):
 
 # the step whose powers a fit takes on every map, where RESTART_CASES names
 # another: a Toeplitz map forms the separable point, but takes the bounded
-# Newton step unless its line search fails
-TAKEN_EVERY_MAP = {"toeplitz": (structcov.toeplitz, "inner_update")}
+# Newton step unless its line search fails; a rank-one map forms that
+# point only when its interior-point solve does not lower the surrogate
+TAKEN_EVERY_MAP = {"toeplitz": (structcov.toeplitz, "inner_update"),
+                   "rankone": (structcov.rankone, "_capped_solve")}
 
 
 @pytest.mark.parametrize("name", list(RESTART_CASES))
@@ -446,6 +529,7 @@ def test_collapsed_powers_restart_with_the_ridge(name, monkeypatch):
 @pytest.mark.parametrize("name", list(RESTART_CASES))
 def test_epsilon_ridge_restart(name, monkeypatch):
     fit, module, attr, assemble = RESTART_CASES[name]
+    module, attr = TAKEN_EVERY_MAP.get(name, (module, attr))
     arm = _force_failures(monkeypatch, module, attr)
     X = sample_elliptical(ar_cov(6, 0.5), 40, seed=31)
 

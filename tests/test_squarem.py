@@ -46,8 +46,8 @@ RANK_ONE_SETTINGS = MMSettings(max_iter=300)
 # Extrapolation makes the path of a fit depend on roundoff (a trial that
 # passes its checks by 1e-15 may fail them on permuted samples), so the
 # invariances are checked at the estimate, not at a truncated path: on these
-# rank-one inputs (40 seeds), fits stopped at max_iter=300 end up to 1.5e-4
-# apart and fits converged to tol 1e-8 up to 2.4e-5; at this tol, up to 2.6e-8.
+# rank-one inputs (40 seeds), fits converged to tol 1e-8 end up to 1.5e-8
+# apart (2.8e-5 when each map was the separable step); at this tol, up to 2.2e-9.
 CONVERGED = MMSettings(tol=1e-11, max_iter=20000)
 
 

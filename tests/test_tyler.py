@@ -442,6 +442,16 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         chol = structcov.linear.chol_pd
         monkeypatch.setattr(structcov.linear, "chol_pd",
                             lambda M, *args: steps.append("chol_pd") or chol(M, *args))
+    if estimator == "rankone":
+        import structcov.rankone
+
+        # each map's surrogate pieces at its iterate, then per interior-point
+        # step the factor of its Newton matrix, the factor of each trial
+        # and the pieces at the trial taken, in call order
+        steps = count_calls(monkeypatch, [(structcov.rankone, "_surrogate_pieces")])
+        chol = structcov.rankone.chol_pd
+        monkeypatch.setattr(structcov.rankone, "chol_pd",
+                            lambda M, *args: steps.append("chol_pd") or chol(M, *args))
     if estimator.startswith("kronecker"):
         import scipy.linalg
 
@@ -490,9 +500,28 @@ def test_one_factorization_per_iterate(estimator, record_trace, monkeypatch):
         else:
             assert work.count("eigh") == 0 and work.count("inv") > res.iterations
         return
-    # a rank-one trial is clipped, never refused before its factor, so each
-    # rejected trial was factored once
-    rejected = res.details["squarem_rejected"] if estimator == "rankone" else 0
+    if estimator == "rankone":
+        # a step factors its Newton matrix right after the pieces of its
+        # iterate or of the last step's trial, then each trial until one has
+        # a factor, and takes the pieces there. Every map here steps and ends
+        # below the surrogate at its iterate: 18 maps take 88 steps, whose 88
+        # Newton matrices and 88 trials are factored beside the 19 iterates
+        # and the 2 SQUAREM trials rejected on their cost after their factor
+        # (a rank-one trial is clipped, never refused before its factor),
+        # 197 in all
+        newton = trials = 0
+        for before, name in zip(["_surrogate_pieces", *steps], steps):
+            if name == "chol_pd":
+                newton += before == "_surrogate_pieces"
+                trials += before == "chol_pd"
+        taken = steps.count("_surrogate_pieces") - res.iterations
+        assert taken == res.details["inner_steps"] and res.details["newton_fallbacks"] == 0
+        assert (res.iterations, taken, newton, trials) == (18, 88, 88, 88)
+        rejected = res.details["squarem_rejected"]
+        assert rejected == 2
+        assert len(calls) == res.iterations + 1 + rejected + newton + trials == 197
+        return
+    rejected = 0
     if estimator == "toeplitz":
         # the fit factors its samples' Gram matrix once, to decide the barrier;
         # a map that steps factors g's Hessian, f's when g's has none, and

@@ -14,11 +14,12 @@ of Toeplitz fits with the same settings on AR(0.95) and AR(0.99) truths
 of the optimum are zero, plus a restart group of
 rank-one (augmented 10-degree ULA dictionary), Toeplitz and banded
 (bandwidth 2) fits of K=8 AR(0.8) samples (real and complex, N=20, 3
-draws each) whose inner solve raises FailedToConvergeError once, at its
-third call, so that each fit restarts with the 1e-10 ridge, plus a
-mixed-field group of real K=5 AR(0.6) samples (N=20, 3 draws) meeting a
-complex operand: a linear fit on ``hermitian_basis(5)``, a rank-one fit
-on the augmented complex 10-degree ULA dictionary, and Tyler and spiked
+draws each) whose inner solve (a rank-one fit's interior-point map)
+raises FailedToConvergeError once, at its third call, so that each fit
+restarts with the 1e-10 ridge, plus a mixed-field group of real K=5
+AR(0.6) samples (N=20, 3 draws) meeting a complex operand: a linear fit
+on ``hermitian_basis(5)``, a rank-one fit on the augmented complex
+10-degree ULA dictionary, and Tyler and spiked
 (2 spikes) fits from a complex positive definite start, plus a complex
 Kronecker group of 3x4 fits (block MM and Gauss-Seidel, each also with a
 Toeplitz B) of complex samples with scatter AR(0.5) kron AR(0.8) (N=10,
@@ -30,12 +31,14 @@ plus a ``kron_singular_b`` group of 2x8 Kronecker fits with a Toeplitz B
 (block MM and Gauss-Seidel) of real samples with scatter AR(0.5) kron
 AR(0.8) at N in {2, 3} (3 draws, tol 1e-7), whose 2N reshaped
 columns cannot span B's 8 dimensions, so that every B step takes the log-det barrier,
-and writes one
-sha256 per fit to OUT.json. The hash covers the scatter, params,
-objective trace, iterations, termination, the SQUAREM counters, the
-ridge ``epsilon``, a Toeplitz fit's ``newton_fallbacks`` and, for
-Kronecker fits, factor_a, factor_b and b_coeffs; a fit that raises
-hashes its error.
+plus a ``rankone_near_k`` group of rank-one fits (augmented 5-degree ULA
+dictionary, default settings) of two-source DOA draws with N close to K
+(K=15 with N in {16, 20}, K=3 with N in {4, 6}, 3 draws each), and
+writes one sha256 per fit to OUT.json. The hash covers the scatter,
+params, objective trace, iterations, termination, the SQUAREM counters,
+the ridge ``epsilon``, the ``newton_fallbacks`` of Toeplitz and rank-one
+fits, a rank-one fit's ``inner_steps`` and, for Kronecker fits,
+factor_a, factor_b and b_coeffs; a fit that raises hashes its error.
 Beside each hash are the fit's iterations, its termination and the cost
 ``tyler_cost(result.scatter, samples)`` of its scatter (None for a fit
 that raised). Every BLAS runs on one thread.
@@ -79,8 +82,10 @@ WIDE_SIZES = (16, 17)
 WIDE_DRAWS = 3
 SINGULAR_B_N = (2, 3)
 SINGULAR_B_DRAWS = 3
-DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "factor_a",
-               "factor_b", "b_coeffs")
+NEAR_K = ((15, (16, 20)), (3, (4, 6)))
+NEAR_K_DRAWS = 3
+DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "inner_steps",
+               "factor_a", "factor_b", "b_coeffs")
 
 
 def _digest(result) -> str:
@@ -186,8 +191,10 @@ def _restart_fits():
     import structcov.toeplitz
 
     dictionary = sc.RankOneDictionary.augment(sc.ula_dictionary(8, 10.0))
+    # a tree whose rank-one maps all take the separable step fails that step
+    rank_one_map = "_capped_solve" if hasattr(structcov.rankone, "_capped_solve") else "power_update"
     fits = {
-        "restart_rankone": _failing_once(structcov.rankone, "power_update",
+        "restart_rankone": _failing_once(structcov.rankone, rank_one_map,
                                          lambda X: sc.estimate_rank_one(dictionary, X)),
         "restart_toeplitz": _failing_once(structcov.toeplitz, "power_update",
                                           sc.estimate_toeplitz),
@@ -284,6 +291,22 @@ def _singular_b_fits():
                            X, 2, 8, settings, method=method, b_structure=basis), X)
 
 
+def _near_k_fits():
+    """(group, key, fit, samples) of the rank-one fits with N close to K."""
+    import numpy as np
+
+    import structcov as sc
+
+    for k, ns in NEAR_K:
+        dictionary = sc.RankOneDictionary.augment(sc.ula_dictionary(k, 5.0))
+        truth = sc.doa_cov(k, [-20.0, 30.0], [1.0, 1.0], 0.1)
+        for n in ns:
+            for draw in range(NEAR_K_DRAWS):
+                X = sc.sample_elliptical(truth, n, np.random.SeedSequence([k, n, draw]), tau_dof=1.0)
+                yield ("rankone_near_k", f"rankone_near_k/K{k}/N{n}/d{draw}",
+                       lambda X, dictionary=dictionary: sc.estimate_rank_one(dictionary, X), X)
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -304,7 +327,7 @@ def hash_fits(root: str) -> dict:
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
     for group, key, fit, samples in (*_mc_fits(), *_binding_fits(), *_restart_fits(),
                                      *_mixed_fits(), *_kron_complex_fits(), *_wide_fits(),
-                                     *_singular_b_fits()):
+                                     *_singular_b_fits(), *_near_k_fits()):
         record(group, key, fit, samples)
     return out
 
