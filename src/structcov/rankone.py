@@ -49,6 +49,7 @@ _POWER_FLOOR = 0.1  # an extrapolated power may fall to this fraction of x2's
 _SPARK_SUBSETS = 8  # random K-column subsets whose rank a dictionary's check tests
 _SOLVE_STEPS = 6  # interior-point steps of one rank-one map, at most
 _TO_BOUNDARY = 0.995  # the fraction of the way to the boundary a step moves
+_LIFT = 1e-6  # powers at the floor start this fraction of the largest power above it
 
 
 def _clip_to_floor(trial, x2):
@@ -275,22 +276,32 @@ def _capped_solve(atoms, bound: PowerBound, assemble, tally, q, it) -> np.ndarra
     ds = sigma mu / y - s - (s/y) dp, and moves both 0.995 of the way to
     the boundary, at most a full step, halving it while R(p) has no
     Cholesky factor; sigma is 0.1, or 0.01 after a step of length >= 0.9.
+    Powers at or below the floor, as a restart's normalized iterate may
+    hold, start the solve at y lifted to max(y, 1e-6 max(y)) instead.
     The solve stops once y^T s and ||g - s||_inf sum(y), which bound what
     f can still fall, are both at most 0.1 (f(q) - f(p)) or
     1e-12 (1 + |f(q)|), or after 6 steps; a Newton matrix without a
     Cholesky factor, or a step that halves 60 times, ends it too. It
     returns p when f(p) <= f(q), so the map is a monotone MM step, and
     otherwise the separable point max(sqrt(d/w), floor), which
-    :func:`power_update` forms from :func:`_weights`; so does a solve that
-    ended before its first step uncertified, and a map from powers not
-    above the floor, as a restart's normalized iterate may be. ``tally``
-    counts the fit's steps and those fallbacks.
+    :func:`power_update` forms from :func:`_weights`; so does a solve from
+    q that ended before its first step uncertified, and a map from powers
+    that are all at the floor. ``tally`` counts the fit's steps and those
+    fallbacks.
     """
     floor, M = bound.floor, it.M
     value, w, u, hessian = _surrogate_pieces(None, it.inverse(), M, 0.0, bound=bound)
     k, n_powers = M.shape[0], q.size
     f_t = f = float(w @ q) + value - k
     p, y = q, q - floor
+    if y.min() <= 0.0 < y.max():
+        # powers at the floor start just inside it, where R(p) >= R(q) is PD
+        lifted = np.maximum(y, _LIFT * y.max())
+        chol = chol_pd(assemble(floor + lifted))
+        if chol is not None:
+            p, y = floor + lifted, lifted
+            value, _, u, hessian = _surrogate_pieces(None, _chol_inverse(chol), M, 0.0, bound=bound)
+            f = float(w @ p) + value - k
     if y.min() > 0.0:
         g, H = w - u, hessian(0.0)
         s = np.maximum(g, 1e-6 * abs(f_t) / (n_powers * y))

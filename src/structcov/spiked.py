@@ -6,6 +6,11 @@ spiked set, whose global minimizer is closed-form in the
 eigendecomposition of M_t: the top eigenvectors become the directions,
 the noise variance is the mean of the trailing eigenvalues, and each
 spike power is the corresponding eigenvalue minus the noise variance.
+
+The fit runs SQUAREM. An extrapolated trial is an affine combination of
+spiked matrices, so it leaves the (non-convex) spiked set; the same
+closed-form fit, applied to the trial itself, maps it back, and the MM
+loop's PD and cost checks then decide it as any other trial.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSpectrumWarning, InvalidInputError
-from .linalg import check_hermitian, hermitize, hermitian_eig
+from .linalg import check_hermitian, chol_pd, hermitize, hermitian_eig
 from .tyler import (
     EstimatorResult,
     MMSettings,
@@ -61,6 +66,18 @@ class SpikedModel:
         )
 
 
+def _closed_form(eig, n_spikes: int) -> SpikedModel:
+    """The spiked fit of the matrix whose eigendecomposition is ``eig``, unchecked and silent."""
+    lam = eig.values
+    noise_var = float(np.mean(lam[n_spikes:]))
+    return SpikedModel(
+        directions=eig.vectors[:, :n_spikes].copy(),
+        powers=np.maximum(lam[:n_spikes] - noise_var, 0.0),
+        noise_var=noise_var,
+        degenerate=(lam[n_spikes - 1] - lam[n_spikes]) <= _TIE_RTOL * max(lam[0], 1.0),
+    )
+
+
 def spiked_inner_update(M_t, n_spikes: int) -> SpikedModel:
     """Best spiked fit of M_t under log det(R) + Tr(R^{-1} M_t).
 
@@ -75,21 +92,28 @@ def spiked_inner_update(M_t, n_spikes: int) -> SpikedModel:
         raise InvalidInputError(f"spike count must lie in [1, K-1], got {n_spikes}")
     if lam[-1] < -1e-12 * max(lam[0], 1.0):
         raise InvalidInputError("M_t must be positive semidefinite")
-    noise_var = float(np.mean(lam[n_spikes:]))
-    powers = np.maximum(lam[:n_spikes] - noise_var, 0.0)
-    degenerate = (lam[n_spikes - 1] - lam[n_spikes]) <= _TIE_RTOL * max(lam[0], 1.0)
-    if degenerate:
+    model = _closed_form(eig, n_spikes)
+    if model.degenerate:
         warnings.warn(
             "eigenvalue tie at the spike split; the direction choice is arbitrary",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-    return SpikedModel(
-        directions=eig.vectors[:, :n_spikes].copy(),
-        powers=powers,
-        noise_var=noise_var,
-        degenerate=degenerate,
-    )
+    return model
+
+
+def _project_trial(trial, n_spikes: int) -> np.ndarray | None:
+    """A SQUAREM trial mapped back onto the spiked set, or None when it is not PD.
+
+    The trial is an affine combination of spiked scatters, Hermitian but
+    possibly indefinite, so its Cholesky factor is checked first. A PD
+    trial gets its closed-form spiked fit, assembled; the spike count
+    was checked at the fit's boundary, and a tie here warns nothing,
+    since only a map's model is reported.
+    """
+    if chol_pd(trial, "trial") is None:
+        return None
+    return _closed_form(hermitian_eig(trial), n_spikes).assemble()
 
 
 def estimate_spiked(
@@ -101,7 +125,10 @@ def estimate_spiked(
     """Tyler-type scatter estimation over the spiked covariance set.
 
     Returns a trace-one scatter whose trailing K - L eigenvalues are
-    identical. ``details['model']`` holds the fitted SpikedModel and
+    identical. The MM maps run under SQUAREM, each trial projected back
+    onto the spiked set (:func:`_project_trial`); a map follows every
+    trial taken, so the result is always a map's model.
+    ``details['model']`` holds the fitted SpikedModel and
     ``details['degenerate_spectrum']`` reports whether the last inner
     update hit an eigenvalue tie.
     """
@@ -123,8 +150,9 @@ def estimate_spiked(
         space=_Whitening(samples),
         init_params=init,
         settings=settings,
-        # an affine combination of spiked matrices leaves the (non-convex) set
-        extrapolate=None,
+        # an affine combination of spiked matrices leaves the (non-convex)
+        # set: each trial is projected back before its PD and cost checks
+        extrapolate=lambda trial, x2: _project_trial(trial, n_spikes),
     )
     # the scatter is the last map's model scaled to unit trace, as mm_drive scales it
     model = last["model"]

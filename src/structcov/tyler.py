@@ -362,8 +362,9 @@ def mm_drive(
         ``extrapolate(trial, x2) -> params | None`` vets extrapolated
         parameters before the space normalizes them and checks them PD:
         it may return adjusted parameters, or None to reject the trial.
-        The default accepts every trial. None runs plain MM, for a
-        structure that an affine combination of its members can leave.
+        The default accepts every trial. None runs plain MM; no
+        estimator passes it, and tests use it as the reference that
+        extrapolation must beat.
 
     Returns
     -------

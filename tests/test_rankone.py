@@ -361,14 +361,18 @@ class TestCappedSolve:
         assert np.array_equal(p, np.maximum(power_update(*_weights(DICTIONARY_6.atoms, q, it)),
                                             1e-10))
 
-    def test_powers_at_the_floor_take_the_separable_point(self):
-        # a restart's normalized iterate may put a power at or below its
-        # floor, where the solve has no interior start
-        family, q, p, it, X, tally = self._map("complex", 1e-10, 0, at_floor=3)
-        assert q[3] == 1e-10
-        assert tally == {"inner_steps": 0, "newton_fallbacks": 1}
-        assert np.array_equal(p, np.maximum(power_update(*_weights(DICTIONARY_6.atoms, q, it)),
-                                            1e-10))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_powers_at_the_floor_take_interior_point_steps(self, field, seed):
+        # a restart's normalized iterate may put powers at their floor; the
+        # solve starts just inside it and still ends at or below f(q)
+        family, q, p, it, X, tally = self._map(field, 1e-10, seed, at_floor=[3, 7, 20])
+        assert np.all(q[[3, 7, 20]] == 1e-10) and np.all(p >= 1e-10)
+        assert tally["inner_steps"] > 0 and tally["newton_fallbacks"] == 0
+        R_t = family.assemble(q)
+        M = weighted_scatter_naive(R_t, X.data)
+        f_t = linear_surrogate_naive(family, q, R_t, M)
+        assert linear_surrogate_naive(family, p, R_t, M) <= f_t + 1e-12 * abs(f_t)
 
 
 @pytest.mark.parametrize("k, n", [(15, 16), (3, 4)])

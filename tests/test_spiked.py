@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from structcov import (
     spiked_cov,
     weighted_scatter,
 )
-from structcov.spiked import spiked_inner_update
+from structcov.spiked import _project_trial, spiked_inner_update
 from support import count_calls, nonincreasing, rand_pd, spiked_objective
 
 
@@ -154,3 +156,52 @@ class TestEstimateSpiked:
         X = sample_elliptical(np.eye(4) / 4, 30, seed=9)
         with pytest.raises(InvalidInputError):
             estimate_spiked(X, 4)
+
+
+class TestProjectTrial:
+    """The SQUAREM vet of a spiked fit: a trial's closed-form fit, or None."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_an_indefinite_trial_is_refused_silently(self, complex_):
+        trial = np.diag([1.0, 0.5, 0.2, -0.1]).astype(complex if complex_ else float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _project_trial(trial, 1) is None
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_a_pd_trial_gets_its_closed_form_fit(self, complex_):
+        rng = np.random.default_rng(14)
+        trial = rand_pd(6, rng, complex_=complex_)
+        projected = _project_trial(trial, 2)
+        assert np.array_equal(projected, spiked_inner_update(trial, 2).assemble())
+        ev = np.linalg.eigvalsh(projected)
+        assert np.max(ev[:4]) - np.min(ev[:4]) <= 1e-12
+
+    def test_a_trial_at_a_tie_does_not_warn(self):
+        trial = np.diag([3.0, 1.0, 1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projected = _project_trial(trial, 2)
+        assert np.allclose(np.sort(np.diag(projected)), [0.75, 0.75, 1.0, 3.0])
+        with pytest.warns(DegenerateSpectrumWarning):
+            spiked_inner_update(trial, 2)
+
+    def test_details_describe_the_last_map(self, monkeypatch):
+        import structcov.spiked
+
+        maps, trials = [], []
+        inner, project = structcov.spiked.spiked_inner_update, structcov.spiked._project_trial
+        monkeypatch.setattr(structcov.spiked, "spiked_inner_update",
+                            lambda *args: maps.append(inner(*args)) or maps[-1])
+        monkeypatch.setattr(structcov.spiked, "_project_trial",
+                            lambda *args: trials.append(1) or project(*args))
+        X = sample_elliptical(spiked_cov(8, 2, 0.05, rng=12), 60, seed=13)
+        res = estimate_spiked(X, 2)
+        assert res.details["squarem_cycles"] > 0 and trials
+        assert len(maps) == res.iterations
+        # the last map's model, scaled to unit trace
+        model, last = res.details["model"], maps[-1]
+        unit = last.scaled(1.0 / np.trace(last.assemble()).real)
+        assert np.array_equal(model.directions, unit.directions)
+        assert np.array_equal(model.powers, unit.powers) and model.noise_var == unit.noise_var
+        assert res.details["degenerate_spectrum"] == last.degenerate

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import structcov.kronecker
 import structcov.rankone
+import structcov.spiked
 import structcov.toeplitz
 import structcov.tyler
 from structcov import (
@@ -186,12 +187,22 @@ def test_real_fit_agrees_with_the_complex_fit_of_the_same_samples(name, seed):
     assert _rel(cplx.scatter, real.scatter) <= 1e-6
 
 
-def test_spiked_fits_run_plain_mm():
+def test_spiked_fits_extrapolate_by_projection(monkeypatch):
+    # each trial is projected back onto the spiked set before its checks
     X = sample_elliptical(ar_cov(8, 0.7), 40, 9)
-    res = estimate_spiked(X, 2)
-    assert res.details["squarem_cycles"] == 0
-    assert res.details["squarem_rejected"] == 0
-    assert nonincreasing(res.objective_trace)
+    tight = MMSettings(tol=1e-10, max_iter=20000)
+    fast = estimate_spiked(X, 2, tight)
+    # the same fit as plain MM
+    monkeypatch.setattr(
+        structcov.spiked, "mm_drive",
+        lambda *args, **kwargs: mm_drive(*args, **{**kwargs, "extrapolate": None}),
+    )
+    plain = estimate_spiked(X, 2, tight)
+    assert plain.details["squarem_cycles"] == 0 and fast.details["squarem_cycles"] > 0
+    assert fast.termination == plain.termination == "converged"
+    assert fast.iterations < plain.iterations
+    assert abs(fast.objective_trace[-1] - plain.objective_trace[-1]) <= 1e-9
+    assert nonincreasing(fast.objective_trace)
 
 
 ONE_DIMENSIONAL = {

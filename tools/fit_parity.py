@@ -33,7 +33,11 @@ AR(0.8) at N in {2, 3} (3 draws, tol 1e-7), whose 2N reshaped
 columns cannot span B's 8 dimensions, so that every B step takes the log-det barrier,
 plus a ``rankone_near_k`` group of rank-one fits (augmented 5-degree ULA
 dictionary, default settings) of two-source DOA draws with N close to K
-(K=15 with N in {16, 20}, K=3 with N in {4, 6}, 3 draws each), and
+(K=15 with N in {16, 20}, K=3 with N in {4, 6}, 3 draws each),
+plus a ``spiked_near_k`` group of spiked fits (2 spikes, default
+settings) of K=8 AR(0.95) samples with N in {9, 12} (real and complex,
+3 draws each), whose SQUAREM trials are refused more often than the
+benchmark's, by the cost check and (one real N=9 trial) as indefinite, and
 writes one sha256 per fit to OUT.json. The hash covers the scatter,
 params, objective trace, iterations, termination, the SQUAREM counters,
 the ridge ``epsilon``, the ``newton_fallbacks`` of Toeplitz and rank-one
@@ -84,6 +88,8 @@ SINGULAR_B_N = (2, 3)
 SINGULAR_B_DRAWS = 3
 NEAR_K = ((15, (16, 20)), (3, (4, 6)))
 NEAR_K_DRAWS = 3
+SPIKED_NEAR_K_N = (9, 12)
+SPIKED_NEAR_K_DRAWS = 3
 DETAIL_KEYS = ("squarem_cycles", "squarem_rejected", "epsilon", "newton_fallbacks", "inner_steps",
                "factor_a", "factor_b", "b_coeffs")
 
@@ -307,6 +313,22 @@ def _near_k_fits():
                        lambda X, dictionary=dictionary: sc.estimate_rank_one(dictionary, X), X)
 
 
+def _spiked_near_k_fits():
+    """(group, key, fit, samples) of the spiked fits with N close to K."""
+    import numpy as np
+
+    import structcov as sc
+
+    truth = sc.ar_cov(8, 0.95)
+    for field, R0 in (("real", truth), ("complex", truth.astype(complex))):
+        for n in SPIKED_NEAR_K_N:
+            for draw in range(SPIKED_NEAR_K_DRAWS):
+                X = sc.sample_elliptical(R0, n, np.random.SeedSequence([8, 2, n, draw]),
+                                         tau_dof=1.0)
+                yield ("spiked_near_k", f"spiked_near_k/{field}/N{n}/d{draw}",
+                       lambda X: sc.estimate_spiked(X, 2), X)
+
+
 def hash_fits(root: str) -> dict:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import cases
@@ -327,7 +349,8 @@ def hash_fits(root: str) -> dict:
                     record(case.label, f"{workload}/{case.label}/s{seed}/d{i}", case.fit, samples)
     for group, key, fit, samples in (*_mc_fits(), *_binding_fits(), *_restart_fits(),
                                      *_mixed_fits(), *_kron_complex_fits(), *_wide_fits(),
-                                     *_singular_b_fits(), *_near_k_fits()):
+                                     *_singular_b_fits(), *_near_k_fits(),
+                                     *_spiked_near_k_fits()):
         record(group, key, fit, samples)
     return out
 
