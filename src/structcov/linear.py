@@ -53,28 +53,77 @@ _BOUNDED_HALVINGS = 12  # a bounded step past these takes its separable point
 _HELD = 1e-12  # a power within this fraction of the largest of its floor may be held there
 
 
+class Powers:
+    """The atoms a_j of R(p) = sum_j p_j a_j a_j^H, in the field of a fit's samples.
+
+    Real samples on complex atoms put each power on the two real columns
+    [Re a_j, Im a_j] of the atoms' float view, so that R(p) is
+    Re(A diag(p) A^H) and all arithmetic is real. ``columns`` holds the
+    atoms or that view, and ``blocks`` the (2L) x L indicator E of each
+    atom's pair of columns (None in the atoms' field, one column per atom).
+    """
+
+    def __init__(self, atoms, complex_: bool):
+        split = np.iscomplexobj(atoms) and not complex_
+        self.columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
+        self.blocks = np.repeat(np.eye(atoms.shape[1]), 2, axis=0) if split else None
+        self._columns_h = self.columns.conj().T
+
+    def assemble(self, q) -> np.ndarray:
+        """R(q) = sum_j q_j a_j a_j^H, real in a real fit."""
+        if self.blocks is not None:
+            q = np.repeat(q, 2)
+        return hermitize((self.columns * q) @ self._columns_h)
+
+    def pieces(self, Wt, M):
+        """(w, u, hessian) at W = ``Wt``: w_j = a_j^H W a_j, u_j = a_j^H W M W a_j.
+
+        With C the columns, Y = C^H W C and X = C^H W M W C, four GEMMs of at
+        most K x K x (2L) and (2L) x K x (2L); w and u are their diagonals,
+        summed over each atom's pair. ``hessian(c)`` is the pair sums
+        E^T A E of A = (2X + cY) o conj(Y), or its real part without pairs:
+        at c = 0 the Hessian 2 Re(X o conj Y) of Tr(M R(p)^{-1}), at c = -1
+        that of log det R(p) + Tr(M R(p)^{-1}).
+        """
+        C, E = self.columns, self.blocks
+        WC = Wt @ C
+        Y = C.conj().T @ WC
+        X = WC.conj().T @ (M @ WC)
+
+        def block_sums(A):
+            return A.real if E is None else E.T @ A @ E
+
+        def hessian(c):
+            return block_sums((2.0 * X if c == 0.0 else 2.0 * X + c * Y) * Y.conj())
+
+        w, u = Y.diagonal().real, X.diagonal().real
+        if E is not None:
+            w, u = w @ E, u @ E
+        return w, u, hessian
+
+
 @dataclass
 class PowerBound:
-    """Coefficients that are powers p >= ``floor`` of positive semidefinite basis matrices.
+    """Coefficients that are powers p >= ``floor`` of the atoms' outer products ``powers``.
 
-    Basis matrix l is B_l = C_l C_l^H, with C_l the r columns l*r .. l*r + r - 1
-    of the K x (L r) ``factors``. The step's pieces then come from the two
-    (L r) x (L r) matrices Y = C^H W C and X = C^H W M_t W C, W = R_t^{-1}:
-    each is summed over its r x r blocks as E^T A E, with ``blocks`` the
-    (L r) x L indicator E of the columns of each C_l (None when r = 1, where
-    the block sum is the real part). The tangent bound f on g has the
-    paper's separable bound, whose minimizer max(separable(w, d), floor)
-    majorizes g through f and so is a monotone step: w_l = Re Tr(W B_l) and
-    d_l = p_l^2 Re Tr(W M_t W B_l). :func:`inner_update` forms that point on
-    every map and takes it when its line search fails; ``fallbacks``
-    counts those maps. A fit makes its own bound, so the count is its own.
+    The step's pieces then come from :meth:`Powers.pieces`. The tangent
+    bound f on g has the paper's separable bound, whose minimizer
+    :meth:`point`, max(separable(w, d), floor), majorizes g through f and so
+    is a monotone step: w_l = a_l^H W a_l and d_l = p_l^2 a_l^H W M_t W a_l.
+    :func:`inner_update` forms that point on every map and takes it when its
+    line search fails. ``tally`` counts a fit's maps that took it
+    (``newton_fallbacks``) and a rank-one fit's interior-point steps
+    (``inner_steps``); a fit makes its own bound, so the counts are its own.
     """
 
     floor: np.ndarray
     separable: Callable
-    factors: np.ndarray
-    blocks: np.ndarray | None
-    fallbacks: int = 0
+    powers: Powers
+    tally: dict = field(default_factory=lambda: {"inner_steps": 0, "newton_fallbacks": 0})
+
+    def point(self, q, w, u) -> np.ndarray:
+        """The separable point max(separable(w, d), floor), d = q^2 u, from the pieces at q."""
+        return np.maximum(self.separable(w, q * q * u), self.floor)
 
 
 @dataclass(frozen=True)
@@ -295,11 +344,9 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, logdet=None,
 
     Each Hessian costs O(L K^3 + L^2 K^2): a batched matmul over the L basis
     matrices and a GEMM against the flattened basis. With a
-    :class:`PowerBound` the pieces cost four GEMMs of at most K x K x (L r)
-    and (L r) x K x (L r): Y = C^H Wt C and X = C^H Wt M Wt C hold w and u in
-    their diagonal blocks' traces, and H_lm = Re sum (2 X_ij + c Y_ij)
-    conj(Y_ij) over block (l, m), so each Hessian is one elementwise product
-    and one block sum. That path never reads ``struct``: a rank-one map
+    :class:`PowerBound` w, u and the Hessian are its atoms'
+    :meth:`Powers.pieces`, four GEMMs and one elementwise product per
+    Hessian. That path never reads ``struct``: a rank-one map
     (:func:`structcov.rankone._capped_solve`), whose atoms' outer products
     need not be independent, passes None.
     """
@@ -311,25 +358,11 @@ def _surrogate_pieces(struct: LinearStructure, Wt, M, mu: float, logdet=None,
         if mu > 0.0:
             # the one log-determinant not taken from a Cholesky factor: none is at hand
             value += mu * np.linalg.slogdet(Wt).logabsdet
-    if bound is None:
-        WMW = Wt @ M @ Wt
-        return (value, _basis_traces(struct, Wt), _basis_traces(struct, WMW),
-                lambda c: _surrogate_hessian(struct, Wt, WMW, c))
-    C, E = bound.factors, bound.blocks
-    WC = Wt @ C
-    Y = C.conj().T @ WC
-    X = WC.conj().T @ (M @ WC)
-
-    def block_sums(A):
-        return A.real if E is None else E.T @ A @ E
-
-    def hessian(c):
-        return block_sums((2.0 * X if c == 0.0 else 2.0 * X + c * Y) * Y.conj())
-
-    w, u = Y.diagonal().real, X.diagonal().real
-    if E is not None:
-        w, u = w @ E, u @ E
-    return value, w, u, hessian
+    if bound is not None:
+        return (value, *bound.powers.pieces(Wt, M))
+    WMW = Wt @ M @ Wt
+    return (value, _basis_traces(struct, Wt), _basis_traces(struct, WMW),
+            lambda c: _surrogate_hessian(struct, Wt, WMW, c))
 
 
 def surrogate_gradient(struct: LinearStructure, coeffs, R_t, M) -> np.ndarray:
@@ -403,7 +436,7 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t, logdet=None,
     else:
         floor = bound.floor
         # d_l = p_l^2 u_l, as g = w - d / p^2: the paper's point costs a square root
-        fallback = np.maximum(bound.separable(w, coeffs * coeffs * u), floor)
+        fallback = bound.point(coeffs, w, u)
         held = (grad > 0.0) & (coeffs - floor <= _HELD * coeffs.max())
         halvings, held = _BOUNDED_HALVINGS, held if held.any() else None
     free = slice(None) if held is None else ~held
@@ -443,7 +476,7 @@ def inner_update(struct: LinearStructure, coeffs, Wt, M_t, logdet=None,
             return trial
         t *= 0.5
     if bound is not None:
-        bound.fallbacks += 1
+        bound.tally["newton_fallbacks"] += 1
         return fallback
     raise NumericalFailureError(
         "line search failed in the structured inner step",

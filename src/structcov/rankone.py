@@ -19,12 +19,12 @@ p_j = sqrt(d_j / w_j) with
 
     d = diag(P_t A^H R_t^{-1} M_t R_t^{-1} A P_t).
 
-That separable step is the whole map of the circulant fits that
-:mod:`structcov.toeplitz` runs here (:func:`_run`).
-
-A fit that loses positive definiteness restarts once with every power
-held at or above eps = 1e-10, which keeps every iterate strictly
-positive definite.
+That separable step is the whole map of the circulant fits that the
+bounded Newton step of :mod:`structcov.toeplitz` does not run. Every
+power fit, rank-one, Toeplitz or banded, runs :func:`_fit_powers` with
+its own map: a fit that loses positive definiteness restarts once with
+every power held at or above eps = 1e-10, which keeps every iterate
+strictly positive definite.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .exceptions import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .linalg import _chol_inverse, as_field_array, chol_pd, hermitize
-from .linear import _MAX_HALVINGS, PowerBound, _surrogate_pieces
+from .linalg import _chol_inverse, as_field_array, chol_pd
+from .linear import _MAX_HALVINGS, PowerBound, Powers, _surrogate_pieces
 from .tyler import (EstimatorResult, Iterate, MMSettings, SampleSet, _in_field, _Whitening,
                     mm_drive)
 
@@ -130,7 +130,7 @@ class RankOneDictionary:
 def _assemble(atoms, powers, epsilon: float = 0.0) -> np.ndarray:
     """A diag(p + eps) A^H for an atom matrix A."""
     p = np.asarray(powers, dtype=float) + epsilon
-    return hermitize((atoms * p) @ atoms.conj().T)
+    return Powers(atoms, np.iscomplexobj(atoms)).assemble(p)
 
 
 def check_powers(p, l: int) -> np.ndarray:
@@ -147,25 +147,16 @@ def check_powers(p, l: int) -> np.ndarray:
 def _weights(A, p_eff, it):
     """(w, d) of the separable surrogate for atoms A at effective powers p_eff.
 
-    ``it`` is the :class:`~structcov.tyler.Iterate` at R_t = L L^H. With
-    G = L^{-1} A, one triangular solve, and Y = Z^H G, one GEMM against the
-    whitened samples Z = L^{-1} X^T, so that Y_ij = z_i^H g_j,
+    ``it`` is the :class:`~structcov.tyler.Iterate` at R_t, and
 
-        w_j = ||g_j||^2 = a_j^H R_t^{-1} a_j,
-        d_j = p_j^2 (K/N) sum_i |Y_ij|^2 / q_i = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
+        w_j = a_j^H R_t^{-1} a_j,   d_j = p_j^2 a_j^H R_t^{-1} M_t R_t^{-1} a_j,
 
-    so neither R_t^{-1} nor M_t is formed. On a real iterate, a complex
-    atom is weighed in real arithmetic as its two real columns
-    [Re a_j, Im a_j], whose weights sum to a_j's.
+    from :meth:`structcov.linear.Powers.pieces` of the atoms in the
+    iterate's field, as a fit's map forms them: on a real iterate a complex
+    atom is weighed in real arithmetic as its two real columns.
     """
-    split = np.iscomplexobj(A) and not np.iscomplexobj(it.chol)
-    G = it.solve(np.ascontiguousarray(A).view(np.float64) if split else A)
-    Y = it.whitened.conj().T @ G
-    w = np.einsum("ij,ij->j", G.conj(), G).real
-    d = (it.ratio / it.quad) @ (Y.real ** 2 + Y.imag ** 2 if np.iscomplexobj(Y) else Y ** 2)
-    if split:
-        w, d = w.reshape(-1, 2).sum(axis=1), d.reshape(-1, 2).sum(axis=1)
-    return w, (p_eff ** 2) * d
+    w, u, _ = Powers(A, np.iscomplexobj(it.chol)).pieces(it.inverse(), it.M)
+    return w, p_eff * p_eff * u
 
 
 def surrogate_params(dictionary: RankOneDictionary, p_t, samples: SampleSet):
@@ -220,7 +211,7 @@ def estimate_rank_one(
     EstimatorResult
         ``params`` holds the power vector of the returned trace-one
         scatter, ``dictionary.assemble(params, details['epsilon'])``;
-        the ridge is 0, or 1e-10 after a restart (see :func:`_restarting`).
+        the ridge is 0, or 1e-10 after a restart (see :func:`_fit_powers`).
         ``details['inner_steps']`` counts the interior-point steps of the
         fit and ``details['newton_fallbacks']`` the maps that took the
         separable point. Real samples on a complex dictionary fit as
@@ -240,35 +231,20 @@ def estimate_rank_one(
     if not np.all(init_powers > 0.0):  # the step would keep a zero power at zero
         raise InvalidInputError("starting powers must be strictly positive")
 
-    atoms = dictionary.atoms
-    factors, blocks, assemble = _field_columns(atoms, samples)
-    space = _Whitening(samples, assemble)
-
-    def fit(init, floor):
-        bound = PowerBound(floor=floor, separable=power_update, factors=factors, blocks=blocks)
-        tally = {"inner_steps": 0, "newton_fallbacks": 0}
-        result = mm_drive(
-            inner=lambda q, it: _capped_solve(atoms, bound, assemble, tally, q, it),
-            space=space,
-            init_params=init,
-            settings=settings,
-            extrapolate=_clip_to_floor,
-        )
-        result.details.update(tally)
-        return result
-
-    return _restarting(fit, init_powers)
+    powers = Powers(dictionary.atoms, samples.is_complex)
+    return _fit_powers(_capped_solve, powers, _Whitening(samples, powers.assemble), init_powers,
+                       settings, _clip_to_floor, counts=("inner_steps", "newton_fallbacks"))
 
 
-def _capped_solve(atoms, bound: PowerBound, assemble, tally, q, it) -> np.ndarray:
+def _capped_solve(bound: PowerBound, q, it) -> np.ndarray:
     """One rank-one map: a capped primal-dual solve of min f(p) s.t. p >= floor.
 
     f(p) = w^T p + Tr(M_t R(p)^{-1}) is the surrogate at the iterate ``it``
     of powers ``q``, with w = diag(A^H R_t^{-1} A) the iterate's weights.
     Its gradient is g = w - u, u_j = a_j^H W M_t W a_j at W = R(p)^{-1}, and
     its Hessian 2 Re(X o conj Y); :func:`structcov.linear._surrogate_pieces`
-    forms u, the Hessian and Tr(M_t W) from ``bound``'s factors, the atoms
-    (or for real samples their float view and its pair ``blocks``).
+    forms u, the Hessian and Tr(M_t W) from ``bound.powers``
+    (:meth:`structcov.linear.Powers.pieces`).
 
     With y = p - floor and slacks s, the solve starts at p = q with
     s = max(g, 1e-6 |f(q)| / (L y)). Each step solves
@@ -283,17 +259,17 @@ def _capped_solve(atoms, bound: PowerBound, assemble, tally, q, it) -> np.ndarra
     1e-12 (1 + |f(q)|), or after 6 steps; a Newton matrix without a
     Cholesky factor, or a step that halves 60 times, ends it too. It
     returns p when f(p) <= f(q), so the map is a monotone MM step, and
-    otherwise the separable point max(sqrt(d/w), floor), which
-    :func:`power_update` forms from :func:`_weights`; so does a solve from
-    q that ended before its first step uncertified, and a map from powers
-    that are all at the floor. ``tally`` counts the fit's steps and those
-    fallbacks.
+    otherwise the separable point max(sqrt(d/w), floor),
+    :meth:`~structcov.linear.PowerBound.point` of the pieces at q; so does
+    a solve from q that ended before its first step uncertified, and a map
+    from powers that are all at the floor. ``bound.tally`` counts the
+    fit's steps and those fallbacks.
     """
-    floor, M = bound.floor, it.M
-    value, w, u, hessian = _surrogate_pieces(None, it.inverse(), M, 0.0, bound=bound)
+    floor, M, assemble, tally = bound.floor, it.M, bound.powers.assemble, bound.tally
+    value, w, u_t, hessian = _surrogate_pieces(None, it.inverse(), M, 0.0, bound=bound)
     k, n_powers = M.shape[0], q.size
     f_t = f = float(w @ q) + value - k
-    p, y = q, q - floor
+    p, y, u = q, q - floor, u_t
     if y.min() <= 0.0 < y.max():
         # powers at the floor start just inside it, where R(p) >= R(q) is PD
         lifted = np.maximum(y, _LIFT * y.max())
@@ -336,84 +312,43 @@ def _capped_solve(atoms, bound: PowerBound, assemble, tally, q, it) -> np.ndarra
         if f <= f_t and (certified or p is not q):
             return p
     tally["newton_fallbacks"] += 1
-    return np.maximum(power_update(*_weights(atoms, q, it)), floor)
+    return bound.point(q, w, u_t)
 
 
-def _field_columns(atoms, samples: SampleSet):
-    """(columns, blocks, assemble) of a fit's atoms in the field of its samples.
+def _fit_powers(step, powers: Powers, space, init_powers, settings, vet, ridge=1.0,
+                separable=power_update, counts=()) -> EstimatorResult:
+    """MM over powers p >= floor of ``powers``, restarted once with a ridge should it fail.
 
-    A real fit on complex atoms puts each power on the two real columns
-    [Re a_j, Im a_j] of their float view, and ``blocks`` is the (2L) x L
-    indicator of each atom's pair (None for a fit in the atoms' field);
-    ``assemble(q)`` is the fit's scatter sum_j q_j a_j a_j^H, real in the
-    real fit.
-    """
-    split = np.iscomplexobj(atoms) and not samples.is_complex
-    columns = np.ascontiguousarray(atoms).view(np.float64) if split else atoms
-    columns_h = columns.conj().T
-
-    def assemble(q):
-        return hermitize((columns * (np.repeat(q, 2) if split else q)) @ columns_h)
-
-    blocks = np.repeat(np.eye(atoms.shape[1]), 2, axis=0) if split else None
-    return columns, blocks, assemble
-
-
-def _run(atoms, samples, settings, init_powers, solve, vet, ridge=1.0) -> EstimatorResult:
-    """MM over R = A diag(p) A^H with the paper's separable step p <- solve(w, d).
-
-    ``solve`` maps the surrogate weights (w, d) to the minimizing powers.
-    The circulant fits that the bounded Newton step of
-    :func:`structcov.linear.inner_update` does not run take this step:
-    banded fits, and fits with L > 2K - 1, whose atoms' outer products are
-    dependent. The same point is the fallback of that Newton step and of
-    a rank-one map's interior-point solve (:func:`_capped_solve`).
-    The run restarts once with a ridge (:func:`_restarting`); the step then
-    keeps q <- max(solve(w, d), eps), and R = A diag(q) A^H stays linear
-    in q and positive definite.
-
-    Real samples on a complex dictionary fit the real scatter
-    R = Re(A diag(p) A^H) = sum_j p_j (Re a_j Re a_j^T + Im a_j Im a_j^T),
-    assembled from the float view of A (:func:`_field_columns`);
-    :func:`_weights` weighs it in real arithmetic.
-
-    ``mm_drive`` extrapolates the powers; ``vet`` is its ``extrapolate``.
-    Circulant fits refuse a trial with a power below 0.1 x2's
-    (:func:`_refuse_below_floor`): a clip, which rank-one fits take
-    (:func:`_clip_to_floor`), breaks the banded equality constraints,
-    which an affine combination of feasible powers keeps, and saved
-    Toeplitz fits no maps.
-    """
-    assemble = _field_columns(atoms, samples)[2]
-
-    def fit(init, floor):
-        return mm_drive(
-            inner=lambda q, it: np.maximum(solve(*_weights(atoms, q, it)), floor),
-            space=_Whitening(samples, assemble),
-            init_params=init,
-            settings=settings,
-            extrapolate=vet,
-        )
-
-    return _restarting(fit, init_powers, ridge)
-
-
-def _restarting(fit, init_powers, ridge=1.0) -> EstimatorResult:
-    """``fit(init, floor)`` from ``init_powers``, restarted once with a ridge should it fail.
+    Each map is ``step(bound, q, it)`` on the fit's :class:`PowerBound`, and
+    ``vet`` is ``mm_drive``'s ``extrapolate``. Rank-one fits clip a SQUAREM
+    trial to 0.1 x2 per power (:func:`_clip_to_floor`); circulant fits
+    refuse it (:func:`_refuse_below_floor`): a clip breaks the banded
+    equality constraints, which an affine combination of feasible powers
+    keeps, and saved Toeplitz fits no maps. ``space`` is the fit's
+    :class:`~structcov.tyler._Whitening`, whose scatter is linear in the
+    powers. ``details`` reports the bound's ``tally`` under ``counts``.
 
     If the run fails to converge (an iterate loses positive definiteness,
     or its scale when every power collapses to zero), it restarts once from
     ``init_powers`` in the effective powers q = p + eps, eps = 1e-10 * ridge,
-    held at or above eps. The fit reports p = max(q - eps, 0), and
-    ``details['epsilon']`` records the ridge used, 0 or 1e-10. ``ridge``
-    scales the ridge per atom, for a dictionary whose identity spectrum is
-    not all ones.
+    held at or above eps, so that every iterate stays positive definite.
+    The fit reports p = max(q - eps, 0), and ``details['epsilon']``
+    records the ridge used, 0 or 1e-10. ``ridge`` scales the ridge per
+    atom, for a dictionary whose identity spectrum is not all ones.
     """
 
     def run(eps):
         floor = eps * ridge
-        result = fit(init_powers + floor, floor)
+        bound = PowerBound(floor=floor, separable=separable, powers=powers)
+        result = mm_drive(
+            inner=lambda q, it: step(bound, q, it),
+            space=space,
+            init_params=init_powers + floor,
+            settings=settings,
+            extrapolate=vet,
+        )
         result.params = np.maximum(result.params - floor, 0.0)
+        result.details.update((key, bound.tally[key]) for key in counts)
         result.details["epsilon"] = eps
         return result
 

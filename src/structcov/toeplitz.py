@@ -52,9 +52,9 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import _chol_logdet, dft_matrix
-from .linear import LinearStructure, PowerBound, inner_update
-from .rankone import _assemble, _refuse_below_floor, _restarting, _run, power_update
-from .tyler import EstimatorResult, MMSettings, SampleSet, _Whitening, mm_drive
+from .linear import LinearStructure, PowerBound, Powers, inner_update
+from .rankone import _assemble, _fit_powers, _refuse_below_floor, power_update
+from .tyler import EstimatorResult, MMSettings, SampleSet, _Whitening
 
 _DUAL_MAX_ITER = 200
 _DUAL_KKT_TOL = 1e-10
@@ -234,16 +234,12 @@ def banded_inner_update(spec: BandedSpec, w_t, d_t, return_dual: bool = False):
 
 @lru_cache(maxsize=None)
 def _power_structure(k: int, l: int, complex_: bool):
-    """(structure, factors, blocks) of the fit's powers as coefficients, or None at L > 2K - 1.
+    """The fit's powers as the coefficients of a :class:`LinearStructure`, or None at L > 2K - 1.
 
     There is one basis matrix per atom: a_j a_j^H of the full dictionary
     for complex samples, and Re(b_j b_j^H) of the half dictionary for real
     ones, each built from its first column so that it is exactly
-    Toeplitz. Their factors are the atoms, or for a real fit the two real
-    columns [Re b_j, Im b_j] of each atom's float view, and ``blocks`` is
-    the indicator of each atom's pair of columns, one row per column (None
-    for a complex fit, one column per atom). The starting coefficients are
-    the identity spectrum.
+    Toeplitz. The starting coefficients are the identity spectrum.
     """
     if l > 2 * k - 1:
         return None
@@ -254,65 +250,56 @@ def _power_structure(k: int, l: int, complex_: bool):
     offset = np.subtract.outer(np.arange(k), np.arange(k))
     lower = column[np.abs(offset)].transpose(2, 0, 1)
     basis = np.where(offset >= 0, lower, lower.conj())
-    struct = LinearStructure(basis=basis if complex_ else basis.real, init_coeffs=identity)
-    if complex_:
-        return struct, atoms, None
-    blocks = np.repeat(np.eye(atoms.shape[1]), 2, axis=0)
-    return struct, np.ascontiguousarray(atoms).view(np.float64), blocks
+    return LinearStructure(basis=basis if complex_ else basis.real, init_coeffs=identity)
 
 
 def _separable_point(w, d):
-    """The Newton step's fallback, :func:`power_update` as this module holds it at call time."""
+    """The paper's separable step, :func:`power_update` as this module holds it at call time."""
     return power_update(w, d)
 
 
-def _newton(powers, samples: SampleSet, settings):
-    """``fit(init, floor)``: MM with one bounded Newton step per map on the powers.
+def _separable_map(bound: PowerBound, q, it) -> np.ndarray:
+    """The paper's separable step, :meth:`~structcov.linear.PowerBound.point` at q.
 
-    ``powers`` is a (structure, factors, blocks) triple of
-    :func:`_power_structure`. ``details['newton_fallbacks']`` counts the
-    maps that took the separable point.
+    Banded fits, and fits with L > 2K - 1, whose atoms' outer products are
+    dependent, take it on every map; ``bound.separable`` maps the weights
+    (w, d) to the minimizing powers. Each map counts as a Newton fallback.
     """
-    struct, factors, blocks = powers
-    space = _Whitening(samples, struct.assemble)
-    spans = space.spans
-
-    def fit(init, floor):
-        bound = PowerBound(floor=floor, separable=_separable_point, factors=factors, blocks=blocks)
-        result = mm_drive(
-            inner=lambda q, it: inner_update(struct, q, it.inverse(), it.M,
-                                             _chol_logdet(it.chol) if spans else None, bound),
-            space=space,
-            init_params=init,
-            settings=settings,
-            extrapolate=_refuse_below_floor,
-        )
-        result.details["newton_fallbacks"] = bound.fallbacks
-        return result
-
-    return fit
+    w, u, _ = bound.powers.pieces(it.inverse(), it.M)
+    bound.tally["newton_fallbacks"] += 1
+    return bound.point(q, w, u)
 
 
-def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve=None):
+def _fit(emb: CirculantEmbedding, samples: SampleSet, settings, solve=None, init=None):
     """Circulant MM: the half dictionary for real samples, the full A for complex ones.
 
     A real fit's powers are the half-dictionary powers p~, so R is real
     and p_j = p_{L-j} holds by construction; ``params`` is unfolded to
-    the length-L spectrum. The restart's ridge eps*I is eps times the
+    the length-L spectrum. The fit starts at ``init``, by default the
+    identity spectrum, and the restart's ridge eps*I is eps times the
     identity spectrum in either dictionary. Without ``solve`` (a Toeplitz
     fit) each map is a bounded Newton step when the powers form a linear
-    structure, and :func:`power_update` otherwise; a fit on the
-    separable step reports each of its maps as a Newton fallback.
+    structure, whose basis assembles each scatter exactly Toeplitz, and
+    the separable step :func:`power_update` otherwise; a fit on the
+    separable step reports each of its maps as a Newton fallback. With
+    ``solve`` (a banded fit) each map is ``solve(w, d)``.
     """
     atoms, identity = emb.dictionary(samples.is_complex)
-    powers = None if solve is not None else _power_structure(emb.k, emb.l, samples.is_complex)
-    if powers is not None:
-        result = _restarting(_newton(powers, samples, settings), identity, identity)
+    powers = Powers(atoms, samples.is_complex)
+    struct = None if solve is not None else _power_structure(emb.k, emb.l, samples.is_complex)
+    if struct is None:
+        step, space = _separable_map, _Whitening(samples, powers.assemble)
     else:
-        result = _run(atoms, samples, settings, identity, solve or power_update,
-                      _refuse_below_floor, identity)
-        if solve is None:
-            result.details["newton_fallbacks"] = result.iterations
+        space = _Whitening(samples, struct.assemble)
+        spans = space.spans
+
+        def step(bound, q, it):
+            logdet = _chol_logdet(it.chol) if spans else None
+            return inner_update(struct, q, it.inverse(), it.M, logdet, bound)
+
+    result = _fit_powers(step, powers, space, identity if init is None else init, settings,
+                         _refuse_below_floor, ridge=identity, separable=solve or _separable_point,
+                         counts=() if solve else ("newton_fallbacks",))
     if not samples.is_complex:
         result.params = emb.unfold(result.params)
     result.details["embedding_size"] = emb.l

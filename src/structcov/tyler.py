@@ -181,13 +181,6 @@ class _Whitening:
         c = 1.0 / tr
         return params * c, c * R
 
-    def solve(self, L, B):
-        """L^{-1} B for a lower triangular L."""
-        x, info = self.trtrs(L, B, lower=1)
-        if info != 0:
-            raise NumericalFailureError("triangular solve failed", info=int(info))
-        return x
-
     def __call__(self, R) -> "Iterate | None":
         """The iterate at R, or None when R is not positive definite."""
         k = self.samples.k
@@ -198,27 +191,27 @@ class _Whitening:
         L = chol_pd(R, "scatter")
         if L is None:
             return None
-        Z = self.solve(L, self.xt)
+        Z, info = self.trtrs(L, self.xt, lower=1)  # the whitened samples L^{-1} X^T
+        if info != 0:
+            raise NumericalFailureError("triangular solve failed", info=int(info))
         q = np.einsum("ij,ij->j", Z.conj(), Z).real
         if not 0.0 < q.min() <= q.max() < np.inf:
             raise InvalidInputError("encountered a non-positive or non-finite quadratic form")
-        return Iterate(R, L, Z, q, self)
+        return Iterate(R, L, q, self)
 
 
 class Iterate:
     """One MM iterate R_t, with the samples whitened by its Cholesky factor.
 
-    ``chol`` is the lower factor L of R = L L^H, ``whitened`` is
-    Z = L^{-1} X^T (one column z_i per sample) and ``quad`` holds
-    q_i = ||z_i||^2 = x_i^H R^{-1} x_i, of the samples as :func:`_unit_rows`
-    scales them. The cost and the weighted scatter ``M`` are computed from
-    these, ``M`` only when first read.
+    ``chol`` is the lower factor L of R = L L^H and ``quad`` holds
+    q_i = ||z_i||^2 = x_i^H R^{-1} x_i, z_i = L^{-1} x_i, of the samples as
+    :func:`_unit_rows` scales them. The cost and the weighted scatter ``M``
+    are computed from these, ``M`` only when first read.
     """
 
-    def __init__(self, R, chol, whitened, quad, whitening: _Whitening):
+    def __init__(self, R, chol, quad, whitening: _Whitening):
         self.R = R
         self.chol = chol
-        self.whitened = whitened
         self.quad = quad
         self._whitening = whitening
         self._M = None
@@ -249,10 +242,6 @@ class Iterate:
             w = self._whitening
             self._M = hermitize(w.ratio * ((w.xt / self.quad) @ w.xc))
         return self._M
-
-    def solve(self, B) -> np.ndarray:
-        """L^{-1} B, whitening the columns of B like the samples."""
-        return self._whitening.solve(self.chol, B)
 
     def inverse(self) -> np.ndarray:
         """R^{-1}, from the factor L."""
@@ -341,8 +330,8 @@ def mm_drive(
         increase that structure's surrogate; one call is one MM map.
         ``it`` is the space's iterate at the current point. A full-K
         :class:`Iterate` offers ``it.R``, its factor ``it.chol``, the
-        whitened samples ``it.whitened``, the quadratic forms ``it.quad``
-        and the weighted scatter ``it.M`` (formed on first read).
+        quadratic forms ``it.quad``, the weighted scatter ``it.M`` (formed
+        on first read) and ``it.inverse()``.
         Exceptions raised by the callback propagate with the map's index
         attached as ``exc.mm_iteration``.
     space : object

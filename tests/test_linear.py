@@ -22,6 +22,7 @@ from structcov import (
 )
 from structcov.linear import (
     PowerBound,
+    Powers,
     _basis_traces,
     _surrogate_gradient,
     _surrogate_hessian,
@@ -33,7 +34,7 @@ from structcov.linear import (
 from structcov.linalg import chol_pd
 from structcov.rankone import power_update
 from structcov.simulate import ar_cov, nmse
-from structcov.toeplitz import _power_structure
+from structcov.toeplitz import _power_structure, build_embedding
 from structcov.tyler import Iterate, _Whitening
 from support import (
     central_gradient,
@@ -66,11 +67,11 @@ def _interior_point(struct, rng, spread=0.1):
     raise AssertionError("could not draw a feasible point")
 
 
-def _power_bound(powers):
-    """The structure of a ``_power_structure`` triple and a fit's ``PowerBound`` at floor 0."""
-    struct, factors, blocks = powers
-    return struct, PowerBound(floor=np.zeros(struct.size), separable=power_update,
-                              factors=factors, blocks=blocks)
+def _power_bound(k, l, complex_):
+    """The structure of a fit's circulant powers and its ``PowerBound`` at floor 0."""
+    struct = _power_structure(k, l, complex_)
+    powers = Powers(build_embedding(k, l).dictionary(complex_)[0], complex_)
+    return struct, PowerBound(floor=np.zeros(struct.size), separable=power_update, powers=powers)
 
 
 def _pieces_inputs(name, seed):
@@ -84,8 +85,8 @@ def _pieces_inputs(name, seed):
     complex_ = name in ("hermitian", "powers-complex")
     struct, bound = {"toeplitz": lambda: (toeplitz_basis(5), None),
                      "hermitian": lambda: (hermitian_basis(3), None),
-                     "powers": lambda: _power_bound(_power_structure(5, 9, False)),
-                     "powers-complex": lambda: _power_bound(_power_structure(3, 5, True))}[name]()
+                     "powers": lambda: _power_bound(5, 9, False),
+                     "powers-complex": lambda: _power_bound(3, 5, True)}[name]()
     Wt = np.linalg.inv(rand_pd(struct.dim, rng, complex_))
     M = rand_pd(struct.dim, rng, complex_, ridge=1.0)
     return struct, bound, _interior_point(struct, rng), Wt, M
@@ -594,8 +595,8 @@ def _tight_inputs(name, seed):
     struct, bound = {"toeplitz": lambda: (toeplitz_basis(5), None),
                      "full": lambda: (full_symmetric_basis(4), None),
                      "hermitian": lambda: (hermitian_basis(3), None),
-                     "powers": lambda: _power_bound(_power_structure(5, 9, False)),
-                     "powers-complex": lambda: _power_bound(_power_structure(3, 5, True))}[name]()
+                     "powers": lambda: _power_bound(5, 9, False),
+                     "powers-complex": lambda: _power_bound(3, 5, True)}[name]()
     complex_ = name in ("hermitian", "powers-complex")
     X = sample_elliptical(rand_pd(struct.dim, rng, complex_), 4 * struct.dim, seed=seed)
     return struct, bound, X, rng

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 
@@ -22,10 +20,9 @@ from structcov import (
     sample_elliptical,
     ula_dictionary,
 )
-from structcov.linear import PowerBound
+from structcov.linear import PowerBound, Powers
 from structcov.rankone import (
     _clip_to_floor,
-    _field_columns,
     _refuse_below_floor,
     _weights,
     check_powers,
@@ -318,16 +315,14 @@ class TestCappedSolve:
         rng = np.random.default_rng(seed)
         truth = doa_cov(6, [-20.0, 30.0], [1.0, 1.0], 0.1)
         X = sample_elliptical(truth if field == "complex" else truth.real, 30, seed=40 + seed)
-        atoms = DICTIONARY_6.atoms
-        factors, blocks, assemble = _field_columns(atoms, X)
-        q = floor + rng.uniform(0.0, 2.0, atoms.shape[1]) ** 4
+        powers = Powers(DICTIONARY_6.atoms, X.is_complex)
+        q = floor + rng.uniform(0.0, 2.0, DICTIONARY_6.l) ** 4
         if at_floor is not None:
             q[at_floor] = floor
-        it = Iterate.at(assemble(q), X)
-        bound = PowerBound(floor=floor, separable=power_update, factors=factors, blocks=blocks)
-        tally = {"inner_steps": 0, "newton_fallbacks": 0}
-        p = structcov.rankone._capped_solve(atoms, bound, assemble, tally, q, it)
-        return types.SimpleNamespace(assemble=assemble), q, p, it, X, tally
+        it = Iterate.at(powers.assemble(q), X)
+        bound = PowerBound(floor=floor, separable=power_update, powers=powers)
+        p = structcov.rankone._capped_solve(bound, q, it)
+        return powers, q, p, it, X, bound.tally
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("floor", [0.0, 1e-10])

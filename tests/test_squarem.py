@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import structcov.kronecker
-import structcov.rankone
 import structcov.spiked
 import structcov.toeplitz
 import structcov.tyler
@@ -127,10 +126,7 @@ def _random_start(name, seed):
     # the half-dictionary powers, from a positive half spectrum
     emb = CirculantEmbedding.build(K)
     init = rng.uniform(0.01, 2.0, emb.n_folded)
-    powers = structcov.toeplitz._power_structure(K, emb.l, False)
-    return structcov.rankone._restarting(
-        structcov.toeplitz._newton(powers, _ar_samples(seed), None), init, emb.identity_spectrum,
-    )
+    return structcov.toeplitz._fit(emb, _ar_samples(seed), None, init=init)
 
 
 @pytest.mark.parametrize("name", list(FITS))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import structcov.toeplitz
 from structcov import (
     BandedSpec,
     InfeasibleConstraintError,
@@ -117,6 +118,32 @@ class TestHalfDictionary:
         w_half, d_half = _weights(emb.half_matrix, p_half, Iterate.at(R.real, X))
         assert np.allclose(w_half, _pair_sums(w, l, lambda v: np.sqrt(2.0) * v), rtol=1e-13)
         assert np.allclose(d_half, _pair_sums(d, l, lambda v: v / np.sqrt(2.0)), rtol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["banded", "wide"])
+    def test_a_separable_map_is_the_point_of_the_weights(self, kind, monkeypatch):
+        # a banded fit, and a real fit at L = 13 > 2K - 1, take the paper's
+        # point on every map: from the same code as ``_weights``, which the
+        # acceptance test holds to the dense formulas, bit for bit
+        emb = build_embedding(6, 11 if kind == "banded" else 13)
+        X = sample_elliptical(ar_cov(6, 0.6), 40, seed=17)
+        maps, separable_map = [], structcov.toeplitz._separable_map
+
+        def recorded(bound, q, it):
+            maps.append((q, it, separable_map(bound, q, it)))
+            return maps[-1][2]
+
+        monkeypatch.setattr(structcov.toeplitz, "_separable_map", recorded)
+        if kind == "banded":
+            spec = BandedSpec.from_embedding(emb, 2)
+            res = estimate_banded_toeplitz(X, 2)
+            solve = lambda w, d: banded_inner_update(spec, w, d)  # noqa: E731
+        else:
+            res = estimate_toeplitz(X, embedding_size=13)
+            solve = structcov.toeplitz.power_update
+        assert res.details["epsilon"] == 0.0 and len(maps) == res.iterations > 0
+        for q, it, p in maps:
+            assert not np.iscomplexobj(it.chol)
+            assert np.array_equal(p, solve(*_weights(emb.half_matrix, q, it)))
 
     @pytest.mark.parametrize("k,l", [(6, 11), (6, 12), (15, 29), (15, 30)])
     def test_real_assembly_equals_the_full_assembly(self, k, l):

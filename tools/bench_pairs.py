@@ -44,7 +44,7 @@ WORKLOADS = ("fit-closedform", "fit-newton", "mc-study")
 TRACE_SEED = 7
 PAIRS = 10  # an improvement needs 9 of 10 pairs won
 # no earlier committed run used seeds from this base; see CHANGES.md
-SEED_BASE = 3301
+SEED_BASE = 5501
 
 
 def machine() -> dict:
