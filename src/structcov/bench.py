@@ -159,6 +159,10 @@ TRUTH_KINDS = {
 # that replaces, say, ``structcov.bench.estimate_toeplitz`` sees every fit
 # go through the replacement.
 
+def _unconstrained(k, settings):
+    return lambda X: tyler_unconstrained(X, settings)
+
+
 def _toeplitz(k, settings, embedding_size=None):
     CirculantEmbedding.build(k, embedding_size)  # refuses L < 2K-1
     return lambda X: estimate_toeplitz(X, settings, embedding_size=embedding_size)
@@ -210,9 +214,10 @@ def _kronecker(method, k, settings, p, q, b_structure=None):
     return lambda X: estimate_kronecker(X, p, q, settings, method=method, b_structure=b_basis)
 
 
-# The structured fits by name; the bench, ``structcov estimate`` and
-# ``structcov doa`` all read this table.
+# The fits by name; the bench, its Tyler baselines, ``structcov estimate``
+# and ``structcov doa`` all read this table.
 STRUCTURE_KINDS = {
+    "unconstrained": _unconstrained,
     "toeplitz": _toeplitz,
     "banded-toeplitz": _banded_toeplitz,
     "linear": _linear,
@@ -307,31 +312,27 @@ def build_truth(cfg: ExperimentConfig, rng) -> np.ndarray:
     return _check_spec(cfg.truth, TRUTH_KINDS, "truth")(cfg.k, rng)
 
 
-def _baseline_estimator(name: str, cfg: ExperimentConfig):
-    """The baseline's fit: a bare scatter for SCM, else an EstimatorResult."""
-    settings = cfg.settings
-    if name == "SCM":
-        return lambda X: sample_cov(X)
-    if name == "TylerUnconstrained":
-        return lambda X: tyler_unconstrained(X, settings)
-    if name == "ProjectedTyler":
-        signal_dim = cfg.signal_dim
+def _projected(fit, signal_dim):
+    def run(X):
+        result = fit(X)
+        result.scatter = project_spiked(result.scatter, signal_dim)
+        return result
 
-        def run(X):
-            result = tyler_unconstrained(X, settings)
-            result.scatter = project_spiked(result.scatter, signal_dim)
-            return result
-
-        return run
-    raise InvalidInputError(f"unknown baseline {name!r}")
+    return run
 
 
 def _estimators(cfg: ExperimentConfig):
+    """(label, fit) of the study's structure and baselines; the SCM fit is a bare scatter."""
     out = []
     if cfg.structure is not None:
         out.append((cfg.structure["kind"], structure_fit(cfg.structure, cfg.k, cfg.settings)))
-    for name in cfg.baselines:
-        out.append((name, _baseline_estimator(name, cfg)))
+    tyler = structure_fit({"kind": "unconstrained"}, cfg.k, cfg.settings)
+    baselines = {
+        "SCM": lambda X: sample_cov(X),
+        "TylerUnconstrained": tyler,
+        "ProjectedTyler": _projected(tyler, cfg.signal_dim),
+    }
+    out += [(name, baselines[name]) for name in cfg.baselines]
     if not out:
         raise InvalidInputError("configure a structure or at least one baseline")
     return out

@@ -21,7 +21,7 @@ from .bench import STRUCTURE_KINDS, ExperimentConfig, run_experiment, structure_
 from .exceptions import EstimationError, InvalidInputError
 from .fileio import read_samples, write_array, write_results_csv
 from .simulate import default_music_grid, doa_cov, music_spectrum, sample_cov, sample_elliptical
-from .tyler import TERMINATION_MAX_ITER, MMSettings, tyler_unconstrained
+from .tyler import TERMINATION_MAX_ITER, MMSettings
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -52,12 +52,7 @@ def _cmd_estimate(args) -> int:
             spec["p"], spec["q"] = (int(v) for v in args.dims.split(","))
         except ValueError:
             raise InvalidInputError("--dims must look like p,q") from None
-    if args.structure == "unconstrained":
-        if spec:
-            raise InvalidInputError(f"structure 'unconstrained' does not take {sorted(spec)}")
-        result = tyler_unconstrained(samples, settings)
-    else:
-        result = structure_fit({"kind": args.structure, **spec}, samples.k, settings)(samples)
+    result = structure_fit({"kind": args.structure, **spec}, samples.k, settings)(samples)
 
     write_array(args.out, result.scatter)
     print(f"wrote {args.out}: K={samples.k} {_report(result)}")
@@ -98,11 +93,9 @@ def _cmd_doa(args) -> int:
     if args.estimator == "scm":
         scatter = sample_cov(samples)
     else:
-        if args.estimator == "constrained":
-            fit = structure_fit({"kind": "rank-one", "grid_step_deg": args.grid_step},
-                                samples.k, settings)(samples)
-        else:
-            fit = tyler_unconstrained(samples, settings)
+        spec = ({"kind": "rank-one", "grid_step_deg": args.grid_step}
+                if args.estimator == "constrained" else {"kind": "unconstrained"})
+        fit = structure_fit(spec, samples.k, settings)(samples)
         print(f"{args.estimator} fit: {_report(fit)}")
         scatter = fit.scatter
 
@@ -135,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="sample CSV, one sample per row")
     est.add_argument("--out", required=True, help="output scatter CSV")
     est.add_argument("--structure", default="unconstrained",
-                     choices=["unconstrained", *STRUCTURE_KINDS])
+                     choices=list(STRUCTURE_KINDS))
     est.add_argument("--basis",
                      help="linear structure preset: toeplitz, banded:<k>, diagonal, full, circulant")
     est.add_argument("--bandwidth", type=int)

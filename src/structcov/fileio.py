@@ -51,34 +51,22 @@ def write_array(path, arr) -> None:
 
 
 def read_array(path) -> np.ndarray:
-    """Read a 2-D array written by :func:`write_array` (or any numeric CSV)."""
+    """Read a 2-D array written by :func:`write_array` (or any numeric CSV).
+
+    Blank and ``#`` lines are skipped; only the first non-blank line can be the complex header.
+    """
     path = Path(path)
     if not path.exists():
         raise InvalidInputError(f"no such file: {path}")
-    is_complex = False
-    rows = []
-    with path.open("r", newline="") as fh:
-        first = True
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if first and "field=complex" in line:
-                    is_complex = True
-                first = False
-                continue
-            first = False
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise InvalidInputError(f"non-numeric row in {path}: {line!r}") from None
+    lines = [line for line in map(str.strip, path.read_text().split("\n")) if line]
+    rows = [line for line in lines if not line.startswith("#")]
     if not rows:
         raise InvalidInputError(f"{path} contains no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InvalidInputError(f"{path} has ragged rows")
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad row in {path}: {exc}") from None
+    is_complex = lines[0].startswith("#") and "field=complex" in lines[0]
     return _deinterleave(arr) if is_complex else arr
 
 

@@ -257,9 +257,10 @@ def _capped_solve(bound: PowerBound, q, it) -> np.ndarray:
     The solve stops once y^T s and ||g - s||_inf sum(y), which bound what
     f can still fall, are both at most 0.1 (f(q) - f(p)) or
     1e-12 (1 + |f(q)|), or after 6 steps; a Newton matrix without a
-    Cholesky factor, or a step that halves 60 times, ends it too. It
-    returns p when f(p) <= f(q), so the map is a monotone MM step, and
-    otherwise the separable point max(sqrt(d/w), floor),
+    Cholesky factor (or with a non-finite s/y, as a power that decays
+    toward the floor can give), or a step that halves 60 times, ends it
+    too. It returns p when f(p) <= f(q), so the map is a monotone MM step,
+    and otherwise the separable point max(sqrt(d/w), floor),
     :meth:`~structcov.linear.PowerBound.point` of the pieces at q; so does
     a solve from q that ended before its first step uncertified, and a map
     from powers that are all at the floor. ``bound.tally`` counts the
@@ -287,12 +288,14 @@ def _capped_solve(bound: PowerBound, q, it) -> np.ndarray:
             certified = max(gap, residual) <= max(0.1 * (f_t - f), 1e-12 * (1.0 + abs(f_t)))
             if certified:
                 break
-            factor = chol_pd(H + np.diag(s / y))
+            with np.errstate(over="ignore", divide="ignore"):
+                barrier = s / y  # overflows where a dead atom's power decays
+            factor = chol_pd(H + np.diag(barrier)) if np.isfinite(barrier).all() else None
             if factor is None:
                 break
             target = sigma * gap / n_powers / y
             dp = lapack.dpotrs(factor, target - g, lower=1)[0]
-            ds = target - s - s / y * dp
+            ds = target - s - barrier * dp
             shrink = max(-(dp / y).min(), -(ds / s).min())
             t = min(1.0, _TO_BOUNDARY / shrink) if shrink > 0.0 else 1.0
             for _ in range(_MAX_HALVINGS):

@@ -124,9 +124,7 @@ def _embedding(cls, k: int, l: int) -> CirculantEmbedding:
     return cls(k=k, l=l, a_matrix=A)
 
 
-def build_embedding(k: int, l: int | None = None) -> CirculantEmbedding:
-    """Circulant embedding of size L >= 2K-1 (default exactly 2K-1)."""
-    return CirculantEmbedding.build(k, l)
+build_embedding = CirculantEmbedding.build  # the module-level name that tests build embeddings by
 
 
 @dataclass(frozen=True)

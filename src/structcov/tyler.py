@@ -278,11 +278,8 @@ def _l2(x) -> float:
 
 
 def _rel_change(new, old) -> float:
-    """||new - old|| / ||old||, over all entries."""
-    denom = _l2(old)
-    if denom == 0.0:
-        return _l2(new)
-    return _l2(new - old) / denom
+    """||new - old|| / ||old||, over all entries; ``old`` is a unit-trace point or factor."""
+    return _l2(new - old) / _l2(old)
 
 
 def _any_point(trial, x2):

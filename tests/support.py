@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import scipy.linalg
 
-from structcov import sample_elliptical
 from structcov.rankone import _weights
 from structcov.tyler import Iterate
 
@@ -31,10 +30,6 @@ def rand_pd(k, rng, complex_=False, ridge=None):
         A = rng.standard_normal((k, k))
     M = A @ A.conj().T + (ridge if ridge is not None else 0.5 * k) * np.eye(k)
     return 0.5 * (M + M.conj().T)
-
-
-def heavy_samples(R0, n, seed):
-    return sample_elliptical(R0, n, seed)
 
 
 def nonincreasing(trace, slack=1e-10):

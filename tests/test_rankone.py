@@ -383,6 +383,20 @@ def test_fits_near_n_equal_k_converge(k, n):
         assert res.details["inner_steps"] > 0
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_dead_coordinate_restarts_with_the_ridge(seed):
+    # a coordinate that is zero in every sample drives its identity atom's
+    # power toward zero, where the solve's barrier s/y overflows: the map
+    # must stop its solve, and the collapsing fit restart with the ridge
+    dictionary = RankOneDictionary.augment(ula_dictionary(6, 10.0))
+    X = sample_elliptical(ar_cov(6, 0.7), 30, seed).data.copy()
+    X[:, seed % 6] = 0.0
+    res = estimate_rank_one(dictionary, SampleSet.from_array(X))
+    assert res.termination == "converged" and res.details["epsilon"] == 1e-10
+    assert np.all(np.isfinite(res.scatter)) and np.isclose(np.trace(res.scatter).real, 1.0)
+    assert res.params[dictionary.l - 6 + seed % 6] == 0.0
+
+
 class TestFloorVetting:
     """The SQUAREM vetting of extrapolated powers: rank-one fits clip, circulant fits refuse."""
 

@@ -20,8 +20,11 @@ from structcov import (
     estimate_rank_one,
     estimate_spiked,
     estimate_toeplitz,
+    project_spiked,
+    sample_cov,
     sample_elliptical,
     toeplitz_basis,
+    tyler_unconstrained,
     ula_dictionary,
 )
 from structcov.bench import STRUCTURE_KINDS, TRUTH_KINDS, build_truth, run_trial, structure_fit
@@ -35,6 +38,9 @@ DOA = {"kind": "doa", "angles_deg": [-20.0, 30.0], "powers": [1.0, 1.0], "noise_
 
 # kind -> (truth, bench spec, `structcov estimate` flags, direct library call)
 CASES = {
+    "unconstrained": (
+        AR, {"kind": "unconstrained"}, [], lambda X: tyler_unconstrained(X, SETTINGS),
+    ),
     "toeplitz": (
         AR, {"kind": "toeplitz", "embedding_size": 9}, ["--embedding-size", "9"],
         lambda X: estimate_toeplitz(X, SETTINGS, embedding_size=9),
@@ -83,19 +89,28 @@ def test_cases_cover_the_table():
     assert sorted(CASES) == sorted(STRUCTURE_KINDS)
 
 
+def _trial_samples(cfg):
+    """The samples of trial 0, drawn as run_trial draws them."""
+    R0 = build_truth(cfg, np.random.default_rng(np.random.SeedSequence([SEED, N, 0, 0])))
+    return sample_elliptical(R0, N, np.random.SeedSequence([SEED, N, 0, 1]), tau_dof=cfg.tau_dof)
+
+
+def _trial_scatters(cfg, monkeypatch):
+    """(records, scatters) of trial 0, each scatter as run_trial scores it."""
+    seen = []
+    real_nmse = bench.nmse
+    monkeypatch.setattr(bench, "nmse", lambda mats, R: seen.append(mats[0]) or real_nmse(mats, R))
+    return run_trial(cfg, N, 0), seen
+
+
 @pytest.mark.parametrize("kind", list(CASES))
 def test_bench_and_cli_match_the_library(kind, tmp_path, monkeypatch):
     truth, spec, flags, direct = CASES[kind]
     cfg = _config(truth=truth, structure=spec)
-    # the samples of trial 0, drawn as run_trial draws them
-    R0 = build_truth(cfg, np.random.default_rng(np.random.SeedSequence([SEED, N, 0, 0])))
-    X = sample_elliptical(R0, N, np.random.SeedSequence([SEED, N, 0, 1]), tau_dof=cfg.tau_dof)
+    X = _trial_samples(cfg)
     expected = direct(X).scatter
 
-    seen = []
-    real_nmse = bench.nmse
-    monkeypatch.setattr(bench, "nmse", lambda mats, R: seen.append(mats[0]) or real_nmse(mats, R))
-    (rec,) = run_trial(cfg, N, 0)
+    (rec,), seen = _trial_scatters(cfg, monkeypatch)
     assert rec["estimator"] == kind and not rec["failed"]
     assert np.array_equal(seen[0], expected)
 
@@ -110,13 +125,35 @@ def test_bench_and_cli_match_the_library(kind, tmp_path, monkeypatch):
 def test_structure_choices_are_the_table():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     (structure,) = [a for a in sub.choices["estimate"]._actions if a.dest == "structure"]
-    assert structure.choices == ["unconstrained", *STRUCTURE_KINDS]
+    assert structure.choices == list(STRUCTURE_KINDS)
+    assert structure.default == "unconstrained"
+
+
+def test_baselines_match_the_library(monkeypatch):
+    cfg = _config(truth=DOA, structure=None,
+                  baselines=["SCM", "TylerUnconstrained", "ProjectedTyler"])
+    X = _trial_samples(cfg)
+    tyler = tyler_unconstrained(X, SETTINGS).scatter
+    records, seen = _trial_scatters(cfg, monkeypatch)
+    assert [rec["estimator"] for rec in records] == list(cfg.baselines)
+    assert np.array_equal(seen[0], sample_cov(X))
+    assert np.array_equal(seen[1], tyler)
+    assert np.array_equal(seen[2], project_spiked(tyler, 2))
 
 
 def test_fits_look_up_the_estimator_when_they_run(monkeypatch):
     fit = structure_fit({"kind": "toeplitz"}, K, SETTINGS)
     monkeypatch.setattr(bench, "estimate_toeplitz", lambda X, *a, **kw: ("replaced", X))
     assert fit("samples") == ("replaced", "samples")
+    cfg = _config(structure={"kind": "unconstrained"}, baselines=["SCM", "TylerUnconstrained"])
+    fits = bench._estimators(cfg)
+    monkeypatch.setattr(bench, "tyler_unconstrained", lambda X, settings: ("tyler", X, settings))
+    monkeypatch.setattr(bench, "sample_cov", lambda X: ("scm", X))
+    assert [(name, fit("x")) for name, fit in fits] == [
+        ("unconstrained", ("tyler", "x", SETTINGS)),
+        ("SCM", ("scm", "x")),
+        ("TylerUnconstrained", ("tyler", "x", SETTINGS)),
+    ]
 
 
 @pytest.mark.parametrize(
